@@ -86,7 +86,7 @@ def _load_maze(path: str, resolution: int) -> MazeSpec:
         if name in layouts.BUNDLED or name in layouts.ZOO_NAMES:
             return layouts.load_bundled(name) if name in layouts.BUNDLED else layouts.zoo_maze(name)
         if name in layouts.BUNDLED_CONTINUOUS:
-            cm = ContinuousMazeSpec.from_json(layouts.bundled_text(f"{name}.json"))
+            cm = ContinuousMazeSpec.from_json(layouts.bundled_text(name))
             return discretize_continuous(cm, resolution)
     text = p.read_text()
     if path.endswith(".json"):

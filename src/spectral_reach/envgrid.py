@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import (
     GoalIsWall,
     InvalidState,
@@ -169,6 +171,23 @@ def step(maze: MazeSpec, s: tuple[int, int], action: str) -> tuple[int, int]:
     if maze.is_floor(nx, ny):
         return (nx, ny)
     return (x, y)
+
+
+def transition_table(maze: MazeSpec) -> np.ndarray:
+    """Next-state index per (state, action): shape (n, 4), ``ACTIONS`` order.
+
+    The vectorized counterpart of ``step`` over the row-major state
+    index; a wall bump maps a state to itself.
+    """
+    floor = np.array([[ch in FLOOR_CHARS for ch in row] for row in maze.rows])
+    n = int(floor.sum())
+    grid = np.full(floor.shape, -1, dtype=np.int64)
+    grid[floor] = np.arange(n)
+    grid = np.pad(grid, 1, constant_values=-1)    # moves never leave the grid
+    y, x = np.nonzero(floor)
+    dx, dy = np.array([DELTAS[a] for a in ACTIONS]).T
+    nxt = grid[y[:, None] + dy + 1, x[:, None] + dx + 1]
+    return np.where(nxt >= 0, nxt, np.arange(n)[:, None])
 
 
 def goal_state(maze: MazeSpec, index: StateIndex, goal: tuple[int, int]) -> int:

@@ -61,6 +61,10 @@ class EmptyDataset(SpectralReachError):
     """A transition dataset contains no transitions."""
 
 
+class MalformedEmbedding(SpectralReachError):
+    """An embedding CSV lacks its header or has a row that does not fit it."""
+
+
 # ---------------------------------------------------------------------------
 # domain preconditions (exit code 2)
 # ---------------------------------------------------------------------------

@@ -10,16 +10,15 @@ and A).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
-from .envgrid import ACTIONS, MazeSpec, StateIndex, step
+from .envgrid import MazeSpec, StateIndex, transition_table
 from .errors import DimensionMismatch, GraphDisconnected, InvalidState
-
-#: eigenvalues at or below this threshold count as zero modes
-ZERO_EIGENVALUE_TOL = 1e-9
+from .spectral import ZERO_EIGENVALUE_TOL
 
 
 @dataclass(frozen=True)
@@ -44,12 +43,13 @@ class StateGraph:
 
     def neighbor_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Padded neighbor matrix and degree vector for fast random walks."""
-        max_deg = int(self.degrees.max()) if self.n_states else 0
+        deg = self.degrees.astype(np.int64)
+        max_deg = int(deg.max()) if self.n_states else 0
         table = np.zeros((self.n_states, max(max_deg, 1)), dtype=np.int64)
-        for s in range(self.n_states):
-            nbrs = np.nonzero(self.adjacency[s])[0]
-            table[s, : len(nbrs)] = nbrs
-        return table, self.degrees.astype(np.int64)
+        rows, cols = np.nonzero(self.adjacency)       # row-major: ascending per row
+        rank = np.arange(len(rows)) - np.repeat(np.cumsum(deg) - deg, deg)
+        table[rows, rank] = cols
+        return table, deg
 
 
 @dataclass(frozen=True)
@@ -60,48 +60,56 @@ class PseudoInverse:
     source: str
 
 
-def build_graph(maze: MazeSpec, index: StateIndex | None = None) -> StateGraph:
-    """State graph of a maze: nodes are floor cells, edges are legal moves."""
-    if index is None:
-        index = maze.state_index()
-    n = len(index)
+def graph_from_transitions(
+    n: int, s: np.ndarray, s2: np.ndarray, coords: tuple[tuple[int, int], ...] = ()
+) -> StateGraph:
+    """Undirected graph on n states with an edge per transition s -> s2.
+
+    Self transitions (wall bumps) are dropped; L = D - A.
+    """
+    move = s != s2
     adj = np.zeros((n, n), dtype=np.int64)
-    for i, (x, y) in enumerate(index.coords):
-        for a in ACTIONS:
-            nxt = step(maze, (x, y), a)
-            if nxt != (x, y):
-                adj[i, index.of(nxt)] = 1
+    adj[s[move], s2[move]] = 1
+    adj[s2[move], s[move]] = 1
     deg = adj.sum(axis=1)
-    lap = np.diag(deg).astype(np.float64) - adj.astype(np.float64)
     return StateGraph(
         n_states=n,
         adjacency=adj,
         degrees=deg,
         volume=int(deg.sum()),
-        laplacian=lap,
-        coords=tuple(index.coords),
+        laplacian=np.diag(deg.astype(np.float64)) - adj,
+        coords=coords,
     )
+
+
+def build_graph(maze: MazeSpec, index: StateIndex | None = None) -> StateGraph:
+    """State graph of a maze: nodes are floor cells, edges are legal moves."""
+    if index is None:
+        index = maze.state_index()
+    table = transition_table(maze)
+    n, n_actions = table.shape
+    s = np.repeat(np.arange(n), n_actions)
+    return graph_from_transitions(n, s, table.ravel(), tuple(index.coords))
+
+
+def _csr(g: StateGraph) -> sparse.csr_array:
+    # csgraph would copy a dense int64 input to a dense float64 one
+    # (8 n^2 bytes); a CSR copy holds only the edges.
+    return sparse.csr_array(g.adjacency)
+
+
+def _hops(dist: np.ndarray) -> np.ndarray:
+    """Unweighted shortest-path lengths as int64, -1 where unreachable."""
+    dist[np.isinf(dist)] = -1
+    return dist.astype(np.int64)
 
 
 def connected_components(g: StateGraph) -> tuple[tuple[int, ...], ...]:
     """Connected components, each sorted, ordered by smallest member."""
-    seen = np.zeros(g.n_states, dtype=bool)
-    comps = []
-    for s in range(g.n_states):
-        if seen[s]:
-            continue
-        comp = []
-        queue = deque([s])
-        seen[s] = True
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for v in np.nonzero(g.adjacency[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(int(v))
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+    _, labels = csgraph.connected_components(_csr(g), directed=False)
+    members = np.argsort(labels, kind="stable")
+    comps = np.split(members, np.cumsum(np.bincount(labels))[:-1])
+    return tuple(sorted(tuple(c.tolist()) for c in comps))
 
 
 def is_connected(g: StateGraph) -> bool:
@@ -120,21 +128,12 @@ def require_connected(g: StateGraph) -> None:
 def bfs_distances(g: StateGraph, source: int) -> np.ndarray:
     """Geodesic (shortest-path) distances from one state; -1 if unreachable."""
     g.check_state(source)
-    dist = np.full(g.n_states, -1, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in np.nonzero(g.adjacency[u])[0]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(int(v))
-    return dist
+    return _hops(csgraph.shortest_path(_csr(g), unweighted=True, indices=source))
 
 
 def geodesic_matrix(g: StateGraph) -> np.ndarray:
-    """All-pairs geodesic distances via repeated breadth-first search."""
-    return np.stack([bfs_distances(g, s) for s in range(g.n_states)])
+    """All-pairs geodesic distances; -1 between components."""
+    return _hops(csgraph.shortest_path(_csr(g), unweighted=True))
 
 
 def pseudo_inverse(g: StateGraph, basis) -> PseudoInverse:

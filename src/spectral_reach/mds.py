@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NegativeEntry, NotSymmetric
-from .spectral import Embedding, pairwise_sq_dists
+from .spectral import SYMMETRY_TOL, Embedding, pairwise_sq_dists
 
-SYMMETRY_TOL = 1e-12
 #: eigenvalue cutoff = RELATIVE_CUTOFF * largest eigenvalue of B
 RELATIVE_CUTOFF = 1e-9
 

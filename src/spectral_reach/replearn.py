@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 from scipy import stats
 
-from .envgrid import ACTIONS, MazeSpec, StateIndex, step
+from .envgrid import ACTIONS, MazeSpec, transition_table
 from .errors import (
     DegenerateEigenvalue,
     DimensionMismatch,
@@ -47,7 +47,7 @@ from .errors import (
     GraphDisconnected,
     NoBiasCells,
 )
-from .graph import StateGraph, build_graph, require_connected
+from .graph import StateGraph, build_graph, graph_from_transitions, require_connected
 from .spectral import Embedding
 
 #: eigenvalue estimates at or below this are too degenerate to rescale by
@@ -178,16 +178,6 @@ class QualityMetrics:
 # dataset collection
 # ---------------------------------------------------------------------------
 
-def _next_state_table(maze: MazeSpec) -> tuple[np.ndarray, int]:
-    index = maze.state_index()
-    n = len(index)
-    table = np.zeros((n, len(ACTIONS)), dtype=np.int64)
-    for i, coord in enumerate(index.coords):
-        for a, action in enumerate(ACTIONS):
-            table[i, a] = index.of(step(maze, coord, action))
-    return table, n
-
-
 def start_distribution(maze: MazeSpec, temperature: float) -> np.ndarray:
     """Start-state probabilities proportional to exp(temperature * bias)."""
     if temperature < 0:
@@ -222,7 +212,8 @@ def collect_dataset(
     if episodes <= 0 or episode_len <= 0:
         raise EmptyDataset("episodes and episode_len must be positive")
     require_connected(build_graph(maze))
-    table, n = _next_state_table(maze)
+    table = transition_table(maze)
+    n = len(table)
     p_start = start_distribution(maze, temperature)
     cum = np.cumsum(p_start)
     eps = []
@@ -251,19 +242,14 @@ def exhaustive_dataset(maze: MazeSpec) -> TransitionDataset:
     uniform-sampling limit in both the pair and the state measure.
     Eigenvalue estimates on it are exact for exact eigenvector tables.
     """
-    g = build_graph(maze)
-    index = StateIndex.from_maze(maze)
-    eps = []
-    for s in range(g.n_states):
-        cell = index.coord(s)
-        for action in ACTIONS:
-            nxt = index.of(step(maze, cell, action))
-            eps.append(np.array([s, nxt], dtype=np.int64))
-    if g.volume == 0:
+    table = transition_table(maze)
+    n, n_actions = table.shape
+    start = np.repeat(np.arange(n), n_actions)
+    if np.array_equal(table.ravel(), start):
         raise EmptyDataset("map has no edges")
+    eps = tuple(np.stack([start, table.ravel()], axis=1))
     cfg = CollectionConfig(episodes=len(eps), episode_len=1, temperature=0.0, seed=0)
-    return TransitionDataset(episodes=tuple(eps), n_states=g.n_states,
-                             config=cfg, source="exhaustive")
+    return TransitionDataset(episodes=eps, n_states=n, config=cfg, source="exhaustive")
 
 
 def induced_graph(data: TransitionDataset) -> StateGraph:
@@ -272,21 +258,7 @@ def induced_graph(data: TransitionDataset) -> StateGraph:
     States never seen in a transition are isolated nodes, so sparse
     coverage shows up as disconnection.
     """
-    n = data.n_states
-    s, s2 = data.pairs
-    adj = np.zeros((n, n), dtype=np.int64)
-    mask = s != s2
-    adj[s[mask], s2[mask]] = 1
-    adj |= adj.T
-    deg = adj.sum(axis=1)
-    lap = np.diag(deg).astype(np.float64) - adj.astype(np.float64)
-    return StateGraph(
-        n_states=n,
-        adjacency=adj,
-        degrees=deg,
-        volume=int(deg.sum()),
-        laplacian=lap,
-    )
+    return graph_from_transitions(data.n_states, *data.pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,12 @@ consume identical noise streams and differ only through the shaping.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from .envgrid import ACTIONS, MazeSpec, step
+from .envgrid import ACTIONS, MazeSpec, transition_table
 from .errors import (
     DimensionMismatch,
     MissingEmbedding,
@@ -31,8 +29,6 @@ from .graph import bfs_distances, build_graph
 from .spectral import Embedding
 
 REWARD_KINDS = ("ra_laprep", "laprep", "l2", "none")
-
-THREADS_ENV_VAR = "SPECTRAL_REACH_THREADS"
 
 
 @dataclass(frozen=True)
@@ -194,15 +190,13 @@ def q_learning(
     if config is None:
         config = QLearningConfig()
     config.validate()
-    index = maze.state_index()
-    n = len(index)
+    table = transition_table(maze)
+    n = len(table)
     spec.validate(n)
-    g = build_graph(maze)
-    if np.any(bfs_distances(g, spec.goal) < 0):
+    if np.any(bfs_distances(build_graph(maze), spec.goal) < 0):
         raise UnreachableGoal(
             f"goal state {spec.goal} is not reachable from every floor cell"
         )
-    table, _ = _build_next_table(maze, index)
     reward_tab = spec.w_env * np.where(np.arange(n) == spec.goal, 0.0, -1.0)
     reward_tab = reward_tab - spec.w_dist * _distance_table(spec, n)
 
@@ -250,21 +244,11 @@ def q_learning(
     )
 
 
-def _build_next_table(maze: MazeSpec, index) -> tuple[np.ndarray, int]:
-    n = len(index)
-    table = np.zeros((n, len(ACTIONS)), dtype=np.int64)
-    for i, coord in enumerate(index.coords):
-        for a, action in enumerate(ACTIONS):
-            table[i, a] = index.of(step(maze, coord, action))
-    return table, n
-
-
 def greedy_rollout(
     maze: MazeSpec, q: np.ndarray, start: int, goal: int, cap: int = 10_000
 ) -> int:
     """Steps the greedy policy takes from start to goal; -1 if it fails."""
-    index = maze.state_index()
-    table, _ = _build_next_table(maze, index)
+    table = transition_table(maze)
     s = start
     for t in range(cap):
         if s == goal:
@@ -287,14 +271,6 @@ def episodes_to_threshold(curve: np.ndarray, threshold: float, window: int) -> i
     return int(hits[0] + w) if hits.size else len(curve)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_experiment(
     maze: MazeSpec,
     kinds: tuple[str, ...],
@@ -306,14 +282,12 @@ def run_experiment(
     """Factorial runs over kinds x goals x seeds with shared noise per seed.
 
     ``embeddings`` supplies the embedding for each kind that needs one.
-    Worker count comes from the SPECTRAL_REACH_THREADS environment
-    variable; results are keyed, so scheduling cannot affect them.
     """
     if not kinds or not goals or not seeds:
         raise ValueError("kinds, goals, and seeds must be nonempty")
     config.validate()
     positions = scaled_positions(maze)
-    jobs = []
+    runs = {}
     for kind in kinds:
         for goal in goals:
             spec = RewardSpec(
@@ -323,21 +297,7 @@ def run_experiment(
                 positions=positions if kind == "l2" else None,
             )
             for seed in seeds:
-                jobs.append((kind, goal, seed, spec))
-
-    runs: dict[tuple[str, int, int], RunResult] = {}
-    workers = _worker_count()
-    if workers == 1:
-        for kind, goal, seed, spec in jobs:
-            runs[(kind, goal, seed)] = q_learning(maze, spec, config, seed)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                (kind, goal, seed): pool.submit(q_learning, maze, spec, config, seed)
-                for kind, goal, seed, spec in jobs
-            }
-            for key, fut in futures.items():
-                runs[key] = fut.result()
+                runs[(kind, goal, seed)] = q_learning(maze, spec, config, seed)
     return ShapingRun(
         kinds=tuple(kinds),
         goals=tuple(goals),

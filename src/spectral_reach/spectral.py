@@ -27,10 +27,13 @@ from .errors import (
     DimensionOutOfRange,
     GraphDisconnected,
     InvalidState,
+    MalformedEmbedding,
     NotSymmetric,
 )
 
+#: largest |M - M^T| entry accepted for a matrix that must be symmetric
 SYMMETRY_TOL = 1e-12
+#: eigenvalues at or below this threshold count as zero modes
 ZERO_EIGENVALUE_TOL = 1e-9
 #: refuse dense eigendecompositions beyond this size
 SIZE_CAP = 4096
@@ -220,9 +223,19 @@ def embedding_to_csv(e: Embedding, coords: tuple[tuple[int, int], ...]) -> str:
 def embedding_from_csv(text: str, kind: str = "") -> tuple[Embedding, list[tuple[int, int]]]:
     """Parse an embedding CSV back into vectors and cell coordinates."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, [])
+    if len(header) < 3:
+        raise MalformedEmbedding("embedding CSV lacks its state_index,x,y,... header")
     d = len(header) - 3 + 1
-    rows = sorted((int(r[0]), r) for r in reader)
+    rows = []
+    for r in reader:
+        if len(r) != len(header):
+            raise MalformedEmbedding(
+                f"embedding CSV line {reader.line_num} has {len(r)} fields, "
+                f"its header has {len(header)}"
+            )
+        rows.append((int(r[0]), r))
+    rows.sort()
     vectors = np.array([[float(v) for v in r[3:]] for _, r in rows])
     coords = [(int(r[1]), int(r[2])) for _, r in rows]
     return Embedding(kind=kind, d=d, vectors=vectors, source="csv"), coords

@@ -254,7 +254,8 @@ def suite_tail() -> list[CheckResult]:
         # spot-check the scalar operation against the accumulated matrices
         ok_op = abs(truncation_tail(basis, n, 0, n - 1)) == 0.0
         for d in (2, max(2, n // 2)):
-            ok_op &= abs(truncation_tail(basis, d, 0, n - 1) - by_d[d][0, n - 1]) <= 1e-9 * scale
+            ok_op &= bool(abs(truncation_tail(basis, d, 0, n - 1) - by_d[d][0, n - 1])
+                          <= 1e-9 * scale)
         out.append(CheckResult("tail", f"{name}:equals-commute-gap", ok_gap, ""))
         out.append(CheckResult("tail", f"{name}:nonnegative", ok_nonneg, ""))
         out.append(CheckResult("tail", f"{name}:nonincreasing", ok_monotone, ""))

@@ -152,6 +152,13 @@ class TestVerify:
         report = json.loads((out / "verify_report.json").read_text())
         assert report and all(entry["passed"] for entry in report)
 
+    def test_full_report_is_json_with_true_flags(self, tmp_path):
+        out = tmp_path / "all"
+        assert main(["verify", "--suite", "all", "--out", str(out)]) == 0
+        report = json.loads((out / "verify_report.json").read_text())
+        assert {entry["suite"] for entry in report} >= {"tail", "mds"}
+        assert all(entry["passed"] is True for entry in report)
+
 
 # ---------------------------------------------------------------------------
 # learn
@@ -269,6 +276,32 @@ class TestCommute:
         assert main(["commute", "--map", "p3", "--method", "mc",
                      "--seed", "1", "--out", str(tmp_path / "x")]) == 1
         assert "--pair" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# inputs that used to crash: an exit code and one stderr line, never a traceback
+# ---------------------------------------------------------------------------
+
+def _heatmap_on(tmp_path, csv_text):
+    p = tmp_path / "embedding.csv"
+    p.write_text(csv_text)
+    return ["heatmap", str(p), "--map", "k2", "--goal", "1,1",
+            "--out", str(tmp_path / "heat")]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (lambda tmp: ["env", "--map", "continuous_a"], 0),
+    (lambda tmp: ["env", "--map", "continuous_b", "--out", str(tmp / "env")], 0),
+    (lambda tmp: _heatmap_on(tmp, ""), 1),
+    (lambda tmp: _heatmap_on(tmp, "state_index,x,y,e2\n0,1\n"), 1),
+], ids=["continuous_a", "continuous_b", "heatmap-empty-csv", "heatmap-short-row"])
+def test_exit_code_and_at_most_one_stderr_line(tmp_path, capsys, argv, code):
+    assert main(argv(tmp_path)) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

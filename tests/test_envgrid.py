@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from spectral_reach import layouts
@@ -14,6 +15,7 @@ from spectral_reach.envgrid import (
     goal_state,
     parse_maze,
     step,
+    transition_table,
 )
 from spectral_reach.errors import (
     GoalIsWall,
@@ -125,6 +127,27 @@ class TestStep:
 
     def test_action_order(self):
         assert ACTIONS == ("up", "down", "left", "right")
+
+
+def _zoo_and_bundled():
+    for name in layouts.ZOO_NAMES:
+        yield f"zoo:{name}", layouts.zoo_maze(name)
+    for name in layouts.BUNDLED:
+        yield name, layouts.load_bundled(name)
+    for name in layouts.BUNDLED_CONTINUOUS:
+        yield name, discretize_continuous(layouts.load_bundled(name), 1)
+
+
+class TestTransitionTable:
+    @pytest.mark.parametrize("name,maze", list(_zoo_and_bundled()))
+    def test_matches_scalar_step(self, name, maze):
+        index = maze.state_index()
+        table = transition_table(maze)
+        assert table.shape == (len(index), len(ACTIONS))
+        assert table.dtype == np.int64
+        for i, coord in enumerate(index.coords):
+            for a, action in enumerate(ACTIONS):
+                assert table[i, a] == index.of(step(maze, coord, action)), (coord, action)
 
 
 class TestGoal:

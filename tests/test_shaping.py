@@ -219,15 +219,6 @@ class TestRunExperiment:
         b = run_experiment(tworoom, ("none",), (8,), (0, 1), cfg, {})
         assert a.aggregate() == b.aggregate()
 
-    def test_thread_pool_matches_serial(self, tworoom, monkeypatch):
-        cfg = QLearningConfig(episodes=60)
-        serial = run_experiment(tworoom, ("none", "l2"), (8,), (0, 1), cfg, {})
-        monkeypatch.setenv("SPECTRAL_REACH_THREADS", "4")
-        pooled = run_experiment(tworoom, ("none", "l2"), (8,), (0, 1), cfg, {})
-        for key, res in serial.runs.items():
-            assert np.array_equal(res.success, pooled.runs[key].success)
-            assert np.array_equal(res.steps, pooled.runs[key].steps)
-
     def test_empty_factors_rejected(self, tworoom):
         cfg = QLearningConfig(episodes=10)
         with pytest.raises(ValueError, match="nonempty"):
