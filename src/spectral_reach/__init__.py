@@ -39,7 +39,7 @@ from .replearn import (
     rep_quality,
     train_graph_drawing,
 )
-from .shaping import QLearningConfig, RewardSpec, q_learning, run_experiment, shaped_reward
+from .shaping import QLearningConfig, RewardSpec, q_learning, run_experiment
 from .bottleneck import centrality, top_bottlenecks
 
 __all__ = [
@@ -77,7 +77,6 @@ __all__ = [
     "ra_laprep",
     "rep_quality",
     "run_experiment",
-    "shaped_reward",
     "step",
     "top_bottlenecks",
     "train_graph_drawing",

@@ -19,13 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .envgrid import ACTIONS, MazeSpec, transition_table
-from .errors import (
-    DimensionMismatch,
-    MissingEmbedding,
-    UnreachableGoal,
-)
-from .graph import bfs_distances, build_graph
+from .envgrid import MazeSpec, transition_table
+from .errors import DimensionMismatch, MissingEmbedding, UnreachableGoal
+from .graph import build_graph, is_connected
 from .spectral import Embedding
 
 REWARD_KINDS = ("ra_laprep", "laprep", "l2", "none")
@@ -130,18 +126,23 @@ class ShapingRun:
         ])
 
     def aggregate(self) -> dict[str, dict[str, float]]:
-        out = {}
-        for kind in self.kinds:
-            aucs = self.per_run_auc(kind)
-            out[kind] = {
-                "auc": float(aucs.mean()),
-                "stderr": float(aucs.std(ddof=1) / np.sqrt(len(aucs)))
-                if len(aucs) > 1 else 0.0,
+        return {
+            kind: {
+                **_auc_stats(self.per_run_auc(kind)),
                 "episodes_to_90pct": episodes_to_threshold(
                     self.curve(kind), 0.9, self.config.success_window
                 ),
             }
-        return out
+            for kind in self.kinds
+        }
+
+
+def _auc_stats(aucs: np.ndarray) -> dict[str, float]:
+    """Mean AUC over runs and its standard error."""
+    return {
+        "auc": float(aucs.mean()),
+        "stderr": float(aucs.std(ddof=1) / np.sqrt(len(aucs))) if len(aucs) > 1 else 0.0,
+    }
 
 
 def scaled_positions(maze: MazeSpec) -> np.ndarray:
@@ -153,26 +154,16 @@ def scaled_positions(maze: MazeSpec) -> np.ndarray:
     return pos
 
 
-def shaped_reward(spec: RewardSpec, s_next: int) -> float:
-    """w_env * (0 at goal else -1) + w_dist * (negated distance term)."""
-    r_env = 0.0 if s_next == spec.goal else -1.0
+def reward_table(spec: RewardSpec, n: int) -> np.ndarray:
+    """Reward for entering each state: w_env * (0 at goal else -1) - w_dist * distance."""
     if spec.kind == "none":
-        r_dist = 0.0
+        dist = np.zeros(n)
     elif spec.kind == "l2":
-        r_dist = -float(np.linalg.norm(spec.positions[s_next] - spec.positions[spec.goal]))
+        dist = np.linalg.norm(spec.positions - spec.positions[spec.goal], axis=1)
     else:
-        e = spec.embedding
-        r_dist = -float(np.linalg.norm(e.vectors[s_next] - e.vectors[spec.goal]))
-    return spec.w_env * r_env + spec.w_dist * r_dist
-
-
-def _distance_table(spec: RewardSpec, n: int) -> np.ndarray:
-    """Per-state distance term, precomputed for the inner loop."""
-    if spec.kind == "none":
-        return np.zeros(n)
-    if spec.kind == "l2":
-        return np.linalg.norm(spec.positions - spec.positions[spec.goal], axis=1)
-    return np.linalg.norm(spec.embedding.vectors - spec.embedding.vectors[spec.goal], axis=1)
+        v = spec.embedding.vectors
+        dist = np.linalg.norm(v - v[spec.goal], axis=1)
+    return spec.w_env * np.where(np.arange(n) == spec.goal, 0.0, -1.0) - spec.w_dist * dist
 
 
 def q_learning(
@@ -181,67 +172,93 @@ def q_learning(
     config: QLearningConfig | None = None,
     seed: int = 0,
 ) -> RunResult:
-    """Tabular epsilon-greedy Q-learning under a shaped reward.
+    """Tabular epsilon-greedy Q-learning under a shaped reward: one run."""
+    return q_learning_batch(maze, [spec], (seed,), config or QLearningConfig())[0]
+
+
+def q_learning_batch(
+    maze: MazeSpec,
+    specs: list[RewardSpec],
+    seeds: tuple[int, ...],
+    config: QLearningConfig,
+) -> list[RunResult]:
+    """Q-learning for every (spec, seed) pair, spec-major, in lockstep.
 
     Epsilon anneals linearly from epsilon_start to epsilon_end over the
     first epsilon_fraction of episodes.  Start states are uniform over
     floor cells excluding the goal.  The goal is absorbing with value 0.
+    Each step is one numpy operation over the runs still in an episode.
+    Runs own disjoint rows of one flat Q-table and share the (seed, ep)
+    noise of their seed, so each equals the same run made alone.
     """
-    if config is None:
-        config = QLearningConfig()
+    if not specs or not seeds:
+        raise ValueError("specs and seeds must be nonempty")
     config.validate()
     table = transition_table(maze)
-    n = len(table)
-    spec.validate(n)
-    if np.any(bfs_distances(build_graph(maze), spec.goal) < 0):
-        raise UnreachableGoal(
-            f"goal state {spec.goal} is not reachable from every floor cell"
-        )
-    reward_tab = spec.w_env * np.where(np.arange(n) == spec.goal, 0.0, -1.0)
-    reward_tab = reward_tab - spec.w_dist * _distance_table(spec, n)
+    n, n_act = table.shape
+    # The state graph is undirected: a goal is reachable from every
+    # floor cell exactly when the graph is connected.
+    connected = is_connected(build_graph(maze))
+    for spec in specs:
+        spec.validate(n)
+        if not connected:
+            raise UnreachableGoal(
+                f"goal state {spec.goal} is not reachable from every floor cell"
+            )
+    if n < 2:
+        raise ValueError("Q-learning needs a floor cell besides the goal")
 
-    q = np.zeros((n, len(ACTIONS)))
-    successes = np.zeros(config.episodes, dtype=bool)
-    steps_taken = np.zeros(config.episodes, dtype=np.int64)
+    pairs = [(spec, seed) for spec in specs for seed in seeds]
+    offset = np.arange(len(pairs)) * n          # run i owns Q rows offset[i] + s
+    goal = np.array([spec.goal for spec, _ in pairs])
+    next_row = (table + offset[:, None, None]).ravel()    # at row * n_act + a
+    reward = np.concatenate([reward_table(spec, n) for spec, _ in pairs])
+    unique_seeds = list(dict.fromkeys(seeds))
+    seed_of = np.array([unique_seeds.index(seed) for _, seed in pairs])
+    q = np.zeros(len(pairs) * n * n_act)
+    q_rows = q.reshape(-1, n_act)
+    success = np.zeros((len(pairs), config.episodes), dtype=bool)
+    steps = np.full((len(pairs), config.episodes), config.episode_cap, dtype=np.int64)
     anneal = max(int(round(config.episodes * config.epsilon_fraction)), 1)
-    starts = np.array([s for s in range(n) if s != spec.goal])
-    alpha, gamma = config.step_size, config.discount
+    alpha, gamma, cap = config.step_size, config.discount, config.episode_cap
 
     for ep in range(config.episodes):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, ep))))
+        eps = config.epsilon_end
         if ep < anneal:
-            eps = config.epsilon_start + (config.epsilon_end - config.epsilon_start) * (
-                ep / anneal
-            )
-        else:
-            eps = config.epsilon_end
-        s = int(starts[int(rng.random() * len(starts))])
-        noise = rng.random((config.episode_cap, 2))
-        t = 0
-        for t in range(1, config.episode_cap + 1):
-            u_explore, u_action = noise[t - 1]
-            if u_explore < eps:
-                a = int(u_action * len(ACTIONS))
-            else:
-                a = int(np.argmax(q[s]))
-            s_next = int(table[s, a])
-            r = reward_tab[s_next]
-            done = s_next == spec.goal
-            target = r if done else r + gamma * float(np.max(q[s_next]))
-            q[s, a] += alpha * (target - q[s, a])
-            s = s_next
-            if done:
-                break
-        successes[ep] = s == spec.goal
-        steps_taken[ep] = t
-    return RunResult(
-        kind=spec.kind,
-        goal=spec.goal,
-        seed=seed,
-        success=successes,
-        steps=steps_taken,
-        q_table=q,
-    )
+            eps = config.epsilon_start + (eps - config.epsilon_start) * (ep / anneal)
+        u = np.array([
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, ep))))
+            .random(1 + 2 * cap)
+            for seed in unique_seeds
+        ])
+        k = (u[:, 0] * (n - 1)).astype(np.int64)[seed_of]   # index among non-goal states
+        noise = u[:, 1:].reshape(-1, cap, 2)
+        # Random action where exploring, -1 where acting greedily.
+        pick = np.where(noise[..., 0] < eps, (noise[..., 1] * n_act).astype(np.int64), -1)
+        runs, run_seed, run_goal = np.arange(len(pairs)), seed_of, offset + goal
+        row = offset + k + (k >= goal)
+        for t in range(cap):
+            a = pick[run_seed, t]
+            a = np.where(a >= 0, a, q_rows[row].argmax(axis=1))
+            qi = row * n_act + a
+            row = next_row[qi]
+            # No run acts from its goal, so the goal's Q row stays 0 and
+            # the target at the goal is the reward alone.
+            q[qi] += alpha * (reward[row] + gamma * q_rows[row].max(axis=1) - q[qi])
+            done = row == run_goal
+            finished = runs[done]
+            if len(finished):
+                steps[finished, ep] = t + 1
+                success[finished, ep] = True
+                runs, row, run_seed, run_goal = (x[~done] for x in (runs, row, run_seed, run_goal))
+                if not len(runs):
+                    break
+
+    q_tables = q.reshape(len(pairs), n, n_act)
+    return [
+        RunResult(spec.kind, spec.goal, seed, success[i], steps[i], q_tables[i])
+        for i, (spec, seed) in enumerate(pairs)
+    ]
 
 
 def greedy_rollout(
@@ -285,26 +302,14 @@ def run_experiment(
     """
     if not kinds or not goals or not seeds:
         raise ValueError("kinds, goals, and seeds must be nonempty")
-    config.validate()
     positions = scaled_positions(maze)
-    runs = {}
-    for kind in kinds:
-        for goal in goals:
-            spec = RewardSpec(
-                kind=kind,
-                goal=goal,
-                embedding=embeddings.get(kind),
-                positions=positions if kind == "l2" else None,
-            )
-            for seed in seeds:
-                runs[(kind, goal, seed)] = q_learning(maze, spec, config, seed)
-    return ShapingRun(
-        kinds=tuple(kinds),
-        goals=tuple(goals),
-        seeds=tuple(seeds),
-        config=config,
-        runs=runs,
-    )
+    specs = [
+        RewardSpec(kind, goal, embeddings.get(kind), positions if kind == "l2" else None)
+        for kind in kinds
+        for goal in goals
+    ]
+    runs = {(r.kind, r.goal, r.seed): r for r in q_learning_batch(maze, specs, seeds, config)}
+    return ShapingRun(tuple(kinds), tuple(goals), tuple(seeds), config, runs)
 
 
 def paired_auc_test(run: ShapingRun, kind_a: str, kind_b: str) -> tuple[float, float]:
@@ -335,19 +340,14 @@ def dimension_sweep(
     """
     if not d_values:
         raise ValueError("d_values must be nonempty")
-    report: dict[int, dict[str, float]] = {}
-    for d in d_values:
-        emb = embedding_for_d(d)
-        run = run_experiment(
-            maze, (emb.kind,), goals, seeds, config, {emb.kind: emb}
-        )
-        aucs = run.per_run_auc(emb.kind)
-        report[int(d)] = {
-            "auc": float(aucs.mean()),
-            "stderr": float(aucs.std(ddof=1) / np.sqrt(len(aucs)))
-            if len(aucs) > 1 else 0.0,
-        }
-    return report
+    specs = [
+        RewardSpec(kind=emb.kind, goal=goal, embedding=emb)
+        for emb in map(embedding_for_d, d_values)
+        for goal in goals
+    ]
+    aucs = np.array([r.auc for r in q_learning_batch(maze, specs, seeds, config)])
+    per_d = aucs.reshape(len(d_values), -1)
+    return {int(d): _auc_stats(a) for d, a in zip(d_values, per_d)}
 
 
 def curves_csv(run: ShapingRun) -> str:

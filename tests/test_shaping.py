@@ -1,12 +1,15 @@
 """Shaped-reward Q-learning, experiment harness, and reports."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from spectral_reach.envgrid import parse_maze
+from spectral_reach.envgrid import parse_maze, transition_table
 from spectral_reach.errors import MissingEmbedding, UnreachableGoal
 from spectral_reach.graph import bfs_distances
 from spectral_reach.shaping import (
+    REWARD_KINDS,
     QLearningConfig,
     RewardSpec,
     curves_csv,
@@ -15,11 +18,11 @@ from spectral_reach.shaping import (
     greedy_rollout,
     paired_auc_test,
     q_learning,
+    reward_table,
     run_experiment,
     scaled_positions,
-    shaped_reward,
 )
-from spectral_reach.spectral import Embedding, ra_laprep
+from spectral_reach.spectral import Embedding, laprep, ra_laprep
 
 SPLIT = """\
 #######
@@ -44,6 +47,38 @@ def tworoom_runs(tworoom, zoo_bases):
     )
 
 
+def reference_q_learning(maze, spec, cfg, seed):
+    """One run as a scalar loop: the definition the lockstep batch must match."""
+    table = transition_table(maze)
+    n = len(table)
+    reward = reward_table(spec, n)
+    q = np.zeros((n, 4))
+    success = np.zeros(cfg.episodes, dtype=bool)
+    steps = np.zeros(cfg.episodes, dtype=np.int64)
+    anneal = max(int(round(cfg.episodes * cfg.epsilon_fraction)), 1)
+    starts = [s for s in range(n) if s != spec.goal]
+    for ep in range(cfg.episodes):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, ep))))
+        eps = cfg.epsilon_end
+        if ep < anneal:
+            eps = cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * (ep / anneal)
+        s = starts[int(rng.random() * len(starts))]
+        noise = rng.random((cfg.episode_cap, 2))
+        for t in range(1, cfg.episode_cap + 1):
+            explore, u_action = noise[t - 1]
+            a = int(u_action * 4) if explore < eps else int(np.argmax(q[s]))
+            s_next = int(table[s, a])
+            done = s_next == spec.goal
+            target = reward[s_next] if done else reward[s_next] + cfg.discount * q[s_next].max()
+            q[s, a] += cfg.step_size * (target - q[s, a])
+            s = s_next
+            if done:
+                break
+        success[ep] = s == spec.goal
+        steps[ep] = t
+    return success, steps, q
+
+
 # ---------------------------------------------------------------------------
 # reward definition
 # ---------------------------------------------------------------------------
@@ -51,22 +86,22 @@ def tworoom_runs(tworoom, zoo_bases):
 class TestShapedReward:
     def test_zero_at_goal_without_distance_term(self):
         spec = RewardSpec(kind="none", goal=3)
-        assert shaped_reward(spec, 3) == 0.0
+        assert reward_table(spec, 4)[3] == 0.0
 
     def test_equal_mix_of_env_and_distance(self):
         emb = embedding_from([[0.0], [0.8]])
         spec = RewardSpec(kind="ra_laprep", goal=0, embedding=emb)
-        assert shaped_reward(spec, 1) == pytest.approx(-0.9)
+        assert reward_table(spec, 2)[1] == pytest.approx(-0.9)
 
     def test_two_state_rescaled_distance_gives_minus_one(self, zoo_bases):
         emb = ra_laprep(zoo_bases["k2"], 2)
         spec = RewardSpec(kind="ra_laprep", goal=1, embedding=emb)
-        assert shaped_reward(spec, 0) == pytest.approx(-1.0)
+        assert reward_table(spec, 2)[0] == pytest.approx(-1.0)
 
     def test_nonpositive_and_zero_only_at_goal(self, tworoom, zoo_bases):
         emb = ra_laprep(zoo_bases["tworoom"], 9)
         spec = RewardSpec(kind="ra_laprep", goal=4, embedding=emb)
-        values = np.array([shaped_reward(spec, s) for s in range(9)])
+        values = reward_table(spec, 9)
         assert np.all(values[np.arange(9) != 4] < 0)
         assert values[4] == 0.0
 
@@ -75,7 +110,7 @@ class TestShapedReward:
         pos = scaled_positions(maze)
         spec = RewardSpec(kind="l2", goal=0, positions=pos)
         # Neighboring cells in a 4-wide map sit 1/3 apart after scaling.
-        assert shaped_reward(spec, 1) == pytest.approx(0.5 * (-1) + 0.5 * (-1 / 3))
+        assert reward_table(spec, 2)[1] == pytest.approx(0.5 * (-1) + 0.5 * (-1 / 3))
 
     def test_embedding_required_for_spectral_kinds(self, tworoom):
         with pytest.raises(MissingEmbedding):
@@ -149,7 +184,7 @@ class TestQLearning:
         )
         assert np.array_equal(a.success, b.success)
         assert np.array_equal(a.steps, b.steps)
-        assert np.allclose(a.q_table, b.q_table)
+        assert np.array_equal(a.q_table, b.q_table)
 
     def test_success_judged_by_state_not_return(self, tworoom, zoo_bases):
         # Doubling the distance weight changes trajectories but success
@@ -239,6 +274,55 @@ class TestRunExperiment:
         assert len(lines) == 1 + 2 * 10
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "none" and first[2] == "8"
+
+
+    def test_batch_runs_equal_single_runs(self, fourroom, zoo_bases):
+        # Each run of the lockstep batch must equal the same run alone:
+        # no run reads another's Q rows, and each leaves the active set
+        # exactly when its episode ends.
+        basis = zoo_bases["fourroom"]
+        embeddings = {"ra_laprep": ra_laprep(basis, 10), "laprep": laprep(basis, 10)}
+        positions = scaled_positions(fourroom)
+        index = fourroom.state_index()
+        goals = tuple(index.of(c) for c in fourroom.goal_cells)
+        cfg = QLearningConfig(episodes=60)
+        run = run_experiment(fourroom, REWARD_KINDS, goals, (0, 1), cfg, embeddings)
+        assert len(run.runs) == 4 * 4 * 2
+        for (kind, goal, seed), result in run.runs.items():
+            spec = RewardSpec(kind=kind, goal=goal, embedding=embeddings.get(kind),
+                              positions=positions if kind == "l2" else None)
+            single = q_learning(fourroom, spec, cfg, seed)
+            assert np.array_equal(result.success, single.success)
+            assert np.array_equal(result.steps, single.steps)
+            assert result.q_table.tobytes() == single.q_table.tobytes()
+
+    def test_batch_equals_per_run_reference_loop(self, tworoom, zoo_bases):
+        # A repeated seed shares its noise rows across runs; a short cap
+        # leaves many runs unfinished.
+        emb = ra_laprep(zoo_bases["tworoom"], 9)
+        cfg = QLearningConfig(episodes=80, episode_cap=12, epsilon_fraction=0.5)
+        run = run_experiment(tworoom, ("ra_laprep", "l2", "none"), (0, 8), (5, 3, 5),
+                             cfg, {"ra_laprep": emb})
+        positions = scaled_positions(tworoom)
+        assert not run.runs[("none", 0, 3)].success.all()
+        for (kind, goal, seed), result in run.runs.items():
+            spec = RewardSpec(kind=kind, goal=goal, embedding=emb if kind == "ra_laprep" else None,
+                              positions=positions if kind == "l2" else None)
+            success, steps, q = reference_q_learning(tworoom, spec, cfg, seed)
+            assert np.array_equal(result.success, success)
+            assert np.array_equal(result.steps, steps)
+            assert result.q_table.tobytes() == q.tobytes()
+
+    def test_curves_match_recorded_digest(self, fourroom):
+        # Digest of the per-run loop's output, before runs were batched.
+        # 'l2' and 'none' need no eigensolve, so it does not depend on
+        # the LAPACK build.
+        index = fourroom.state_index()
+        goals = tuple(index.of(c) for c in fourroom.goal_cells)
+        run = run_experiment(fourroom, ("l2", "none"), goals, (0, 1),
+                             QLearningConfig(episodes=100), {})
+        digest = hashlib.sha256(curves_csv(run).encode()).hexdigest()
+        assert digest == "edee1a325b6b41948d490f4237d20412c4ccba174f1b0813be25b2e175396d33"
 
 
 class TestDimensionSweep:
