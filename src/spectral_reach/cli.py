@@ -31,7 +31,13 @@ from .envgrid import (
     parse_maze,
 )
 from .errors import SpectralReachError
-from .graph import build_graph, connected_components, export_graph_json, geodesic_matrix
+from .graph import (
+    StateGraph,
+    build_graph,
+    connected_components,
+    export_graph_json,
+    geodesic_matrix,
+)
 from .manifest import RunManifest, atomic_write_bytes, atomic_write_text
 from .replearn import (
     TrainConfig,
@@ -50,8 +56,12 @@ from .shaping import (
     run_experiment,
 )
 from .spectral import (
+    Embedding,
+    SpectralBasis,
     basis_to_json,
+    check_dimension,
     eig_sym,
+    eigvals_banded,
     embedding_from_csv,
     embedding_to_csv,
     laprep,
@@ -60,6 +70,7 @@ from .spectral import (
 from .verify import run_suite
 
 EMBED_KINDS = {"lap": "laprep", "ra": "ra_laprep"}
+EMBEDDERS = {"laprep": laprep, "ra_laprep": ra_laprep}
 
 #: heatmap color stops, linear in normalized value (plasma-like ramp)
 COLOR_STOPS = (
@@ -139,6 +150,19 @@ def _write_outputs(out_dir: str, manifest: RunManifest, files: dict[str, str | b
     atomic_write_text(out / "run_manifest.json", manifest.to_json())
 
 
+def _spectral_embeddings(
+    g: StateGraph, d: int, kinds: list[str]
+) -> tuple[SpectralBasis, dict[str, Embedding]]:
+    """Embeddings of dimension d, one per kind, from one eigensolve.
+
+    Only the d smallest eigenpairs are computed: for d < n by the sparse
+    partial solver, for d = n by the dense full decomposition.
+    """
+    check_dimension(d, g.n_states)
+    basis = eig_sym(g.laplacian, d)
+    return basis, {kind: EMBEDDERS[kind](basis, d) for kind in kinds}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -162,14 +186,15 @@ def cmd_env(args) -> int:
 def cmd_embed(args) -> int:
     maze = _load_maze(args.map, args.resolution)
     g = build_graph(maze)
-    basis = eig_sym(g.laplacian)
     d = args.d if args.d is not None else g.n_states
     kind = EMBED_KINDS[args.kind]
-    emb = ra_laprep(basis, d) if kind == "ra_laprep" else laprep(basis, d)
+    basis, embs = _spectral_embeddings(g, d, [kind])
+    # basis.json lists all n eigenvalues, even when only d pairs were solved for.
+    spectrum = eigvals_banded(g.laplacian) if basis.is_partial else None
     manifest = _manifest(args, {"kind": args.kind, "d": d, "resolution": args.resolution}, [])
     _write_outputs(args.out, manifest, {
-        "embedding.csv": embedding_to_csv(emb, g.coords),
-        "basis.json": json.dumps(basis_to_json(basis), indent=2) + "\n",
+        "embedding.csv": embedding_to_csv(embs[kind], g.coords),
+        "basis.json": json.dumps(basis_to_json(basis, spectrum), indent=2) + "\n",
     })
     print(f"wrote {kind} embedding (d={d}) for {g.n_states} states to {args.out}")
     return 0
@@ -316,15 +341,11 @@ def cmd_shape(args) -> int:
             )
         goals = tuple(index.of(c) for c in maze.goal_cells)
     d = args.d if args.d is not None else min(10, g.n_states)
-    basis = eig_sym(g.laplacian)
-    embeddings = {}
-    if "ra_laprep" in kinds:
-        embeddings["ra_laprep"] = ra_laprep(basis, d)
-    if "laprep" in kinds:
-        embeddings["laprep"] = laprep(basis, d)
+    embedded = [k for k in kinds if k in EMBEDDERS]
+    embeddings = _spectral_embeddings(g, d, embedded)[1] if embedded else {}
     config = QLearningConfig(episodes=args.episodes)
     seeds = tuple(args.seed + i for i in range(args.seeds))
-    run = run_experiment(maze, kinds, goals, seeds, config, embeddings)
+    run = run_experiment(maze, kinds, goals, seeds, config, embeddings, g)
     aggregate = run.aggregate()
     report = {"aggregate": aggregate, "paired_tests": {}}
     if "ra_laprep" in kinds:
@@ -359,10 +380,9 @@ def cmd_shape(args) -> int:
 def cmd_bottleneck(args) -> int:
     maze = _load_maze(args.map, args.resolution)
     g = build_graph(maze)
-    basis = eig_sym(g.laplacian)
     d = args.d if args.d is not None else g.n_states
     kind = EMBED_KINDS[args.kind]
-    emb = ra_laprep(basis, d) if kind == "ra_laprep" else laprep(basis, d)
+    emb = _spectral_embeddings(g, d, [kind])[1][kind]
     report = make_report(emb, args.frac, args.invert)
     lines = ["state_index,x,y,cent,selected"]
     selected = set(report.selected)

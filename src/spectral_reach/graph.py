@@ -139,8 +139,9 @@ def geodesic_matrix(g: StateGraph) -> np.ndarray:
 def pseudo_inverse(g: StateGraph, basis) -> PseudoInverse:
     """L+ from the spectral side: sum of (1/lambda_i) v_i v_i^T over i >= 2.
 
-    Requires a connected graph (exactly one zero eigenvalue).
+    Requires a full basis and a connected graph (exactly one zero eigenvalue).
     """
+    basis.require_full("pseudo_inverse")
     lam = basis.eigenvalues
     vec = basis.eigenvectors
     if vec.shape[0] != g.n_states:

@@ -21,7 +21,7 @@ from scipy import stats
 
 from .envgrid import MazeSpec, transition_table
 from .errors import DimensionMismatch, MissingEmbedding, UnreachableGoal
-from .graph import build_graph, is_connected
+from .graph import StateGraph, build_graph, is_connected
 from .spectral import Embedding
 
 REWARD_KINDS = ("ra_laprep", "laprep", "l2", "none")
@@ -181,6 +181,7 @@ def q_learning_batch(
     specs: list[RewardSpec],
     seeds: tuple[int, ...],
     config: QLearningConfig,
+    graph: StateGraph | None = None,
 ) -> list[RunResult]:
     """Q-learning for every (spec, seed) pair, spec-major, in lockstep.
 
@@ -190,15 +191,20 @@ def q_learning_batch(
     Each step is one numpy operation over the runs still in an episode.
     Runs own disjoint rows of one flat Q-table and share the (seed, ep)
     noise of their seed, so each equals the same run made alone.
+    ``graph`` is the maze's state graph, when the caller has built it.
     """
     if not specs or not seeds:
         raise ValueError("specs and seeds must be nonempty")
     config.validate()
     table = transition_table(maze)
     n, n_act = table.shape
+    if graph is None:
+        graph = build_graph(maze)
+    elif graph.n_states != n:
+        raise DimensionMismatch(f"graph has {graph.n_states} states, maze has {n}")
     # The state graph is undirected: a goal is reachable from every
     # floor cell exactly when the graph is connected.
-    connected = is_connected(build_graph(maze))
+    connected = is_connected(graph)
     for spec in specs:
         spec.validate(n)
         if not connected:
@@ -295,10 +301,12 @@ def run_experiment(
     seeds: tuple[int, ...],
     config: QLearningConfig,
     embeddings: dict[str, Embedding],
+    graph: StateGraph | None = None,
 ) -> ShapingRun:
     """Factorial runs over kinds x goals x seeds with shared noise per seed.
 
-    ``embeddings`` supplies the embedding for each kind that needs one.
+    ``embeddings`` supplies the embedding for each kind that needs one;
+    ``graph`` is the maze's state graph, when the caller has built it.
     """
     if not kinds or not goals or not seeds:
         raise ValueError("kinds, goals, and seeds must be nonempty")
@@ -308,7 +316,8 @@ def run_experiment(
         for kind in kinds
         for goal in goals
     ]
-    runs = {(r.kind, r.goal, r.seed): r for r in q_learning_batch(maze, specs, seeds, config)}
+    batch = q_learning_batch(maze, specs, seeds, config, graph)
+    runs = {(r.kind, r.goal, r.seed): r for r in batch}
     return ShapingRun(tuple(kinds), tuple(goals), tuple(seeds), config, runs)
 
 

@@ -11,7 +11,9 @@ the unscaled embedding distorts.
 The constant eigenvector (eigenvalue zero) carries no distance
 information and is always dropped: an embedding of dimension ``d``
 stores ``d - 1`` coordinates per state, taken from eigen-indices
-2 through d in ascending eigenvalue order.
+2 through d in ascending eigenvalue order.  Such an embedding needs only
+the d smallest eigenpairs, which ``eig_sym(L, d)`` computes by sparse
+shift-invert Lanczos when d < n.
 """
 
 from __future__ import annotations
@@ -21,9 +23,13 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.linalg import eig_banded
+from scipy.sparse.linalg import eigsh
 
 from .errors import (
     ConvergenceFailure,
+    DimensionMismatch,
     DimensionOutOfRange,
     GraphDisconnected,
     InvalidState,
@@ -37,15 +43,25 @@ SYMMETRY_TOL = 1e-12
 ZERO_EIGENVALUE_TOL = 1e-9
 #: refuse dense eigendecompositions beyond this size
 SIZE_CAP = 4096
+#: shift of the partial solver, below the spectrum of a Laplacian (which
+#: is positive semidefinite), so L - sigma I is positive definite
+PARTIAL_SHIFT = -1e-3
+#: seed of the partial solver's fixed Lanczos start vector
+PARTIAL_START_SEED = 0
 SIGN_CONVENTION = "max-abs-positive"
 
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """Full eigensystem of a graph Laplacian, ascending eigenvalues."""
+    """Smallest eigenpairs of a graph Laplacian, ascending eigenvalues.
 
-    eigenvalues: np.ndarray       # (n,), ascending
-    eigenvectors: np.ndarray      # (n, n), column i pairs with eigenvalue i
+    A full basis holds all n pairs.  A partial one, from ``eig_sym(L, k)``
+    with k < n, holds the k smallest and refuses every quantity that
+    needs the whole spectrum.
+    """
+
+    eigenvalues: np.ndarray       # (k,), ascending
+    eigenvectors: np.ndarray      # (n, k), column i pairs with eigenvalue i
     sign_convention: str = SIGN_CONVENTION
 
     @property
@@ -53,8 +69,20 @@ class SpectralBasis:
         return self.eigenvectors.shape[0]
 
     @property
+    def is_partial(self) -> bool:
+        return self.eigenvectors.shape[1] < self.n_states
+
+    def require_full(self, what: str) -> None:
+        if self.is_partial:
+            raise DimensionMismatch(
+                f"{what} needs all {self.n_states} eigenpairs, "
+                f"the basis holds the {self.eigenvectors.shape[1]} smallest"
+            )
+
+    @property
     def volume(self) -> int:
         """Graph volume recovered from the spectrum: V = tr L = sum of eigenvalues."""
+        self.require_full("the graph volume")
         return int(round(float(self.eigenvalues.sum())))
 
 
@@ -89,17 +117,23 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def eig_sym(L: np.ndarray) -> SpectralBasis:
-    """Full eigendecomposition of a symmetric Laplacian.
+def eig_sym(L: np.ndarray, k: int | None = None) -> SpectralBasis:
+    """Eigendecomposition of a symmetric Laplacian, eigenvalues ascending.
 
-    Validates symmetry to 1e-12, refuses matrices above the dense size
-    cap, returns eigenvalues ascending with a deterministic sign
-    convention on the eigenvectors.
+    Without k, or with k = n, this is the full dense decomposition, which
+    refuses matrices above the dense size cap.  For k < n only the k
+    smallest eigenpairs are computed (``_eig_partial``), with no cap.
+    Both validate symmetry to 1e-12 and apply the same deterministic
+    sign convention to the eigenvectors.
     """
     L = np.asarray(L, dtype=np.float64)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {L.shape}")
     n = L.shape[0]
+    if k is not None and not 1 <= k <= n:
+        raise DimensionOutOfRange(f"k = {k} eigenpairs outside [1, {n}]")
+    if k is not None and k < n:
+        return _eig_partial(L, k)
     if n > SIZE_CAP:
         raise DimensionOutOfRange(
             f"matrix size {n} exceeds the dense solver cap {SIZE_CAP}"
@@ -114,15 +148,54 @@ def eig_sym(L: np.ndarray) -> SpectralBasis:
     return SpectralBasis(eigenvalues=lam, eigenvectors=_fix_signs(vec))
 
 
-def _check_dimension(basis: SpectralBasis, d: int) -> None:
-    n = basis.n_states
+def _eig_partial(L: np.ndarray, k: int) -> SpectralBasis:
+    """The k < n smallest eigenpairs by shift-invert Lanczos (ARPACK).
+
+    L - sigma I is factored once, sparse, with sigma just below zero;
+    Lanczos runs to machine precision from a fixed seeded start vector
+    (never the constant one, which is the zero mode of a Laplacian), so
+    repeated calls give identical bytes.
+    """
+    a = sparse.csc_array(L)
+    skew = float(abs(a - a.T).max())
+    if skew > SYMMETRY_TOL:
+        raise NotSymmetric(f"max |L - L^T| = {skew:.3e} exceeds {SYMMETRY_TOL}")
+    v0 = np.random.default_rng(PARTIAL_START_SEED).standard_normal(L.shape[0])
+    try:
+        lam, vec = eigsh(a, k, sigma=PARTIAL_SHIFT, which="LM", v0=v0, tol=0)
+    except RuntimeError as exc:       # ArpackError, or a singular factorization
+        raise ConvergenceFailure(f"partial eigendecomposition failed: {exc}") from exc
+    order = np.argsort(lam, kind="stable")
+    return SpectralBasis(eigenvalues=lam[order], eigenvectors=_fix_signs(vec[:, order]))
+
+
+def eigvals_banded(L: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a symmetric banded matrix, ascending, no vectors.
+
+    LAPACK reduces the band (``scipy.linalg.eig_banded``), which takes
+    O(n b) memory for bandwidth b instead of the n x n of a dense solve.
+    A Laplacian with states in row-major order is banded: b is the
+    largest index step of an edge, about one maze row.
+    """
+    upper = sparse.triu(sparse.csc_array(L, dtype=np.float64)).tocoo()
+    b = int((upper.col - upper.row).max()) if upper.nnz else 0
+    band = np.zeros((b + 1, upper.shape[0]))
+    band[b + upper.row - upper.col, upper.col] = upper.data
+    try:
+        return eig_banded(band, eigvals_only=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"band eigenvalue solve failed: {exc}") from exc
+
+
+def check_dimension(d: int, n: int) -> None:
+    """Refuse an embedding dimension outside [2, n]."""
     if not 2 <= d <= n:
         raise DimensionOutOfRange(f"d = {d} outside [2, {n}]")
 
 
 def laprep(basis: SpectralBasis, d: int) -> Embedding:
     """Plain spectral embedding: raw entries of eigenvectors 2..d."""
-    _check_dimension(basis, d)
+    check_dimension(d, basis.eigenvectors.shape[1])
     return Embedding(
         kind="laprep",
         d=d,
@@ -134,7 +207,7 @@ def laprep(basis: SpectralBasis, d: int) -> Embedding:
 
 def ra_laprep(basis: SpectralBasis, d: int) -> Embedding:
     """Reachability-aware embedding: eigenvector i scaled by 1/sqrt(lambda_i)."""
-    _check_dimension(basis, d)
+    check_dimension(d, basis.eigenvectors.shape[1])
     lam = basis.eigenvalues[1:d]
     if lam[0] <= ZERO_EIGENVALUE_TOL:
         raise GraphDisconnected(
@@ -173,9 +246,10 @@ def truncation_tail(basis: SpectralBasis, d: int, s: int, s2: int) -> float:
 
     Exact tail: V * sum over i > d of (v_i[s] - v_i[s'])^2 / lambda_i,
     with the graph volume V recovered from the eigenvalue sum.  Zero at
-    d = n; nonnegative and nonincreasing in d.
+    d = n; nonnegative and nonincreasing in d.  Needs a full basis.
     """
-    _check_dimension(basis, d)
+    basis.require_full("truncation_tail")
+    check_dimension(d, basis.n_states)
     n = basis.n_states
     for q in (s, s2):
         if not 0 <= q < n:
@@ -193,7 +267,8 @@ def truncation_tail(basis: SpectralBasis, d: int, s: int, s2: int) -> float:
 
 def tail_bound(basis: SpectralBasis, d: int) -> float:
     """Upper bound 4 * V * sum over i > d of 1 / lambda_i for the tail."""
-    _check_dimension(basis, d)
+    basis.require_full("tail_bound")
+    check_dimension(d, basis.n_states)
     if d == basis.n_states:
         return 0.0
     return float(4.0 * basis.volume * np.sum(1.0 / basis.eigenvalues[d:]))
@@ -241,8 +316,12 @@ def embedding_from_csv(text: str, kind: str = "") -> tuple[Embedding, list[tuple
     return Embedding(kind=kind, d=d, vectors=vectors, source="csv"), coords
 
 
-def basis_to_json(basis: SpectralBasis) -> dict:
+def basis_to_json(basis: SpectralBasis, eigenvalues: np.ndarray | None = None) -> dict:
+    """Plain-data form; ``eigenvalues`` replaces the basis's own (say, the
+    full spectrum of a partial basis)."""
+    if eigenvalues is None:
+        eigenvalues = basis.eigenvalues
     return {
-        "eigenvalues": [float(v) for v in basis.eigenvalues],
+        "eigenvalues": [float(v) for v in eigenvalues],
         "sign_convention": basis.sign_convention,
     }

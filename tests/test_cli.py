@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from spectral_reach import layouts
+from spectral_reach import cli, graph, layouts, shaping
 from spectral_reach.cli import main
 from spectral_reach.manifest import sha256_file
 
@@ -84,6 +84,32 @@ class TestEmbed:
         with pytest.raises(SystemExit) as exc:
             main(["embed", "--map", "k2"])          # no --out
         assert exc.value.code == 1
+
+    def test_low_dimension_runs_beyond_the_dense_cap(self, tmp_path):
+        # 5,004 states: above the dense solver's cap, which d < n does not use.
+        out = tmp_path / "ca5"
+        assert main(["embed", "--map", "continuous_a", "--resolution", "5",
+                     "--d", "10", "--out", str(out)]) == 0
+        header, rows = read_csv_rows(out / "embedding.csv")
+        assert header[3:] == [f"e{i}" for i in range(2, 11)] and len(rows) == 5004
+        lam = np.array(json.loads((out / "basis.json").read_text())["eigenvalues"])
+        assert len(lam) == 5004 and np.all(np.diff(lam) >= -1e-12)
+        # Rescaled columns c_i = v_i / sqrt(lambda_i) have c_i^T c_i = 1 / lambda_i.
+        c = np.array([[float(v) for v in r[3:]] for r in rows])
+        assert np.sum(c * c, axis=0) == pytest.approx(1.0 / lam[1:10], rel=1e-8)
+
+    def test_full_dimension_beyond_the_dense_cap_is_refused(self, tmp_path, capsys):
+        assert main(["embed", "--map", "continuous_a", "--resolution", "5",
+                     "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == (
+            "error: matrix size 5004 exceeds the dense solver cap 4096\n")
+
+    def test_low_dimension_rerun_is_byte_identical(self, tmp_path):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["embed", "--map", "fourroom", "--d", "10", "--out", str(out)]) == 0
+        for name in ("embedding.csv", "basis.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +236,19 @@ class TestShape:
         assert "ra_laprep>none" in report["paired_tests"]
         curves = (out / "curves.csv").read_text().strip().split("\n")
         assert len(curves) == 1 + 2 * 3 * 120
+
+    def test_state_graph_built_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_build(maze, *args):
+            calls.append(maze)
+            return graph.build_graph(maze, *args)
+
+        monkeypatch.setattr(cli, "build_graph", counting_build)
+        monkeypatch.setattr(shaping, "build_graph", counting_build)
+        assert main(["shape", "--map", "tworoom", "--goal", "5,2", "--episodes", "10",
+                     "--seed", "0", "--seeds", "2", "--out", str(tmp_path / "s")]) == 0
+        assert len(calls) == 1
 
     def test_unknown_kind_is_usage_error(self, tmp_path, capsys):
         assert main(["shape", "--map", "tworoom", "--kind", "geodesic",

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from spectral_reach.envgrid import parse_maze, transition_table
-from spectral_reach.errors import MissingEmbedding, UnreachableGoal
-from spectral_reach.graph import bfs_distances
+from spectral_reach.errors import DimensionMismatch, MissingEmbedding, UnreachableGoal
+from spectral_reach.graph import bfs_distances, build_graph
 from spectral_reach.shaping import (
     REWARD_KINDS,
     QLearningConfig,
@@ -253,6 +253,22 @@ class TestRunExperiment:
         a = run_experiment(tworoom, ("none",), (8,), (0, 1), cfg, {})
         b = run_experiment(tworoom, ("none",), (8,), (0, 1), cfg, {})
         assert a.aggregate() == b.aggregate()
+
+    def test_given_state_graph_changes_nothing(self, tworoom, zoo_graphs):
+        cfg = QLearningConfig(episodes=60)
+        a = run_experiment(tworoom, ("none", "l2"), (8,), (0, 1), cfg, {})
+        b = run_experiment(tworoom, ("none", "l2"), (8,), (0, 1), cfg, {},
+                           zoo_graphs["tworoom"])
+        for key, run in a.runs.items():
+            assert np.array_equal(run.q_table, b.runs[key].q_table), key
+
+    def test_state_graph_of_another_maze_rejected(self, tworoom):
+        with pytest.raises(DimensionMismatch):
+            run_experiment(tworoom, ("none",), (8,), (0,), QLearningConfig(episodes=5),
+                           {}, build_graph(parse_maze(SPLIT)))
+        with pytest.raises(UnreachableGoal):
+            run_experiment(parse_maze(SPLIT), ("none",), (0,), (0,),
+                           QLearningConfig(episodes=5), {}, build_graph(parse_maze(SPLIT)))
 
     def test_empty_factors_rejected(self, tworoom):
         cfg = QLearningConfig(episodes=10)

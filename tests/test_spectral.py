@@ -5,17 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from spectral_reach.envgrid import parse_maze
+from spectral_reach import layouts
+from spectral_reach.envgrid import discretize_continuous, parse_maze
 from spectral_reach.errors import (
+    DimensionMismatch,
     DimensionOutOfRange,
     GraphDisconnected,
     InvalidState,
     NotSymmetric,
 )
-from spectral_reach.graph import build_graph
+from spectral_reach.graph import build_graph, pseudo_inverse
 from spectral_reach.spectral import (
     basis_to_json,
     eig_sym,
+    eigvals_banded,
     embed_dist,
     embedding_from_csv,
     embedding_to_csv,
@@ -27,6 +30,40 @@ from spectral_reach.spectral import (
 )
 
 K2_L = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+#: the zoo, the other bundled maps, and both continuous layouts at resolution 1
+PARTIAL_MAPS = layouts.ZOO_NAMES + ("biased", "discrete_a", "discrete_b") + \
+    layouts.BUNDLED_CONTINUOUS
+#: eigenvalues closer than this, relative to max(lambda_max, 1), form one
+#: degenerate cluster, which a dimension d must not cut
+CLUSTER_GAP = 1e-9
+#: any solver fixes an eigenvector only to about eps ||L|| / gap (Davis-Kahan);
+#: from this relative separation on, two solvers agree on it to 1e-9
+SIMPLE_GAP = 1e-6
+
+
+@pytest.fixture(scope="module")
+def partial_graphs():
+    graphs = {}
+    for name in PARTIAL_MAPS:
+        if name in layouts.BUNDLED_CONTINUOUS:
+            maze = discretize_continuous(layouts.load_bundled(name), 1)
+        elif name in layouts.ZOO_NAMES:
+            maze = layouts.zoo_maze(name)
+        else:
+            maze = layouts.load_bundled(name)
+        graphs[name] = build_graph(maze)
+    return graphs
+
+
+def _sign_tied(col: np.ndarray, tol: float = 1e-9) -> bool:
+    """The max-abs entry is tied, to tol, with an entry of opposite sign.
+
+    Mirror-symmetric eigenvectors have such ties; the max-abs sign rule
+    then follows rounding, in the dense and in the sparse solver alike.
+    """
+    top = col[np.argmax(np.abs(col))]
+    return bool(np.any((np.abs(col) >= abs(top) - tol) & (np.sign(col) != np.sign(top))))
 
 
 class TestEigSym:
@@ -102,6 +139,89 @@ class TestEigSym:
             )
             via_edges = float(sum((x[i] - x[j]) ** 2 for i, j in g.edges()))
             assert via_basis == pytest.approx(via_edges, rel=1e-10)
+
+
+class TestEigSymPartial:
+    """eig_sym(L, k) for k < n: the k smallest pairs from the sparse solver."""
+
+    @pytest.mark.parametrize("name", PARTIAL_MAPS)
+    def test_matches_dense_at_every_uncut_dimension(self, name, partial_graphs):
+        lap = partial_graphs[name].laplacian
+        n = lap.shape[0]
+        dense = eig_sym(lap)
+        lam, vec = dense.eigenvalues, dense.eigenvectors
+        scale = max(float(lam[-1]), 1.0)
+        gaps = np.diff(lam)
+        separation = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])
+        simple = separation > SIMPLE_GAP * scale
+        for d in range(2, n):
+            if gaps[d - 1] <= CLUSTER_GAP * scale:
+                continue
+            part = eig_sym(lap, d)
+            assert part.is_partial and part.eigenvectors.shape == (n, d), (name, d)
+            assert np.abs(part.eigenvalues - lam[:d]).max() <= 1e-12 * scale, (name, d)
+            for j in range(d):
+                got, want = part.eigenvectors[:, j], vec[:, j]
+                assert got[np.argmax(np.abs(got))] > 0, (name, d, j)
+                if not simple[j]:
+                    continue
+                if _sign_tied(want):
+                    got = got if got @ want > 0 else -got
+                assert np.abs(got - want).max() <= 1e-9, (name, d, j)
+
+    @pytest.mark.parametrize("name", PARTIAL_MAPS[1:])
+    def test_repeated_calls_give_identical_bytes(self, name, partial_graphs):
+        lap = partial_graphs[name].laplacian
+        d = min(10, lap.shape[0] - 1)
+        a, b = eig_sym(lap, d), eig_sym(lap, d)
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
+
+    def test_full_spectrum_consumers_refuse_a_partial_basis(self, zoo_graphs):
+        g = zoo_graphs["fourroom"]
+        part = eig_sym(g.laplacian, 10)
+        for call in (
+            lambda: part.volume,
+            lambda: truncation_tail(part, 5, 0, 1),
+            lambda: tail_bound(part, 5),
+            lambda: pseudo_inverse(g, part),
+        ):
+            with pytest.raises(DimensionMismatch) as exc:
+                call()
+            assert "the 10 smallest" in str(exc.value) and "\n" not in str(exc.value)
+
+    def test_embeddings_up_to_the_solved_dimension(self, zoo_graphs, zoo_bases):
+        lap = zoo_graphs["fourroom"].laplacian
+        part = eig_sym(lap, 6)
+        assert ra_laprep(part, 6).vectors.shape == (104, 5)
+        assert laprep(part, 2).eigenvalues == pytest.approx(
+            zoo_bases["fourroom"].eigenvalues[1:2], abs=1e-12)
+        with pytest.raises(DimensionOutOfRange):
+            laprep(part, 7)
+
+    def test_k_outside_range(self):
+        for k in (0, 3):
+            with pytest.raises(DimensionOutOfRange):
+                eig_sym(K2_L, k)
+
+    def test_k_equal_to_n_is_the_dense_path(self, zoo_graphs, zoo_bases):
+        lap = zoo_graphs["tworoom"].laplacian
+        full = eig_sym(lap, 9)
+        assert not full.is_partial
+        assert full.eigenvectors.tobytes() == zoo_bases["tworoom"].eigenvectors.tobytes()
+
+    def test_not_symmetric(self):
+        lap = np.diag([1.0, 2.0, 3.0])
+        lap[0, 2] = 1e-6
+        with pytest.raises(NotSymmetric):
+            eig_sym(lap, 2)
+
+    @pytest.mark.parametrize("name", PARTIAL_MAPS)
+    def test_banded_eigenvalues_match_dense(self, name, partial_graphs):
+        lap = partial_graphs[name].laplacian
+        lam = eig_sym(lap).eigenvalues
+        got = eigvals_banded(lap)
+        assert np.abs(got - lam).max() <= 1e-12 * max(float(lam[-1]), 1.0)
 
 
 class TestLaprep:
@@ -236,3 +356,10 @@ class TestSerialization:
         payload = basis_to_json(zoo_bases["p3"])
         assert payload["sign_convention"] == "max-abs-positive"
         assert payload["eigenvalues"] == pytest.approx([0.0, 1.0, 3.0], abs=1e-9)
+
+    def test_basis_json_of_a_partial_basis_lists_the_given_spectrum(self, p3_graph):
+        part = eig_sym(p3_graph.laplacian, 2)
+        assert basis_to_json(part)["eigenvalues"] == pytest.approx([0.0, 1.0], abs=1e-12)
+        spectrum = eigvals_banded(p3_graph.laplacian)
+        payload = basis_to_json(part, spectrum)
+        assert payload["eigenvalues"] == pytest.approx([0.0, 1.0, 3.0], abs=1e-12)
