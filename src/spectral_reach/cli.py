@@ -132,10 +132,7 @@ def _manifest(args, config: dict, seeds: list[int]) -> RunManifest:
 
 
 def _bundled_digest(name: str) -> str:
-    if name in layouts.ZOO_NAMES and name not in layouts.BUNDLED:
-        text = layouts.ZOO[name]
-    else:
-        text = layouts.bundled_text(name)
+    text = layouts.ZOO[name] if name in layouts.ZOO else layouts.bundled_text(name)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -226,6 +223,8 @@ def _ppm(maze: MazeSpec, values: dict[tuple[int, int], float], scale: int) -> by
 
 
 def cmd_heatmap(args) -> int:
+    if args.scale < 1:
+        raise SpectralReachError(f"--scale must be at least 1 pixel per cell, got {args.scale}")
     maze = _load_maze(args.map, args.resolution)
     index = maze.state_index()
     emb, coords = embedding_from_csv(Path(args.embedding_csv).read_text())
@@ -416,6 +415,8 @@ def cmd_commute(args) -> int:
         if args.pair is None:
             raise SpectralReachError("--pair is required for --method mc")
         index = maze.state_index()
+        if args.pair.count(":") != 1:
+            raise SpectralReachError(f"expected --pair as cells 'x,y:x,y', got {args.pair!r}")
         raw_a, raw_b = args.pair.split(":")
         s = goal_state(maze, index, _parse_cell(raw_a))
         s2 = goal_state(maze, index, _parse_cell(raw_b))

@@ -81,7 +81,7 @@ def first_passage(g: StateGraph) -> FirstPassageMatrix:
     """
     require_connected(g)
     n = g.n_states
-    p = g.adjacency.astype(np.float64) / g.degrees[:, None]
+    p = g.adjacency.toarray() / g.degrees[:, None]
     m = np.zeros((n, n), dtype=np.float64)
     ones = np.ones(n - 1, dtype=np.float64)
     for j in range(n):
@@ -174,7 +174,8 @@ def commute_mc(
     if s == s2:
         return McEstimate(0.0, 0.0, walks, 0, seed)
 
-    table, deg = g.neighbor_table()
+    # row r of the CSR adjacency lists r's neighbors in ascending order
+    first, nbrs, deg = g.adjacency.indptr, g.adjacency.indices, g.degrees
     keys = _stream_keys(seed, walks)
 
     pos = np.full(walks, s, dtype=np.int64)
@@ -191,7 +192,7 @@ def commute_mc(
             u = (draw >> _U64(11)).astype(np.float64) * (2.0 ** -53)
             cur = pos[active]
             k = (u * deg[cur]).astype(np.int64)
-            nxt = table[cur, k]
+            nxt = nbrs[first[cur] + k]
             pos[active] = nxt
             steps[active] += 1
 

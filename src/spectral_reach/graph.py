@@ -23,13 +23,21 @@ from .spectral import ZERO_EIGENVALUE_TOL
 
 @dataclass(frozen=True)
 class StateGraph:
-    """Undirected state graph with its Laplacian.  Immutable."""
+    """Undirected state graph with its Laplacian.  Immutable.
+
+    ``adjacency`` and ``laplacian`` are canonical CSR arrays: sorted
+    column indices within each row, no duplicate entries and no stored
+    zeros.  The adjacency holds int64 ones and no self loops, so row s
+    lists the neighbors of s in ascending order; the Laplacian holds
+    float64 D - A.  Dense copies are made only by the solvers that need
+    them.
+    """
 
     n_states: int
-    adjacency: np.ndarray        # (n, n) 0/1 ints
-    degrees: np.ndarray          # (n,) ints
+    adjacency: sparse.csr_array  # (n, n) 0/1 int64
+    degrees: np.ndarray          # (n,) int64
     volume: int                  # sum of degrees = 2 * edge count
-    laplacian: np.ndarray        # (n, n) float64, L = D - A
+    laplacian: sparse.csr_array  # (n, n) float64, L = D - A
     coords: tuple[tuple[int, int], ...] = field(default=())
 
     def check_state(self, s: int) -> None:
@@ -38,18 +46,8 @@ class StateGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edge list, each pair (i, j) with i < j, sorted."""
-        i, j = np.nonzero(np.triu(self.adjacency, k=1))
-        return list(zip(i.tolist(), j.tolist()))
-
-    def neighbor_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Padded neighbor matrix and degree vector for fast random walks."""
-        deg = self.degrees.astype(np.int64)
-        max_deg = int(deg.max()) if self.n_states else 0
-        table = np.zeros((self.n_states, max(max_deg, 1)), dtype=np.int64)
-        rows, cols = np.nonzero(self.adjacency)       # row-major: ascending per row
-        rank = np.arange(len(rows)) - np.repeat(np.cumsum(deg) - deg, deg)
-        table[rows, rank] = cols
-        return table, deg
+        upper = sparse.triu(self.adjacency, k=1)    # COO in row-major order
+        return list(zip(upper.row.tolist(), upper.col.tolist()))
 
 
 @dataclass(frozen=True)
@@ -68,16 +66,17 @@ def graph_from_transitions(
     Self transitions (wall bumps) are dropped; L = D - A.
     """
     move = s != s2
-    adj = np.zeros((n, n), dtype=np.int64)
-    adj[s[move], s2[move]] = 1
-    adj[s2[move], s[move]] = 1
-    deg = adj.sum(axis=1)
+    src = np.concatenate([s[move], s2[move]])
+    dst = np.concatenate([s2[move], s[move]])
+    adj = sparse.csr_array((np.ones(src.size, dtype=np.int64), (src, dst)), shape=(n, n))
+    adj.data[:] = 1                  # duplicate transitions were summed
+    deg = np.diff(adj.indptr).astype(np.int64)
     return StateGraph(
         n_states=n,
         adjacency=adj,
         degrees=deg,
         volume=int(deg.sum()),
-        laplacian=np.diag(deg.astype(np.float64)) - adj,
+        laplacian=sparse.diags_array(deg.astype(np.float64)) - adj,
         coords=coords,
     )
 
@@ -92,12 +91,6 @@ def build_graph(maze: MazeSpec, index: StateIndex | None = None) -> StateGraph:
     return graph_from_transitions(n, s, table.ravel(), tuple(index.coords))
 
 
-def _csr(g: StateGraph) -> sparse.csr_array:
-    # csgraph would copy a dense int64 input to a dense float64 one
-    # (8 n^2 bytes); a CSR copy holds only the edges.
-    return sparse.csr_array(g.adjacency)
-
-
 def _hops(dist: np.ndarray) -> np.ndarray:
     """Unweighted shortest-path lengths as int64, -1 where unreachable."""
     dist[np.isinf(dist)] = -1
@@ -106,7 +99,7 @@ def _hops(dist: np.ndarray) -> np.ndarray:
 
 def connected_components(g: StateGraph) -> tuple[tuple[int, ...], ...]:
     """Connected components, each sorted, ordered by smallest member."""
-    _, labels = csgraph.connected_components(_csr(g), directed=False)
+    _, labels = csgraph.connected_components(g.adjacency, directed=False)
     members = np.argsort(labels, kind="stable")
     comps = np.split(members, np.cumsum(np.bincount(labels))[:-1])
     return tuple(sorted(tuple(c.tolist()) for c in comps))
@@ -128,12 +121,12 @@ def require_connected(g: StateGraph) -> None:
 def bfs_distances(g: StateGraph, source: int) -> np.ndarray:
     """Geodesic (shortest-path) distances from one state; -1 if unreachable."""
     g.check_state(source)
-    return _hops(csgraph.shortest_path(_csr(g), unweighted=True, indices=source))
+    return _hops(csgraph.shortest_path(g.adjacency, unweighted=True, indices=source))
 
 
 def geodesic_matrix(g: StateGraph) -> np.ndarray:
     """All-pairs geodesic distances; -1 between components."""
-    return _hops(csgraph.shortest_path(_csr(g), unweighted=True))
+    return _hops(csgraph.shortest_path(g.adjacency, unweighted=True))
 
 
 def pseudo_inverse(g: StateGraph, basis) -> PseudoInverse:

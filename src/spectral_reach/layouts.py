@@ -13,11 +13,11 @@ from importlib import resources
 from .envgrid import ContinuousMazeSpec, MazeSpec, parse_maze
 
 # Inline zoo maps.  K2: path with 2 cells; P3: path with 3 cells;
-# C4: 2x2 open block (the state graph is the 4-cycle).
+# C4: 2x2 open block (the state graph is the 4-cycle).  The zoo's two-
+# and four-room layouts are the bundled maps of the same names.
 K2 = "####\n#..#\n####"
 P3 = "#####\n#...#\n#####"
 C4 = "####\n#..#\n#..#\n####"
-TWOROOM = "#######\n#..#..#\n#.....#\n#######"
 
 BUNDLED = (
     "tworoom",
@@ -39,7 +39,6 @@ ZOO = {
     "k2": K2,
     "p3": P3,
     "c4": C4,
-    "tworoom": TWOROOM,
 }
 
 ZOO_NAMES = ("k2", "p3", "c4", "tworoom", "fourroom")
@@ -67,6 +66,6 @@ def load_bundled(name: str) -> MazeSpec | ContinuousMazeSpec:
 
 def zoo_maze(name: str) -> MazeSpec:
     """One of the zoo layouts (k2, p3, c4, tworoom, fourroom) as a maze."""
-    if name == "fourroom":
-        return load_bundled("fourroom")  # type: ignore[return-value]
+    if name in BUNDLED:
+        return load_bundled(name)  # type: ignore[return-value]
     return parse_maze(ZOO[name])

@@ -117,50 +117,50 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def eig_sym(L: np.ndarray, k: int | None = None) -> SpectralBasis:
+def eig_sym(L: np.ndarray | sparse.sparray, k: int | None = None) -> SpectralBasis:
     """Eigendecomposition of a symmetric Laplacian, eigenvalues ascending.
 
-    Without k, or with k = n, this is the full dense decomposition, which
-    refuses matrices above the dense size cap.  For k < n only the k
-    smallest eigenpairs are computed (``_eig_partial``), with no cap.
-    Both validate symmetry to 1e-12 and apply the same deterministic
-    sign convention to the eigenvectors.
+    L is sparse (say, ``StateGraph.laplacian``) or dense.  Without k, or
+    with k = n, this is the full dense decomposition, which refuses
+    matrices above the dense size cap.  For k < n only the k smallest
+    eigenpairs are computed (``_eig_partial``), with no cap.  Both run on
+    one sparse copy of L, validated symmetric to 1e-12, and apply the
+    same deterministic sign convention to the eigenvectors.
     """
-    L = np.asarray(L, dtype=np.float64)
+    if not sparse.issparse(L):
+        L = np.asarray(L, dtype=np.float64)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {L.shape}")
     n = L.shape[0]
     if k is not None and not 1 <= k <= n:
         raise DimensionOutOfRange(f"k = {k} eigenpairs outside [1, {n}]")
-    if k is not None and k < n:
-        return _eig_partial(L, k)
-    if n > SIZE_CAP:
+    partial = k is not None and k < n
+    if not partial and n > SIZE_CAP:
         raise DimensionOutOfRange(
             f"matrix size {n} exceeds the dense solver cap {SIZE_CAP}"
         )
-    skew = float(np.max(np.abs(L - L.T))) if n else 0.0
+    a = sparse.csc_array(L, dtype=np.float64)
+    skew = float(abs(a - a.T).max()) if n else 0.0
     if skew > SYMMETRY_TOL:
         raise NotSymmetric(f"max |L - L^T| = {skew:.3e} exceeds {SYMMETRY_TOL}")
+    if partial:
+        return _eig_partial(a, k)
     try:
-        lam, vec = np.linalg.eigh(L)
+        lam, vec = np.linalg.eigh(a.toarray())
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
     return SpectralBasis(eigenvalues=lam, eigenvectors=_fix_signs(vec))
 
 
-def _eig_partial(L: np.ndarray, k: int) -> SpectralBasis:
-    """The k < n smallest eigenpairs by shift-invert Lanczos (ARPACK).
+def _eig_partial(a: sparse.csc_array, k: int) -> SpectralBasis:
+    """The k < n smallest eigenpairs of symmetric a by shift-invert Lanczos (ARPACK).
 
-    L - sigma I is factored once, sparse, with sigma just below zero;
+    a - sigma I is factored once, sparse, with sigma just below zero;
     Lanczos runs to machine precision from a fixed seeded start vector
     (never the constant one, which is the zero mode of a Laplacian), so
     repeated calls give identical bytes.
     """
-    a = sparse.csc_array(L)
-    skew = float(abs(a - a.T).max())
-    if skew > SYMMETRY_TOL:
-        raise NotSymmetric(f"max |L - L^T| = {skew:.3e} exceeds {SYMMETRY_TOL}")
-    v0 = np.random.default_rng(PARTIAL_START_SEED).standard_normal(L.shape[0])
+    v0 = np.random.default_rng(PARTIAL_START_SEED).standard_normal(a.shape[0])
     try:
         lam, vec = eigsh(a, k, sigma=PARTIAL_SHIFT, which="LM", v0=v0, tol=0)
     except RuntimeError as exc:       # ArpackError, or a singular factorization
@@ -169,15 +169,16 @@ def _eig_partial(L: np.ndarray, k: int) -> SpectralBasis:
     return SpectralBasis(eigenvalues=lam[order], eigenvectors=_fix_signs(vec[:, order]))
 
 
-def eigvals_banded(L: np.ndarray) -> np.ndarray:
+def eigvals_banded(L: np.ndarray | sparse.sparray) -> np.ndarray:
     """All eigenvalues of a symmetric banded matrix, ascending, no vectors.
 
-    LAPACK reduces the band (``scipy.linalg.eig_banded``), which takes
-    O(n b) memory for bandwidth b instead of the n x n of a dense solve.
-    A Laplacian with states in row-major order is banded: b is the
-    largest index step of an edge, about one maze row.
+    L is sparse or dense.  LAPACK reduces the band
+    (``scipy.linalg.eig_banded``), which takes O(n b) memory for
+    bandwidth b instead of the n x n of a dense solve.  A Laplacian with
+    states in row-major order is banded: b is the largest index step of
+    an edge, about one maze row.
     """
-    upper = sparse.triu(sparse.csc_array(L, dtype=np.float64)).tocoo()
+    upper = sparse.triu(L)
     b = int((upper.col - upper.row).max()) if upper.nnz else 0
     band = np.zeros((b + 1, upper.shape[0]))
     band[b + upper.row - upper.col, upper.col] = upper.data

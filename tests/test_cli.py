@@ -328,19 +328,32 @@ def _heatmap_on(tmp_path, csv_text):
             "--out", str(tmp_path / "heat")]
 
 
-@pytest.mark.parametrize("argv,code", [
-    (lambda tmp: ["env", "--map", "continuous_a"], 0),
-    (lambda tmp: ["env", "--map", "continuous_b", "--out", str(tmp / "env")], 0),
-    (lambda tmp: _heatmap_on(tmp, ""), 1),
-    (lambda tmp: _heatmap_on(tmp, "state_index,x,y,e2\n0,1\n"), 1),
-], ids=["continuous_a", "continuous_b", "heatmap-empty-csv", "heatmap-short-row"])
-def test_exit_code_and_at_most_one_stderr_line(tmp_path, capsys, argv, code):
+K2_EMBEDDING = "state_index,x,y,e2\n0,1,1,0.7\n1,2,1,-0.7\n"
+
+
+def _mc_pair(tmp, pair):
+    return ["commute", "--map", "p3", "--method", "mc", "--pair", pair,
+            "--walks", "10", "--seed", "1", "--out", str(tmp / "mc")]
+
+
+@pytest.mark.parametrize("argv,code,needle", [
+    (lambda tmp: ["env", "--map", "continuous_a"], 0, ""),
+    (lambda tmp: ["env", "--map", "continuous_b", "--out", str(tmp / "env")], 0, ""),
+    (lambda tmp: _heatmap_on(tmp, ""), 1, ""),
+    (lambda tmp: _heatmap_on(tmp, "state_index,x,y,e2\n0,1\n"), 1, ""),
+    (lambda tmp: _heatmap_on(tmp, K2_EMBEDDING) + ["--scale", "0"], 1, "--scale"),
+    (lambda tmp: _heatmap_on(tmp, K2_EMBEDDING) + ["--scale", "-1"], 1, "--scale"),
+    (lambda tmp: _mc_pair(tmp, "1,1"), 1, "x,y:x,y"),
+], ids=["continuous_a", "continuous_b", "heatmap-empty-csv", "heatmap-short-row",
+        "heatmap-scale-0", "heatmap-scale-negative", "commute-pair-without-colon"])
+def test_exit_code_and_at_most_one_stderr_line(tmp_path, capsys, argv, code, needle):
     assert main(argv(tmp_path)) == code
     err = capsys.readouterr().err
     if code == 0:
         assert err == ""
     else:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert needle in err
 
 
 # ---------------------------------------------------------------------------

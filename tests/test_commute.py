@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spectral_reach import layouts
 from spectral_reach.commute import (
     commute,
     commute_mc,
@@ -188,6 +189,18 @@ class TestMonteCarlo:
         g = build_graph(parse_maze(DISCONNECTED))
         with pytest.raises(GraphDisconnected):
             commute_mc(g, 0, 1, walks=10, seed=0)
+
+    @pytest.mark.parametrize("name,pair,expected", [
+        ("fourroom", ((1, 1), (11, 11)), (1855.126, 24.981353767961416)),
+        ("biased", ((1, 1), (29, 5)), (4275.261, 64.25544014893889)),
+    ])
+    def test_recorded_estimates(self, name, pair, expected):
+        # Exact values recorded when walks drew from a dense neighbor scan;
+        # they pin the neighbor order (ascending state index) and the draws.
+        maze = layouts.load_bundled(name)
+        index = maze.state_index()
+        est = commute_mc(build_graph(maze), *map(index.of, pair), walks=2000, seed=7)
+        assert (est.estimate, est.stderr, est.capped) == (*expected, 0)
 
 
 class TestMetricProperty:

@@ -1,9 +1,13 @@
 """State-graph construction, connectivity, and the Laplacian pseudo-inverse."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
 
-from spectral_reach.envgrid import parse_maze
+from spectral_reach import layouts
+from spectral_reach.envgrid import discretize_continuous, parse_maze
 from spectral_reach.errors import DimensionMismatch, GraphDisconnected, InvalidState
 from spectral_reach.graph import (
     bfs_distances,
@@ -53,23 +57,23 @@ class TestBuild:
 
     def test_no_self_loops(self):
         g = build_graph(parse_maze(TWOROOM))
-        assert np.all(np.diag(g.adjacency) == 0)
+        assert np.all(g.adjacency.diagonal() == 0)
 
     def test_adjacency_symmetric_01(self):
-        g = build_graph(parse_maze(TWOROOM))
-        assert np.array_equal(g.adjacency, g.adjacency.T)
-        assert set(np.unique(g.adjacency)) <= {0.0, 1.0}
+        adj = build_graph(parse_maze(TWOROOM)).adjacency.toarray()
+        assert np.array_equal(adj, adj.T)
+        assert set(np.unique(adj)) <= {0.0, 1.0}
 
     def test_degrees_and_volume(self):
         g = build_graph(parse_maze(TWOROOM))
-        assert np.array_equal(g.degrees, g.adjacency.sum(axis=1))
+        assert np.array_equal(g.degrees, g.adjacency.toarray().sum(axis=1))
         assert g.volume == int(g.degrees.sum()) == 2 * len(g.edges())
 
     def test_laplacian_identity(self):
         g = build_graph(parse_maze(TWOROOM))
-        lap = np.diag(g.degrees) - g.adjacency
-        assert np.array_equal(g.laplacian, lap)
-        assert np.allclose(g.laplacian.sum(axis=1), 0.0)
+        lap = np.diag(g.degrees) - g.adjacency.toarray()
+        assert np.array_equal(g.laplacian.toarray(), lap)
+        assert np.allclose(g.laplacian.toarray().sum(axis=1), 0.0)
 
     def test_coords_row_major(self):
         maze = parse_maze(TWOROOM)
@@ -83,13 +87,29 @@ class TestBuild:
         with pytest.raises(InvalidState):
             g.check_state(-1)
 
-    def test_neighbor_table_matches_adjacency(self, zoo_graphs):
+    def test_adjacency_and_laplacian_are_canonical_csr(self, zoo_graphs):
         for g in [build_graph(parse_maze(TWOROOM)), *zoo_graphs.values()]:
-            nbrs, counts = g.neighbor_table()
-            assert np.array_equal(counts, g.degrees)
+            for m, dtype in ((g.adjacency, np.int64), (g.laplacian, np.float64)):
+                assert isinstance(m, sparse.csr_array) and m.dtype == dtype
+                assert m.has_canonical_format and np.all(m.data != 0)
+            assert np.all(g.adjacency.data == 1)
+            dense = g.adjacency.toarray()
             for s in range(g.n_states):
                 # commute_mc picks the k-th neighbor: the order is part of its output
-                assert nbrs[s, : counts[s]].tolist() == np.flatnonzero(g.adjacency[s]).tolist()
+                row = g.adjacency.indices[g.adjacency.indptr[s]:g.adjacency.indptr[s + 1]]
+                assert row.tolist() == np.flatnonzero(dense[s]).tolist()
+
+    def test_build_memory_is_linear(self):
+        # n = 5,004 states: a dense adjacency and Laplacian would take 401 MB
+        maze = discretize_continuous(layouts.load_bundled("continuous_a"), 5)
+        tracemalloc.start()
+        try:
+            g = build_graph(maze)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.n_states == 5004
+        assert peak < 16e6
 
 
 class TestConnectivity:
@@ -142,7 +162,8 @@ class TestPseudoInverse:
     def test_recovers_laplacian(self, zoo_graphs, zoo_bases):
         for name, g in zoo_graphs.items():
             lp = pseudo_inverse(g, zoo_bases[name]).matrix
-            resid = np.abs(g.laplacian @ lp @ g.laplacian - g.laplacian).max()
+            lap = g.laplacian.toarray()
+            resid = np.abs(lap @ lp @ lap - lap).max()
             assert resid <= 1e-8, name
 
     def test_doubly_centered(self, zoo_graphs, zoo_bases):
@@ -156,7 +177,7 @@ class TestPseudoInverse:
         # L⁺ = (L + J/3)⁻¹ − J/3 with J the all-ones matrix.
         lp = pseudo_inverse(p3_graph, zoo_bases["p3"]).matrix
         j = np.full((3, 3), 1 / 3)
-        oracle = np.linalg.inv(p3_graph.laplacian + j) - j
+        oracle = np.linalg.inv(p3_graph.laplacian.toarray() + j) - j
         assert np.allclose(lp, oracle, atol=1e-12)
 
     def test_disconnected_rejected(self):

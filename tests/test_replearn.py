@@ -169,7 +169,8 @@ class TestExhaustiveDataset:
     def test_induces_the_exact_graph(self, zoo_mazes, zoo_graphs):
         for name, maze in zoo_mazes.items():
             induced = induced_graph(exhaustive_dataset(maze))
-            assert np.array_equal(induced.adjacency, zoo_graphs[name].adjacency)
+            want = zoo_graphs[name].adjacency.toarray()
+            assert np.array_equal(induced.adjacency.toarray(), want)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ class TestEigSym:
         # Independent oracle: roots of det(L - t I) computed from the
         # polynomial coefficients, not from an eigensolver.
         lam = eig_sym(p3_graph.laplacian).eigenvalues
-        coeffs = np.poly(p3_graph.laplacian)
+        coeffs = np.poly(p3_graph.laplacian.toarray())
         roots = np.sort(np.real(np.roots(coeffs)))
         assert lam == pytest.approx(roots, abs=1e-9)
         assert lam == pytest.approx([0.0, 1.0, 3.0], abs=1e-9)
@@ -209,6 +209,14 @@ class TestEigSymPartial:
         full = eig_sym(lap, 9)
         assert not full.is_partial
         assert full.eigenvectors.tobytes() == zoo_bases["tworoom"].eigenvectors.tobytes()
+
+    def test_sparse_and_dense_input_give_identical_bytes(self, zoo_graphs):
+        for name, g in zoo_graphs.items():
+            n = g.n_states
+            for k in (n, min(10, n - 1)):
+                a, b = eig_sym(g.laplacian, k), eig_sym(g.laplacian.toarray(), k)
+                assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes(), (name, k)
+                assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes(), (name, k)
 
     def test_not_symmetric(self):
         lap = np.diag([1.0, 2.0, 3.0])
