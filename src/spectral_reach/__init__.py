@@ -25,7 +25,7 @@ from .spectral import (
     Embedding,
     SpectralBasis,
     eig_sym,
-    embed_dist,
+    goal_distances,
     laprep,
     ra_laprep,
     truncation_tail,
@@ -65,10 +65,10 @@ __all__ = [
     "double_center",
     "effective_resistance",
     "eig_sym",
-    "embed_dist",
     "equivalence_residual",
     "estimate_eigenvalues",
     "first_passage",
+    "goal_distances",
     "laprep",
     "learned_ra_laprep",
     "parse_maze",

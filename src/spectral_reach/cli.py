@@ -23,13 +23,7 @@ from . import __version__
 from . import layouts
 from .commute import commute, commute_mc
 from .bottleneck import make_report
-from .envgrid import (
-    ContinuousMazeSpec,
-    MazeSpec,
-    discretize_continuous,
-    goal_state,
-    parse_maze,
-)
+from .envgrid import MazeSpec, discretize_continuous, goal_state
 from .errors import SpectralReachError
 from .graph import (
     StateGraph,
@@ -38,7 +32,7 @@ from .graph import (
     export_graph_json,
     geodesic_matrix,
 )
-from .manifest import RunManifest, atomic_write_bytes, atomic_write_text
+from .manifest import RunManifest, atomic_write_bytes, atomic_write_text, sha256_file
 from .replearn import (
     TrainConfig,
     collect_dataset,
@@ -64,6 +58,7 @@ from .spectral import (
     eigvals_banded,
     embedding_from_csv,
     embedding_to_csv,
+    goal_distances,
     laprep,
     ra_laprep,
 )
@@ -90,20 +85,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_maze(path: str, resolution: int) -> MazeSpec:
+def _resolve_map(path: str) -> tuple[str, str, str]:
+    """Text, kind and input digest of a --map argument.
+
+    A path that does not exist and has no "/" names the bundled map of
+    its stem; its digest is the SHA-256 of its text.  Any other path is
+    a file, of the kind its suffix gives, digested byte for byte.
+    """
     p = Path(path)
-    if not p.exists() and "/" not in path:
-        name = p.stem
-        if name in layouts.BUNDLED or name in layouts.ZOO_NAMES:
-            return layouts.load_bundled(name) if name in layouts.BUNDLED else layouts.zoo_maze(name)
-        if name in layouts.BUNDLED_CONTINUOUS:
-            cm = ContinuousMazeSpec.from_json(layouts.bundled_text(name))
-            return discretize_continuous(cm, resolution)
-    text = p.read_text()
-    if path.endswith(".json"):
-        cm = ContinuousMazeSpec.from_json(text)
-        return discretize_continuous(cm, resolution)
-    return parse_maze(text)
+    bundled = layouts.bundled_files().get(p.stem)
+    if bundled is not None and not p.exists() and "/" not in path:
+        text = bundled.read_text()
+        return text, layouts.kind_of(bundled.name), hashlib.sha256(text.encode()).hexdigest()
+    return p.read_text(), layouts.kind_of(path), sha256_file(p)
+
+
+def _load_maze(path: str, resolution: int) -> MazeSpec:
+    text, kind, _ = _resolve_map(path)
+    maze = layouts.parse_map(text, kind)
+    if kind == "continuous":
+        return discretize_continuous(maze, resolution)
+    return maze
 
 
 def _parse_cell(raw: str) -> tuple[int, int]:
@@ -122,18 +124,10 @@ def _manifest(args, config: dict, seeds: list[int]) -> RunManifest:
         tool_version=__version__,
     )
     if getattr(args, "map", None):
-        if Path(args.map).exists():
-            m.add_input(args.map)
-        else:
-            m.input_digests[args.map] = _bundled_digest(Path(args.map).stem)
+        m.input_digests[args.map] = _resolve_map(args.map)[2]
     if getattr(args, "embedding_csv", None):
         m.add_input(args.embedding_csv)
     return m
-
-
-def _bundled_digest(name: str) -> str:
-    text = layouts.ZOO[name] if name in layouts.ZOO else layouts.bundled_text(name)
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _write_outputs(out_dir: str, manifest: RunManifest, files: dict[str, str | bytes]) -> None:
@@ -228,12 +222,12 @@ def cmd_heatmap(args) -> int:
     maze = _load_maze(args.map, args.resolution)
     index = maze.state_index()
     emb, coords = embedding_from_csv(Path(args.embedding_csv).read_text())
-    if len(coords) != len(index):
+    if tuple(coords) != index.coords:
         raise SpectralReachError(
-            f"embedding lists {len(coords)} states but the map has {len(index)}"
+            f"embedding cells differ from the {len(index)} floor cells of the map"
         )
     goal = goal_state(maze, index, _parse_cell(args.goal))
-    dist = np.linalg.norm(emb.vectors - emb.vectors[goal], axis=1)
+    dist = goal_distances(emb.vectors, goal)
     values = {coords[s]: float(dist[s]) for s in range(len(coords))}
     grid_lines = []
     for y in range(maze.height):
@@ -538,7 +532,7 @@ def main(argv=None) -> int:
     except SpectralReachError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (json.JSONDecodeError, ValueError) as exc:

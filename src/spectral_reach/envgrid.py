@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     GoalIsWall,
     InvalidState,
+    MapError,
     NoFloor,
     OpenBorder,
     RaggedRows,
@@ -241,16 +242,19 @@ class ContinuousMazeSpec:
     @classmethod
     def from_json(cls, text: str) -> "ContinuousMazeSpec":
         obj = json.loads(text)
-        walls = tuple(
-            WallRect(float(r["x"]), float(r["y"]), float(r["w"]), float(r["h"]))
-            for r in obj.get("walls", [])
-        )
-        return cls(
-            width=float(obj["width"]),
-            height=float(obj["height"]),
-            radius=float(obj["radius"]),
-            walls=walls,
-        )
+        if not isinstance(obj, dict):
+            raise MapError("a continuous layout must be a JSON object")
+        try:
+            walls = tuple(
+                WallRect(float(r["x"]), float(r["y"]), float(r["w"]), float(r["h"]))
+                for r in obj.get("walls", [])
+            )
+            width, height, radius = (float(obj[k]) for k in ("width", "height", "radius"))
+        except KeyError as exc:
+            raise MapError(f"continuous layout lacks the field {exc.args[0]!r}") from None
+        except TypeError as exc:
+            raise MapError(f"malformed continuous layout: {exc}") from None
+        return cls(width=width, height=height, radius=radius, walls=walls)
 
 
 def discretize_continuous(cm: ContinuousMazeSpec, resolution: int) -> MazeSpec:

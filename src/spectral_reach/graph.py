@@ -17,8 +17,8 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from .envgrid import MazeSpec, StateIndex, transition_table
-from .errors import DimensionMismatch, GraphDisconnected, InvalidState
-from .spectral import ZERO_EIGENVALUE_TOL
+from .errors import DimensionMismatch, GraphDisconnected
+from .spectral import check_state
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,7 @@ class StateGraph:
     coords: tuple[tuple[int, int], ...] = field(default=())
 
     def check_state(self, s: int) -> None:
-        if not 0 <= s < self.n_states:
-            raise InvalidState(f"state {s} out of range [0, {self.n_states})")
+        check_state(s, self.n_states)
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edge list, each pair (i, j) with i < j, sorted."""
@@ -141,10 +140,7 @@ def pseudo_inverse(g: StateGraph, basis) -> PseudoInverse:
         raise DimensionMismatch(
             f"basis has {vec.shape[0]} states, graph has {g.n_states}"
         )
-    if g.n_states > 1 and lam[1] <= ZERO_EIGENVALUE_TOL:
-        raise GraphDisconnected(
-            f"second-smallest eigenvalue {lam[1]:.3e} is numerically zero"
-        )
+    basis.require_connected()
     tail = vec[:, 1:]
     plus = (tail / lam[1:]) @ tail.T
     return PseudoInverse(matrix=plus, source=f"spectral:{basis.sign_convention}")

@@ -41,14 +41,13 @@ from .envgrid import ACTIONS, MazeSpec, transition_table
 from .errors import (
     DegenerateEigenvalue,
     DimensionMismatch,
-    DimensionOutOfRange,
     DivergedObjective,
     EmptyDataset,
     GraphDisconnected,
     NoBiasCells,
 )
 from .graph import StateGraph, build_graph, graph_from_transitions, require_connected
-from .spectral import Embedding
+from .spectral import Embedding, check_dimension, goal_distances
 
 #: eigenvalue estimates at or below this are too degenerate to rescale by
 DEGENERATE_EIG_TOL = 1e-8
@@ -329,8 +328,7 @@ def train_graph_drawing(
         config = TrainConfig()
     config.validate()
     n = data.n_states
-    if not 2 <= d <= n:
-        raise DimensionOutOfRange(f"d = {d} outside [2, {n}]")
+    check_dimension(d, n)
     if not data.episodes or data.total_steps == 0:
         raise EmptyDataset("dataset has no transitions")
     require_connected(induced_graph(data))
@@ -421,10 +419,6 @@ def learned_ra_laprep(rep: LearnedRep, lam: LearnedEigenvalues) -> Embedding:
     )
 
 
-def _dist_profile(e: Embedding, goal: int) -> np.ndarray:
-    return np.linalg.norm(e.vectors - e.vectors[goal], axis=1)
-
-
 def rep_quality(
     learned: Embedding,
     truth: Embedding,
@@ -483,8 +477,8 @@ def rep_quality(
 
     spearman: dict[int, dict[str, float]] = {}
     for goal in goals:
-        learned_prof = _dist_profile(learned, goal)
-        truth_prof = _dist_profile(truth, goal)
+        learned_prof = goal_distances(learned.vectors, goal)
+        truth_prof = goal_distances(truth.vectors, goal)
         geo_prof = geodesics[goal]
         spearman[int(goal)] = {
             "learned_vs_truth": float(stats.spearmanr(learned_prof, truth_prof).statistic),

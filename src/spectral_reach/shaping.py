@@ -22,7 +22,7 @@ from scipy import stats
 from .envgrid import MazeSpec, transition_table
 from .errors import DimensionMismatch, MissingEmbedding, UnreachableGoal
 from .graph import StateGraph, build_graph, is_connected
-from .spectral import Embedding
+from .spectral import Embedding, goal_distances
 
 REWARD_KINDS = ("ra_laprep", "laprep", "l2", "none")
 
@@ -158,11 +158,9 @@ def reward_table(spec: RewardSpec, n: int) -> np.ndarray:
     """Reward for entering each state: w_env * (0 at goal else -1) - w_dist * distance."""
     if spec.kind == "none":
         dist = np.zeros(n)
-    elif spec.kind == "l2":
-        dist = np.linalg.norm(spec.positions - spec.positions[spec.goal], axis=1)
     else:
-        v = spec.embedding.vectors
-        dist = np.linalg.norm(v - v[spec.goal], axis=1)
+        x = spec.positions if spec.kind == "l2" else spec.embedding.vectors
+        dist = goal_distances(x, spec.goal)
     return spec.w_env * np.where(np.arange(n) == spec.goal, 0.0, -1.0) - spec.w_dist * dist
 
 

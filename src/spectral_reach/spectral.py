@@ -79,6 +79,14 @@ class SpectralBasis:
                 f"the basis holds the {self.eigenvectors.shape[1]} smallest"
             )
 
+    def require_connected(self) -> None:
+        """Refuse a spectrum with more than one zero eigenvalue."""
+        lam = self.eigenvalues
+        if len(lam) > 1 and lam[1] <= ZERO_EIGENVALUE_TOL:
+            raise GraphDisconnected(
+                f"second-smallest eigenvalue {lam[1]:.3e} is numerically zero"
+            )
+
     @property
     def volume(self) -> int:
         """Graph volume recovered from the spectrum: V = tr L = sum of eigenvalues."""
@@ -194,6 +202,12 @@ def check_dimension(d: int, n: int) -> None:
         raise DimensionOutOfRange(f"d = {d} outside [2, {n}]")
 
 
+def check_state(s: int, n: int) -> None:
+    """Refuse a state index outside [0, n)."""
+    if not 0 <= s < n:
+        raise InvalidState(f"state {s} out of range [0, {n})")
+
+
 def laprep(basis: SpectralBasis, d: int) -> Embedding:
     """Plain spectral embedding: raw entries of eigenvectors 2..d."""
     check_dimension(d, basis.eigenvectors.shape[1])
@@ -209,11 +223,8 @@ def laprep(basis: SpectralBasis, d: int) -> Embedding:
 def ra_laprep(basis: SpectralBasis, d: int) -> Embedding:
     """Reachability-aware embedding: eigenvector i scaled by 1/sqrt(lambda_i)."""
     check_dimension(d, basis.eigenvectors.shape[1])
+    basis.require_connected()
     lam = basis.eigenvalues[1:d]
-    if lam[0] <= ZERO_EIGENVALUE_TOL:
-        raise GraphDisconnected(
-            f"second-smallest eigenvalue {lam[0]:.3e} is numerically zero"
-        )
     return Embedding(
         kind="ra_laprep",
         d=d,
@@ -223,13 +234,10 @@ def ra_laprep(basis: SpectralBasis, d: int) -> Embedding:
     )
 
 
-def embed_dist(e: Embedding, s: int, s2: int) -> float:
-    """Euclidean distance between two states' embedding rows."""
-    n = e.n_states
-    for q in (s, s2):
-        if not 0 <= q < n:
-            raise InvalidState(f"state {q} out of range [0, {n})")
-    return float(np.linalg.norm(e.vectors[s] - e.vectors[s2]))
+def goal_distances(x: np.ndarray, goal: int) -> np.ndarray:
+    """Euclidean distance of every row of an (n, k) array to row ``goal``."""
+    check_state(goal, len(x))
+    return np.linalg.norm(x - x[goal], axis=1)
 
 
 def pairwise_sq_dists(e: Embedding) -> np.ndarray:
@@ -251,15 +259,10 @@ def truncation_tail(basis: SpectralBasis, d: int, s: int, s2: int) -> float:
     """
     basis.require_full("truncation_tail")
     check_dimension(d, basis.n_states)
-    n = basis.n_states
     for q in (s, s2):
-        if not 0 <= q < n:
-            raise InvalidState(f"state {q} out of range [0, {n})")
-    if n > 1 and basis.eigenvalues[1] <= ZERO_EIGENVALUE_TOL:
-        raise GraphDisconnected(
-            f"second-smallest eigenvalue {basis.eigenvalues[1]:.3e} is numerically zero"
-        )
-    if d == n:
+        check_state(q, basis.n_states)
+    basis.require_connected()
+    if d == basis.n_states:
         return 0.0
     lam = basis.eigenvalues[d:]
     diff = basis.eigenvectors[s, d:] - basis.eigenvectors[s2, d:]

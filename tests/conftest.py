@@ -11,12 +11,9 @@ from spectral_reach import layouts
 from spectral_reach.graph import StateGraph, build_graph
 from spectral_reach.spectral import SpectralBasis, eig_sym
 
-ZOO = ("k2", "p3", "c4", "tworoom", "fourroom")
-
-
 @pytest.fixture(scope="session")
 def zoo_mazes():
-    return {name: layouts.zoo_maze(name) for name in ZOO}
+    return {name: layouts.zoo_maze(name) for name in layouts.ZOO_NAMES}
 
 
 @pytest.fixture(scope="session")

@@ -141,6 +141,19 @@ class TestHeatmap:
         assert main(["heatmap", str(k2_embedding), "--map", "k2",
                      "--goal", "0,0", "--out", str(tmp_path / "x")]) == 2
 
+    def test_embedding_of_another_map_refused(self, tmp_path, capsys):
+        # Same state count, different cells: a 1x3 row against a 3x1 column.
+        row, col = tmp_path / "row.txt", tmp_path / "col.txt"
+        row.write_text("#####\n#...#\n#####\n")
+        col.write_text("###\n#.#\n#.#\n#.#\n###\n")
+        assert main(["embed", "--map", str(row), "--out", str(tmp_path / "emb")]) == 0
+        capsys.readouterr()
+        assert main(["heatmap", str(tmp_path / "emb" / "embedding.csv"), "--map", str(col),
+                     "--goal", "1,1", "--out", str(tmp_path / "heat")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not (tmp_path / "heat").exists()
+
     def test_three_state_path_profile(self, tmp_path):
         emb_dir = tmp_path / "p3emb"
         assert main(["embed", "--map", "p3", "--kind", "ra",
@@ -336,6 +349,18 @@ def _mc_pair(tmp, pair):
             "--walks", "10", "--seed", "1", "--out", str(tmp / "mc")]
 
 
+def _a_file(tmp):
+    p = tmp / "file"
+    p.write_text("")
+    return str(p)
+
+
+def _env_on_layout(tmp, text):
+    p = tmp / "layout.json"
+    p.write_text(text)
+    return ["env", "--map", str(p)]
+
+
 @pytest.mark.parametrize("argv,code,needle", [
     (lambda tmp: ["env", "--map", "continuous_a"], 0, ""),
     (lambda tmp: ["env", "--map", "continuous_b", "--out", str(tmp / "env")], 0, ""),
@@ -344,8 +369,23 @@ def _mc_pair(tmp, pair):
     (lambda tmp: _heatmap_on(tmp, K2_EMBEDDING) + ["--scale", "0"], 1, "--scale"),
     (lambda tmp: _heatmap_on(tmp, K2_EMBEDDING) + ["--scale", "-1"], 1, "--scale"),
     (lambda tmp: _mc_pair(tmp, "1,1"), 1, "x,y:x,y"),
+    (lambda tmp: ["env", "--map", str(tmp)], 1, "Is a directory"),
+    (lambda tmp: ["env", "--map", "fourroom", "--out", _a_file(tmp)], 1, "File exists"),
+    (lambda tmp: ["embed", "--map", "fourroom", "--out", _a_file(tmp) + "/x"], 1,
+     "Not a directory"),
+    (lambda tmp: _env_on_layout(tmp, "[]"), 1, "JSON object"),
+    (lambda tmp: _env_on_layout(tmp, '{"height": 2, "radius": 0.1}'), 1, "'width'"),
+    (lambda tmp: _env_on_layout(tmp, '{"width": 2, "radius": 0.1}'), 1, "'height'"),
+    (lambda tmp: _env_on_layout(tmp, '{"width": 2, "height": 2}'), 1, "'radius'"),
+    (lambda tmp: _env_on_layout(tmp, '{"width": 2, "height": 2, "radius": 0.1, '
+                                     '"walls": [{"x": 0, "y": 0, "w": 1}]}'), 1, "'h'"),
+    (lambda tmp: _env_on_layout(tmp, '{"width": null, "height": 2, "radius": 0.1}'), 1,
+     "NoneType"),
 ], ids=["continuous_a", "continuous_b", "heatmap-empty-csv", "heatmap-short-row",
-        "heatmap-scale-0", "heatmap-scale-negative", "commute-pair-without-colon"])
+        "heatmap-scale-0", "heatmap-scale-negative", "commute-pair-without-colon",
+        "map-is-a-directory", "out-is-a-file", "out-under-a-file",
+        "layout-not-an-object", "layout-without-width", "layout-without-height",
+        "layout-without-radius", "layout-wall-without-h", "layout-null-number"])
 def test_exit_code_and_at_most_one_stderr_line(tmp_path, capsys, argv, code, needle):
     assert main(argv(tmp_path)) == code
     err = capsys.readouterr().err

@@ -130,12 +130,15 @@ class TestStep:
 
 
 def _zoo_and_bundled():
-    for name in layouts.ZOO_NAMES:
-        yield f"zoo:{name}", layouts.zoo_maze(name)
-    for name in layouts.BUNDLED:
-        yield name, layouts.load_bundled(name)
-    for name in layouts.BUNDLED_CONTINUOUS:
-        yield name, discretize_continuous(layouts.load_bundled(name), 1)
+    """The zoo, then every bundled map but k2, p3 and c4; the order fixes the ids."""
+    names = [f"zoo:{name}" for name in layouts.ZOO_NAMES] + [
+        "tworoom", "fourroom", "biased", "discrete_a", "discrete_b",
+        "continuous_a", "continuous_b"]
+    for name in names:
+        maze = layouts.load_bundled(name.removeprefix("zoo:"))
+        if isinstance(maze, ContinuousMazeSpec):
+            maze = discretize_continuous(maze, 1)
+        yield name, maze
 
 
 class TestTransitionTable:
@@ -238,17 +241,37 @@ class TestContinuous:
         assert cm.walls[0].h == 2.0
 
 
+def _bundled(kind):
+    return sorted(n for n, f in layouts.bundled_files().items() if layouts.kind_of(f.name) == kind)
+
+
 class TestBundledMaps:
-    @pytest.mark.parametrize("name", layouts.BUNDLED)
+    @pytest.mark.parametrize("name", _bundled("ascii"))
     def test_bundled_parse(self, name):
         maze = layouts.load_bundled(name)
         assert len(maze.floor_cells) > 0
 
-    @pytest.mark.parametrize("name", layouts.BUNDLED_CONTINUOUS)
+    @pytest.mark.parametrize("name", _bundled("continuous"))
     def test_bundled_continuous(self, name):
         cm = layouts.load_bundled(name)
         maze = discretize_continuous(cm, 1)
         assert len(maze.floor_cells) > 0
+
+    @pytest.mark.parametrize("name,text", [
+        ("k2", "####\n#..#\n####"),
+        ("p3", "#####\n#...#\n#####"),
+        ("c4", "####\n#..#\n#..#\n####"),
+    ])
+    def test_tiny_zoo_files_hold_exact_bytes(self, name, text):
+        # No trailing newline: a manifest digests a bundled map's text.
+        assert layouts.bundled_text(name) == text
+
+    def test_zoo_and_doorway_maps_are_bundled_files(self):
+        assert set(layouts.ZOO_NAMES) | set(layouts.DOORWAYS) <= set(layouts.bundled_files())
+
+    def test_unknown_name_lists_the_bundled_maps(self):
+        with pytest.raises(KeyError, match="'k2'"):
+            layouts.load_bundled("no_such_map")
 
     def test_fourroom_has_four_goals(self):
         maze = layouts.load_bundled("fourroom")

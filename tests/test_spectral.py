@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spectral_reach import layouts
-from spectral_reach.envgrid import discretize_continuous, parse_maze
+from spectral_reach.envgrid import ContinuousMazeSpec, discretize_continuous, parse_maze
 from spectral_reach.errors import (
     DimensionMismatch,
     DimensionOutOfRange,
@@ -19,9 +19,9 @@ from spectral_reach.spectral import (
     basis_to_json,
     eig_sym,
     eigvals_banded,
-    embed_dist,
     embedding_from_csv,
     embedding_to_csv,
+    goal_distances,
     laprep,
     pairwise_sq_dists,
     ra_laprep,
@@ -31,9 +31,8 @@ from spectral_reach.spectral import (
 
 K2_L = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
-#: the zoo, the other bundled maps, and both continuous layouts at resolution 1
-PARTIAL_MAPS = layouts.ZOO_NAMES + ("biased", "discrete_a", "discrete_b") + \
-    layouts.BUNDLED_CONTINUOUS
+#: every bundled map, continuous layouts at resolution 1
+PARTIAL_MAPS = tuple(sorted(layouts.bundled_files()))
 #: eigenvalues closer than this, relative to max(lambda_max, 1), form one
 #: degenerate cluster, which a dimension d must not cut
 CLUSTER_GAP = 1e-9
@@ -46,12 +45,9 @@ SIMPLE_GAP = 1e-6
 def partial_graphs():
     graphs = {}
     for name in PARTIAL_MAPS:
-        if name in layouts.BUNDLED_CONTINUOUS:
-            maze = discretize_continuous(layouts.load_bundled(name), 1)
-        elif name in layouts.ZOO_NAMES:
-            maze = layouts.zoo_maze(name)
-        else:
-            maze = layouts.load_bundled(name)
+        maze = layouts.load_bundled(name)
+        if isinstance(maze, ContinuousMazeSpec):
+            maze = discretize_continuous(maze, 1)
         graphs[name] = build_graph(maze)
     return graphs
 
@@ -169,7 +165,7 @@ class TestEigSymPartial:
                     got = got if got @ want > 0 else -got
                 assert np.abs(got - want).max() <= 1e-9, (name, d, j)
 
-    @pytest.mark.parametrize("name", PARTIAL_MAPS[1:])
+    @pytest.mark.parametrize("name", [n for n in PARTIAL_MAPS if n != "k2"])
     def test_repeated_calls_give_identical_bytes(self, name, partial_graphs):
         lap = partial_graphs[name].laplacian
         d = min(10, lap.shape[0] - 1)
@@ -262,19 +258,20 @@ class TestRaLaprep:
     def test_k2_rows_and_dist(self):
         e = ra_laprep(eig_sym(K2_L), 2)
         assert e.vectors.ravel() == pytest.approx([0.5, -0.5])
-        assert embed_dist(e, 0, 1) == pytest.approx(1.0)
+        assert goal_distances(e.vectors, 0)[1] == pytest.approx(1.0)
 
     def test_p3_full_dimension(self, zoo_bases, zoo_graphs):
         e = ra_laprep(zoo_bases["p3"], 3)
         v = zoo_graphs["p3"].volume
-        assert embed_dist(e, 0, 2) == pytest.approx(math.sqrt(2))
-        assert v * embed_dist(e, 0, 2) ** 2 == pytest.approx(8.0)
-        assert embed_dist(e, 0, 1) == pytest.approx(1.0)
-        assert embed_dist(e, 1, 2) == pytest.approx(1.0)
+        from_0 = goal_distances(e.vectors, 0)
+        assert from_0[2] == pytest.approx(math.sqrt(2))
+        assert v * from_0[2] ** 2 == pytest.approx(8.0)
+        assert from_0[1] == pytest.approx(1.0)
+        assert goal_distances(e.vectors, 1)[2] == pytest.approx(1.0)
 
     def test_c4_adjacent_distance(self, zoo_bases):
         e = ra_laprep(zoo_bases["c4"], 4)
-        assert embed_dist(e, 0, 1) == pytest.approx(math.sqrt(6 / 8))
+        assert goal_distances(e.vectors, 0)[1] == pytest.approx(math.sqrt(6 / 8))
 
     def test_columns_scaled_eigenvectors(self, zoo_bases):
         basis = zoo_bases["tworoom"]
@@ -290,20 +287,22 @@ class TestRaLaprep:
 
     def test_dist_identity_and_symmetry(self, zoo_bases):
         e = ra_laprep(zoo_bases["tworoom"], 9)
-        assert embed_dist(e, 4, 4) == 0.0
-        assert embed_dist(e, 2, 7) == embed_dist(e, 7, 2)
+        assert goal_distances(e.vectors, 4)[4] == 0.0
+        assert goal_distances(e.vectors, 2)[7] == goal_distances(e.vectors, 7)[2]
 
     def test_dist_invalid_state(self, zoo_bases):
         e = ra_laprep(zoo_bases["p3"], 3)
-        with pytest.raises(InvalidState):
-            embed_dist(e, 0, 3)
+        for goal in (3, -1):
+            with pytest.raises(InvalidState):
+                goal_distances(e.vectors, goal)
 
     def test_pairwise_matches_scalar(self, zoo_bases):
         e = ra_laprep(zoo_bases["tworoom"], 6)
         d2 = pairwise_sq_dists(e)
         for s in range(9):
+            dist = goal_distances(e.vectors, s)
             for s2 in range(9):
-                assert d2[s, s2] == pytest.approx(embed_dist(e, s, s2) ** 2, abs=1e-12)
+                assert d2[s, s2] == pytest.approx(dist[s2] ** 2, abs=1e-12)
 
 
 class TestTruncationTail:
@@ -341,10 +340,10 @@ class TestTruncationTail:
         basis = zoo_bases["p3"]
         v = zoo_graphs["p3"].volume
         full = ra_laprep(basis, 3)
-        n02 = v * embed_dist(full, 0, 1) ** 2
+        n02 = v * goal_distances(full.vectors, 0)[1] ** 2
         for d in (2, 3):
             trunc = ra_laprep(basis, d)
-            approx = v * embed_dist(trunc, 0, 1) ** 2
+            approx = v * goal_distances(trunc.vectors, 0)[1] ** 2
             assert approx + truncation_tail(basis, d, 0, 1) == pytest.approx(n02)
 
 
