@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -397,10 +398,11 @@ def cmd_commute(args) -> int:
     g = build_graph(maze)
     if args.method in ("solve", "pseudo-inverse"):
         mat = commute(g, args.method)
-        lines = [",".join(f"{v:.17g}" for v in row) for row in mat.values]
+        buf = io.StringIO()
+        np.savetxt(buf, mat.values, fmt="%.17g", delimiter=",")
         manifest = _manifest(args, {"method": args.method,
                                     "resolution": args.resolution}, [])
-        _write_outputs(args.out, manifest, {"commute.csv": "\n".join(lines) + "\n"})
+        _write_outputs(args.out, manifest, {"commute.csv": buf.getvalue()})
         print(f"wrote {g.n_states}x{g.n_states} commute matrix ({args.method})")
         return 0
     if args.method == "mc":

@@ -254,6 +254,12 @@ class ContinuousMazeSpec:
             raise MapError(f"continuous layout lacks the field {exc.args[0]!r}") from None
         except TypeError as exc:
             raise MapError(f"malformed continuous layout: {exc}") from None
+        fields = {"width": width, "height": height, "radius": radius}
+        for i, r in enumerate(walls):
+            fields.update({f"walls[{i}].{k}": getattr(r, k) for k in "xywh"})
+        for name, value in fields.items():
+            if not math.isfinite(value):
+                raise MapError(f"continuous layout field {name} is {value}, not a finite number")
         return cls(width=width, height=height, radius=radius, walls=walls)
 
 

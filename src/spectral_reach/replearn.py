@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import stats
 
 from .envgrid import ACTIONS, MazeSpec, transition_table
 from .errors import (
@@ -419,6 +418,35 @@ def learned_ra_laprep(rep: LearnedRep, lam: LearnedEigenvalues) -> Embedding:
     )
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties sharing their mean rank, in float64."""
+    order = np.argsort(x, kind="stable")
+    y = x[order]
+    first = np.concatenate(([True], y[:-1] != y[1:]))
+    starts = np.arange(len(y))[first]
+    counts = np.diff(starts, append=len(y))
+    ranks = np.arange(1, len(y) + 1, dtype=np.float64)[first]
+    ranks = ranks + (counts.astype(np.float64) - 1) / 2
+    out = np.empty(len(y))
+    out[order] = np.repeat(ranks, counts)
+    return out
+
+
+def spearman_rho(a, b) -> float:
+    """Spearman rank correlation, bit for bit equal to scipy's ``spearmanr``.
+
+    The arithmetic follows scipy 1.17's own, operation for operation:
+    average ranks from a stable argsort, then ``corrcoef``.  NaN when
+    fewer than two observations, a constant input or any NaN leave rho
+    undefined.
+    """
+    x = np.column_stack((a, b))
+    if len(x) < 2 or (x[0] == x).all(axis=0).any() or np.isnan(x).any():
+        return float("nan")
+    ranked = np.column_stack((_average_ranks(x[:, 0]), _average_ranks(x[:, 1])))
+    return float(np.corrcoef(ranked, rowvar=False)[1, 0])
+
+
 def rep_quality(
     learned: Embedding,
     truth: Embedding,
@@ -481,9 +509,9 @@ def rep_quality(
         truth_prof = goal_distances(truth.vectors, goal)
         geo_prof = geodesics[goal]
         spearman[int(goal)] = {
-            "learned_vs_truth": float(stats.spearmanr(learned_prof, truth_prof).statistic),
-            "learned_vs_geodesic": float(stats.spearmanr(learned_prof, geo_prof).statistic),
-            "truth_vs_geodesic": float(stats.spearmanr(truth_prof, geo_prof).statistic),
+            "learned_vs_truth": spearman_rho(learned_prof, truth_prof),
+            "learned_vs_geodesic": spearman_rho(learned_prof, geo_prof),
+            "truth_vs_geodesic": spearman_rho(truth_prof, geo_prof),
         }
     return QualityMetrics(
         cosines=cosines,

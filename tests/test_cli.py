@@ -2,15 +2,32 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spectral_reach
 from spectral_reach import cli, graph, layouts, shaping
 from spectral_reach.cli import main
+from spectral_reach.commute import commute
 from spectral_reach.manifest import sha256_file
 
 SPLIT = "#######\n#..#..#\n#..#..#\n#######\n"
+
+
+def run_python(code_or_args, *, module=False):
+    """Run a fresh interpreter that imports the package under test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(spectral_reach.__file__).parents[1]))
+    argv = ["-m", "spectral_reach.cli", *code_or_args] if module else ["-c", code_or_args]
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
+def _no_constants(name):
+    raise ValueError(f"{name} is not strict JSON")
 
 
 def read_csv_rows(path):
@@ -269,6 +286,18 @@ class TestShape:
                      "--out", str(tmp_path / "x")]) == 1
         assert "geodesic" in capsys.readouterr().err
 
+    def test_single_run_pair_writes_strict_json_and_no_warnings(self, tmp_path):
+        out = tmp_path / "single"
+        proc = run_python(["shape", "--map", "fourroom", "--goal", "11,11", "--seeds", "1",
+                           "--episodes", "20", "--seed", "0", "--out", str(out)], module=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        report = json.loads((out / "aggregate.json").read_text(),
+                            parse_constant=_no_constants)
+        tests = report["paired_tests"]
+        assert set(tests) == {"ra_laprep>laprep", "ra_laprep>l2", "ra_laprep>none"}
+        assert all(t["p_value"] is None for t in tests.values())
+
     def test_goal_required_without_tagged_cells(self, tmp_path, capsys):
         assert main(["shape", "--map", "tworoom", "--kind", "none",
                      "--episodes", "10", "--seed", "0",
@@ -309,6 +338,17 @@ class TestCommute:
         rows = (out / "commute.csv").read_text().strip().split("\n")
         values = [[float(v) for v in r.split(",")] for r in rows]
         assert values == [[0.0, 2.0], [2.0, 0.0]]
+
+    @pytest.mark.parametrize("map_name,method", [
+        ("fourroom", "solve"), ("fourroom", "pseudo-inverse"), ("continuous_a", "solve"),
+    ])
+    def test_csv_bytes_match_per_value_formatting(self, tmp_path, map_name, method):
+        out = tmp_path / "c"
+        assert main(["commute", "--map", map_name, "--method", method,
+                     "--out", str(out)]) == 0
+        mat = commute(graph.build_graph(cli._load_maze(map_name, 1)), method)
+        expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in mat.values)
+        assert (out / "commute.csv").read_bytes() == expected.encode()
 
     def test_sampled_estimate_with_seed(self, tmp_path):
         out = tmp_path / "mc"
@@ -381,11 +421,26 @@ def _env_on_layout(tmp, text):
                                      '"walls": [{"x": 0, "y": 0, "w": 1}]}'), 1, "'h'"),
     (lambda tmp: _env_on_layout(tmp, '{"width": null, "height": 2, "radius": 0.1}'), 1,
      "NoneType"),
+    (lambda tmp: _env_on_layout(tmp, '{"width": Infinity, "height": 1, "radius": 0}'), 1,
+     "width is inf"),
+    (lambda tmp: _env_on_layout(tmp, '{"width": 2, "height": NaN, "radius": 0}'), 1,
+     "height is nan"),
+    (lambda tmp: _env_on_layout(tmp, '{"width": 2, "height": 2, "radius": 1e999}'), 1,
+     "radius is inf"),
+    (lambda tmp: _env_on_layout(tmp, '{"width": 2, "height": 2, "radius": 0.1, '
+                                     '"walls": [{"x": 0, "y": 0, "w": 1, "h": 1}, '
+                                     '{"x": 0, "y": -Infinity, "w": 1, "h": 1}]}'), 1,
+     "walls[1].y is -inf"),
+    (lambda tmp: _env_on_layout(tmp, '{"width": 2, "height": 2, "radius": 0.1, '
+                                     '"walls": [{"x": 0, "y": 0, "w": NaN, "h": 1}]}'), 1,
+     "walls[0].w is nan"),
 ], ids=["continuous_a", "continuous_b", "heatmap-empty-csv", "heatmap-short-row",
         "heatmap-scale-0", "heatmap-scale-negative", "commute-pair-without-colon",
         "map-is-a-directory", "out-is-a-file", "out-under-a-file",
         "layout-not-an-object", "layout-without-width", "layout-without-height",
-        "layout-without-radius", "layout-wall-without-h", "layout-null-number"])
+        "layout-without-radius", "layout-wall-without-h", "layout-null-number",
+        "layout-infinite-width", "layout-nan-height", "layout-overflowing-radius",
+        "layout-infinite-wall-y", "layout-nan-wall-w"])
 def test_exit_code_and_at_most_one_stderr_line(tmp_path, capsys, argv, code, needle):
     assert main(argv(tmp_path)) == code
     err = capsys.readouterr().err
@@ -394,6 +449,37 @@ def test_exit_code_and_at_most_one_stderr_line(tmp_path, capsys, argv, code, nee
     else:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert needle in err
+
+
+# ---------------------------------------------------------------------------
+# import footprint
+# ---------------------------------------------------------------------------
+
+FOOTPRINT = """
+import sys
+import spectral_reach.cli
+from spectral_reach import layouts
+from spectral_reach.graph import build_graph, geodesic_matrix
+from spectral_reach.replearn import rep_quality
+from spectral_reach.shaping import QLearningConfig, paired_auc_test, run_experiment
+from spectral_reach.spectral import eig_sym, ra_laprep
+
+maze = layouts.zoo_maze("fourroom")
+g = build_graph(maze)
+goal = maze.state_index().of((11, 11))
+truth = ra_laprep(eig_sym(g.laplacian), 4)
+q = rep_quality(truth, truth, geodesic_matrix(g), goals=(goal,))
+run = run_experiment(maze, ("l2", "none"), (goal,), (0, 1), QLearningConfig(episodes=20), {})
+diff, p = paired_auc_test(run, "l2", "none")
+assert q.spearman[goal]["learned_vs_truth"] == 1.0 and 0 < p < 1, (q.spearman, p)
+print("scipy.stats" in sys.modules)
+"""
+
+
+def test_cli_process_never_imports_scipy_stats():
+    proc = run_python(FOOTPRINT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Dataset collection, graph-drawing training, and learned embeddings."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -30,6 +32,7 @@ from spectral_reach.replearn import (
     penalty_value_grad,
     rep_quality,
     sample_pair_batch,
+    spearman_rho,
     start_distribution,
     train_graph_drawing,
     training_log_csv,
@@ -463,6 +466,63 @@ class TestRepQuality:
         b = ra_laprep(zoo_bases["c4"], 2)
         with pytest.raises(DimensionMismatch):
             rep_quality(a, b, np.zeros((3, 3)))
+
+
+def _profile_pair(rng, case):
+    """Two profiles of one of five shapes, from tie-free to tie-heavy."""
+    n = int(rng.integers(2, 80))
+    kind = case % 5
+    if kind == 0:        # continuous, no ties
+        return rng.normal(size=n), rng.normal(size=n)
+    if kind == 1:        # integer profiles with many ties, like geodesic distances
+        return rng.integers(0, 4, n), rng.integers(0, 6, n)
+    if kind == 2:        # embedding distance against an integer geodesic
+        geo = rng.integers(0, 12, n)
+        return geo + rng.normal(scale=0.5, size=n), geo
+    if kind == 3:        # rounded values: ties across float columns
+        return rng.random(n).round(1), rng.random(n).round(2)
+    return rng.integers(0, 3, n).astype(float), rng.normal(size=n)
+
+
+def _same(x, y):
+    return x == y or (np.isnan(x) and np.isnan(y))
+
+
+class TestSpearmanRho:
+    def test_bit_identical_to_scipy_on_seeded_cases(self):
+        rng = np.random.default_rng(20221)
+        mismatches = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", stats.ConstantInputWarning)
+            for case in range(3000):
+                a, b = _profile_pair(rng, case)
+                ours, ref = spearman_rho(a, b), float(stats.spearmanr(a, b).statistic)
+                if not _same(ours, ref):
+                    mismatches.append((case, ours, ref))
+        assert mismatches == []
+
+    @pytest.mark.parametrize("a,b", [
+        ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.0], [np.nan, np.nan, np.nan]),
+        ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]),
+        ([0.0, -0.0, 0.0], [1.0, 2.0, 3.0]),
+        ([4, 4, 4, 4], [1, 2, 2, 1]),
+        ([1.0, 2.0], [2.0, 1.0]),
+        ([1.0, 2.0], [1.0, 2.0]),
+        ([0.0, -0.0, 1.0], [3.0, 2.0, 1.0]),
+        ([1.0, np.inf, -np.inf, 2.0], [1.0, 2.0, 3.0, 4.0]),
+    ], ids=["nan-entry", "all-nan", "constant", "signed-zeros-constant", "constant-int",
+            "n2-reversed", "n2-same", "signed-zeros-tie", "infinities"])
+    def test_degenerate_inputs_match_scipy(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = float(stats.spearmanr(a, b).statistic)
+        assert _same(spearman_rho(a, b), ref)
+
+    def test_constant_input_is_nan_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(spearman_rho([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Shaped-reward Q-learning, experiment harness, and reports."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from spectral_reach.envgrid import parse_maze, transition_table
 from spectral_reach.errors import DimensionMismatch, MissingEmbedding, UnreachableGoal
@@ -12,11 +14,14 @@ from spectral_reach.shaping import (
     REWARD_KINDS,
     QLearningConfig,
     RewardSpec,
+    RunResult,
+    ShapingRun,
     curves_csv,
     dimension_sweep,
     episodes_to_threshold,
     greedy_rollout,
     paired_auc_test,
+    paired_t_pvalue,
     q_learning,
     reward_table,
     run_experiment,
@@ -339,6 +344,94 @@ class TestRunExperiment:
                              QLearningConfig(episodes=100), {})
         digest = hashlib.sha256(curves_csv(run).encode()).hexdigest()
         assert digest == "edee1a325b6b41948d490f4237d20412c4ccba174f1b0813be25b2e175396d33"
+
+
+# ---------------------------------------------------------------------------
+# paired t-test
+# ---------------------------------------------------------------------------
+
+def _auc_pair(rng, case):
+    """Paired samples of one of five shapes, AUC-like and otherwise."""
+    n = int(rng.integers(2, 40))
+    kind = case % 5
+    if kind == 0:        # AUCs of 500-episode runs
+        return rng.integers(0, 501, n) / 500, rng.integers(0, 501, n) / 500
+    if kind == 1:        # continuous
+        return rng.normal(size=n), rng.normal(size=n)
+    if kind == 2:        # constant nonzero differences
+        b = rng.random(n)
+        return b + rng.choice([0.1, 0.25, -0.3, 1.0]), b
+    if kind == 3:        # integer-valued, many tied differences
+        return rng.integers(0, 4, n).astype(float), rng.integers(0, 4, n).astype(float)
+    a = rng.random(n)    # small shift against noise
+    return a + 0.01 + rng.normal(scale=0.01, size=n), a
+
+
+def _ttest_ref(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return float(stats.ttest_rel(a, b, alternative="greater").pvalue)
+
+
+def _same(x, y):
+    return x == y or (np.isnan(x) and np.isnan(y))
+
+
+def _run_of(aucs_by_kind, episodes=4):
+    """A ShapingRun with one goal whose per-run AUCs are the given ones."""
+    seeds = tuple(range(len(next(iter(aucs_by_kind.values())))))
+    runs = {}
+    for kind, aucs in aucs_by_kind.items():
+        for seed, auc in zip(seeds, aucs):
+            success = np.arange(episodes) < round(auc * episodes)
+            runs[(kind, 0, seed)] = RunResult(kind, 0, seed, success,
+                                              np.zeros(episodes, dtype=np.int64),
+                                              np.zeros((1, 4)))
+    return ShapingRun(tuple(aucs_by_kind), (0,), seeds,
+                      QLearningConfig(episodes=episodes), runs)
+
+
+class TestPairedTest:
+    def test_bit_identical_to_scipy_on_seeded_cases(self):
+        rng = np.random.default_rng(20222)
+        mismatches = []
+        for case in range(3000):
+            a, b = _auc_pair(rng, case)
+            ours, ref = paired_t_pvalue(a, b), _ttest_ref(a, b)
+            if not _same(ours, ref):
+                mismatches.append((case, ours, ref))
+        assert mismatches == []
+
+    @pytest.mark.parametrize("a,b", [
+        ([0.5, 0.75], [0.25, 0.5]),
+        ([0.5, 0.25], [0.25, 0.5]),
+        ([0.3, 0.4, 0.5], [0.2, 0.3, 0.4]),
+        ([1.0, 2.0, 3.0], [0.0, 1.0, 2.0]),
+        ([1.0, 2.0, 3.0], [2.0, 3.0, 4.0]),
+        ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+        ([1.0, np.nan, 3.0], [0.0, 1.0, 2.0]),
+    ], ids=["n2", "n2-opposite", "constant-diff-inexact", "constant-diff-plus",
+            "constant-diff-minus", "zero-diff", "nan-entry"])
+    def test_edge_cases_match_scipy(self, a, b):
+        a, b = np.array(a), np.array(b)
+        assert _same(paired_t_pvalue(a, b), _ttest_ref(a, b))
+
+    def test_no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert paired_t_pvalue(np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 2.0])) == 0.0
+
+    def test_single_pair_has_no_p_value(self):
+        run = _run_of({"ra_laprep": [0.75], "none": [0.25]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert paired_auc_test(run, "ra_laprep", "none") == (0.5, None)
+
+    def test_two_pairs_match_scipy(self):
+        run = _run_of({"ra_laprep": [0.75, 1.0], "none": [0.25, 0.75]})
+        diff, p = paired_auc_test(run, "ra_laprep", "none")
+        assert diff == 0.375
+        assert p == _ttest_ref([0.75, 1.0], [0.25, 0.75])
 
 
 class TestDimensionSweep:
