@@ -26,9 +26,6 @@ class CentralityReport:
 
     cent: np.ndarray
     selected: tuple[int, ...]
-    fraction: float
-    kind: str
-    inverted: bool
 
 
 def centrality(e: Embedding) -> np.ndarray:
@@ -70,10 +67,4 @@ def top_bottlenecks(cent: np.ndarray, fraction: float, invert: bool = False) -> 
 
 def make_report(e: Embedding, fraction: float, invert: bool = False) -> CentralityReport:
     cent = centrality(e)
-    return CentralityReport(
-        cent=cent,
-        selected=top_bottlenecks(cent, fraction, invert),
-        fraction=fraction,
-        kind=e.kind,
-        inverted=invert,
-    )
+    return CentralityReport(cent=cent, selected=top_bottlenecks(cent, fraction, invert))

@@ -305,7 +305,7 @@ def cmd_learn(args) -> int:
     _write_outputs(args.out, manifest, {
         "learned_embedding.csv": embedding_to_csv(emb, g.coords),
         "eigenvalue_estimates.json": json.dumps({
-            "estimates": [float(v) for v in lam.values],
+            "estimates": [float(v) for v in lam],
             "truth": [float(v) for v in basis.eigenvalues[1:d]],
         }, indent=2) + "\n",
         "training_log.csv": training_log_csv(rep),
@@ -339,7 +339,7 @@ def cmd_shape(args) -> int:
     embeddings = _spectral_embeddings(g, d, embedded)[1] if embedded else {}
     config = QLearningConfig(episodes=args.episodes)
     seeds = tuple(args.seed + i for i in range(args.seeds))
-    run = run_experiment(maze, kinds, goals, seeds, config, embeddings, g)
+    run = run_experiment(maze, kinds, goals, seeds, config, embeddings)
     aggregate = run.aggregate()
     report = {"aggregate": aggregate, "paired_tests": {}}
     if "ra_laprep" in kinds:

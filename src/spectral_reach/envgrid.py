@@ -43,6 +43,9 @@ ALPHABET = frozenset({WALL}) | FLOOR_CHARS
 ACTIONS = ("up", "down", "left", "right")
 DELTAS = {"up": (0, -1), "down": (0, 1), "left": (-1, 0), "right": (1, 0)}
 
+#: most grid cells ``discretize_continuous`` will visit
+MAX_GRID_CELLS = 10**6
+
 
 @dataclass(frozen=True)
 class MazeSpec:
@@ -51,9 +54,6 @@ class MazeSpec:
     width: int
     height: int
     rows: tuple[str, ...]
-
-    def char_at(self, x: int, y: int) -> str:
-        return self.rows[y][x]
 
     def in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
@@ -84,7 +84,7 @@ class MazeSpec:
         )
 
     def state_index(self) -> "StateIndex":
-        return StateIndex.from_maze(self)
+        return StateIndex(coords=self.floor_cells)
 
     def render_text(self) -> str:
         """Inverse of parse_maze: canonical ASCII form."""
@@ -96,10 +96,6 @@ class StateIndex:
     """Row-major bijection between floor coordinates and 0-based indices."""
 
     coords: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_maze(cls, maze: MazeSpec) -> "StateIndex":
-        return cls(coords=maze.floor_cells)
 
     @cached_property
     def _lookup(self) -> dict[tuple[int, int], int]:
@@ -269,12 +265,21 @@ def discretize_continuous(cm: ContinuousMazeSpec, resolution: int) -> MazeSpec:
     A grid cell becomes Floor iff the agent disk centered at the cell
     center keeps clearance >= radius from every wall rectangle; the grid
     is padded with a one-cell wall border.  Raises NoFloor when nothing
-    survives (resolution too coarse or walls fill the space).
+    survives (resolution too coarse or walls fill the space), and
+    MapError when the grid would have more than MAX_GRID_CELLS cells.
     """
     if resolution <= 0:
         raise ValueError("resolution must be a positive integer")
-    nx = int(round(cm.width * resolution))
-    ny = int(round(cm.height * resolution))
+    try:
+        nx = int(round(cm.width * resolution))
+        ny = int(round(cm.height * resolution))
+    except OverflowError:              # a side longer than any float
+        nx = ny = MAX_GRID_CELLS + 1
+    if nx * ny > MAX_GRID_CELLS:
+        raise MapError(
+            f"a {cm.width:g} x {cm.height:g} layout at resolution {resolution} "
+            f"needs more than {MAX_GRID_CELLS} grid cells"
+        )
     if nx <= 0 or ny <= 0:
         raise NoFloor("bounding box smaller than one grid cell")
     rows = []

@@ -54,7 +54,6 @@ class PseudoInverse:
     """Moore-Penrose pseudo-inverse of a connected graph Laplacian."""
 
     matrix: np.ndarray
-    source: str
 
 
 def graph_from_transitions(
@@ -143,7 +142,7 @@ def pseudo_inverse(g: StateGraph, basis) -> PseudoInverse:
     basis.require_connected()
     tail = vec[:, 1:]
     plus = (tail / lam[1:]) @ tail.T
-    return PseudoInverse(matrix=plus, source=f"spectral:{basis.sign_convention}")
+    return PseudoInverse(matrix=plus)
 
 
 def export_graph_json(g: StateGraph) -> dict:

@@ -30,7 +30,6 @@ class MdsResult:
 
     embedding: np.ndarray          # (n, k), k retained directions
     eigenvalues: np.ndarray        # (k,), descending positive eigenvalues of B
-    centering_residual: float      # max |row sum| of B
     indefinite: bool               # most-negative eigenvalue below -cutoff
     min_eigenvalue: float
 
@@ -58,20 +57,19 @@ def double_center(d2: np.ndarray) -> np.ndarray:
     return b
 
 
-def classic_mds(d2: np.ndarray, dim_tolerance: float | None = None) -> MdsResult:
+def classic_mds(d2: np.ndarray) -> MdsResult:
     """Torgerson scaling: eigendecompose B, keep directions above cutoff.
 
-    ``dim_tolerance`` overrides the default cutoff of 1e-9 times the
-    largest eigenvalue of B.  An indefinite input (most-negative
-    eigenvalue below the cutoff) is reported via a warning and the
-    ``indefinite`` flag; the embedding is still returned on the positive
-    part.
+    The cutoff is 1e-9 times the largest eigenvalue of B.  An indefinite
+    input (most-negative eigenvalue below -cutoff) is reported via a
+    warning and the ``indefinite`` flag; the embedding is still returned
+    on the positive part.
     """
     b = double_center(d2)
     lam, vec = np.linalg.eigh(b)
     lam = lam[::-1]
     vec = vec[:, ::-1]
-    cutoff = RELATIVE_CUTOFF * max(float(lam[0]), 0.0) if dim_tolerance is None else dim_tolerance
+    cutoff = RELATIVE_CUTOFF * max(float(lam[0]), 0.0)
     keep = lam > cutoff
     min_eig = float(lam[-1])
     indefinite = min_eig < -cutoff
@@ -83,11 +81,9 @@ def classic_mds(d2: np.ndarray, dim_tolerance: float | None = None) -> MdsResult
             stacklevel=2,
         )
     x = vec[:, keep] * np.sqrt(lam[keep])
-    centering_residual = float(np.max(np.abs(b.sum(axis=1)))) if b.size else 0.0
     return MdsResult(
         embedding=x,
         eigenvalues=lam[keep],
-        centering_residual=centering_residual,
         indefinite=indefinite,
         min_eigenvalue=min_eig,
     )

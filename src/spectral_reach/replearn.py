@@ -42,7 +42,6 @@ from .errors import (
     DimensionMismatch,
     DivergedObjective,
     EmptyDataset,
-    GraphDisconnected,
     NoBiasCells,
 )
 from .graph import StateGraph, build_graph, graph_from_transitions, require_connected
@@ -50,14 +49,8 @@ from .spectral import Embedding, check_dimension, goal_distances
 
 #: eigenvalue estimates at or below this are too degenerate to rescale by
 DEGENERATE_EIG_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class CollectionConfig:
-    episodes: int = 2000
-    episode_len: int = 50
-    temperature: float = 0.0
-    seed: int = 0
+#: the training log keeps iteration 1, every LOG_EVERY-th, and the last
+LOG_EVERY = 500
 
 
 @dataclass(frozen=True)
@@ -68,55 +61,40 @@ class TrainConfig:
     discount: float = 0.9          # geometric pair-offset parameter
     penalty_weight: float = 5.0
     seed: int = 0
-    log_every: int = 500
 
     def validate(self) -> None:
         if self.iterations <= 0 or self.batch_size <= 0:
             raise ValueError("iterations and batch_size must be positive")
         if not 0.0 <= self.discount < 1.0:
             raise ValueError(f"discount must lie in [0, 1), got {self.discount}")
-        if self.step_size <= 0 or self.penalty_weight < 0:
-            raise ValueError("step_size must be positive, penalty_weight nonnegative")
+        if not 0.0 < self.step_size < np.inf:
+            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
+        if not 0.0 <= self.penalty_weight < np.inf:
+            raise ValueError(
+                f"penalty_weight must be nonnegative and finite, got {self.penalty_weight}"
+            )
 
 
 @dataclass(frozen=True)
 class TransitionDataset:
-    """Episodes of state indices over a fixed state space."""
+    """Walks over a fixed state space: one row of state indices per episode."""
 
-    episodes: tuple[np.ndarray, ...]
+    episodes: np.ndarray           # (episodes, steps + 1) int64
     n_states: int
-    config: CollectionConfig
-    source: str = "walk"
 
-    @cached_property
+    @property
     def total_steps(self) -> int:
-        return sum(len(ep) - 1 for ep in self.episodes)
+        return self.episodes[:, 1:].size
 
     @cached_property
     def visitation(self) -> np.ndarray:
         """Occurrence counts per state over every episode position."""
-        if not self.episodes:
-            return np.zeros(self.n_states, dtype=np.int64)
-        allstates = np.concatenate(self.episodes)
-        return np.bincount(allstates, minlength=self.n_states)
+        return np.bincount(self.episodes.ravel(), minlength=self.n_states)
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """All consecutive (s, s') pairs, concatenated across episodes."""
-        if not self.episodes:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        starts = np.concatenate([ep[:-1] for ep in self.episodes])
-        ends = np.concatenate([ep[1:] for ep in self.episodes])
-        return starts, ends
-
-    @cached_property
-    def episode_matrix(self) -> np.ndarray:
-        """Episodes stacked as rows; requires uniform episode length."""
-        lengths = {len(ep) for ep in self.episodes}
-        if len(lengths) != 1:
-            raise ValueError("episodes have mixed lengths; cannot stack")
-        return np.stack(self.episodes)
+        """All consecutive (s, s') pairs, episode by episode."""
+        return self.episodes[:, :-1].ravel(), self.episodes[:, 1:].ravel()
 
     @cached_property
     def observed_edges(self) -> int:
@@ -136,18 +114,10 @@ class LearnedRep:
     d: int
     config: TrainConfig
     objective_log: np.ndarray      # rows (iteration, objective, penalty)
-    source: str = "graph-drawing"
 
     @property
     def n_states(self) -> int:
         return self.params.shape[0]
-
-
-@dataclass(frozen=True)
-class LearnedEigenvalues:
-    """Estimates for eigen-indices 2..d (length d - 1)."""
-
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -178,8 +148,8 @@ class QualityMetrics:
 
 def start_distribution(maze: MazeSpec, temperature: float) -> np.ndarray:
     """Start-state probabilities proportional to exp(temperature * bias)."""
-    if temperature < 0:
-        raise ValueError(f"temperature must be nonnegative, got {temperature}")
+    if not 0.0 <= temperature < np.inf:
+        raise ValueError(f"temperature must be nonnegative and finite, got {temperature}")
     index = maze.state_index()
     n = len(index)
     bias = np.zeros(n)
@@ -203,31 +173,27 @@ def collect_dataset(
 ) -> TransitionDataset:
     """Uniform-action random-walk episodes with bias-weighted starts.
 
-    Wall bumps are recorded as self transitions.  Episode e draws from
-    its own PCG64 generator keyed by (seed, e), so collection order
-    cannot change the data.
+    Wall bumps are recorded as self transitions.  Episode e draws its
+    start state, then its actions, from its own PCG64 generator keyed by
+    (seed, e), so collection order cannot change the data; the episodes
+    then step together, one table lookup per step.
     """
     if episodes <= 0 or episode_len <= 0:
         raise EmptyDataset("episodes and episode_len must be positive")
     require_connected(build_graph(maze))
     table = transition_table(maze)
-    n = len(table)
-    p_start = start_distribution(maze, temperature)
-    cum = np.cumsum(p_start)
-    eps = []
+    cum = np.cumsum(start_distribution(maze, temperature))
+    u = np.empty(episodes)
+    actions = np.empty((episodes, episode_len), dtype=np.int64)
     for e in range(episodes):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, e))))
-        s = int(np.searchsorted(cum, rng.random(), side="right"))
-        s = min(s, n - 1)
-        actions = rng.integers(0, len(ACTIONS), size=episode_len)
-        traj = np.empty(episode_len + 1, dtype=np.int64)
-        traj[0] = s
-        for t, a in enumerate(actions):
-            s = table[s, a]
-            traj[t + 1] = s
-        eps.append(traj)
-    cfg = CollectionConfig(episodes, episode_len, temperature, seed)
-    return TransitionDataset(episodes=tuple(eps), n_states=n, config=cfg)
+        u[e] = rng.random()
+        actions[e] = rng.integers(0, len(ACTIONS), size=episode_len)
+    walks = np.empty((episodes, episode_len + 1), dtype=np.int64)
+    walks[:, 0] = np.minimum(np.searchsorted(cum, u, side="right"), len(table) - 1)
+    for t in range(episode_len):
+        walks[:, t + 1] = table[walks[:, t], actions[:, t]]
+    return TransitionDataset(episodes=walks, n_states=len(table))
 
 
 def exhaustive_dataset(maze: MazeSpec) -> TransitionDataset:
@@ -245,9 +211,7 @@ def exhaustive_dataset(maze: MazeSpec) -> TransitionDataset:
     start = np.repeat(np.arange(n), n_actions)
     if np.array_equal(table.ravel(), start):
         raise EmptyDataset("map has no edges")
-    eps = tuple(np.stack([start, table.ravel()], axis=1))
-    cfg = CollectionConfig(episodes=len(eps), episode_len=1, temperature=0.0, seed=0)
-    return TransitionDataset(episodes=eps, n_states=n, config=cfg, source="exhaustive")
+    return TransitionDataset(episodes=np.stack([start, table.ravel()], axis=1), n_states=n)
 
 
 def induced_graph(data: TransitionDataset) -> StateGraph:
@@ -328,11 +292,10 @@ def train_graph_drawing(
     config.validate()
     n = data.n_states
     check_dimension(d, n)
-    if not data.episodes or data.total_steps == 0:
+    if data.total_steps == 0:
         raise EmptyDataset("dataset has no transitions")
     require_connected(induced_graph(data))
 
-    matrix = data.episode_matrix
     visit = data.visitation / data.visitation.sum()
     dim_weights = np.arange(d, 0, -1, dtype=np.float64)      # c_i = d - i + 1
     pair_weights = np.minimum.outer(dim_weights, dim_weights)
@@ -347,7 +310,7 @@ def train_graph_drawing(
     ema = None
     initial = None
     for it in range(1, config.iterations + 1):
-        s, s2 = sample_pair_batch(matrix, config.batch_size, config.discount, rng)
+        s, s2 = sample_pair_batch(data.episodes, config.batch_size, config.discount, rng)
         a_val, a_grad = attraction_value_grad(f, dim_weights, s, s2)
         p_val, p_grad = penalty_value_grad(f, pair_weights, visit, config.penalty_weight)
         objective = a_val + p_val
@@ -369,7 +332,7 @@ def train_graph_drawing(
                 f"smoothed objective {ema:.3e} exceeds 10x its initial "
                 f"level {initial:.3e} at iteration {it}"
             )
-        if it % config.log_every == 0 or it == 1 or it == config.iterations:
+        if it % LOG_EVERY == 0 or it == 1 or it == config.iterations:
             log_rows.append((it, objective, p_val))
 
     return LearnedRep(
@@ -380,8 +343,8 @@ def train_graph_drawing(
     )
 
 
-def estimate_eigenvalues(rep: LearnedRep, data: TransitionDataset) -> LearnedEigenvalues:
-    """Eigenvalue estimates for indices 2..d from consecutive pairs."""
+def estimate_eigenvalues(rep: LearnedRep, data: TransitionDataset) -> np.ndarray:
+    """Eigenvalue estimates for indices 2..d (length d - 1) from consecutive pairs."""
     if rep.n_states != data.n_states:
         raise DimensionMismatch(
             f"table has {rep.n_states} states, dataset has {data.n_states}"
@@ -394,27 +357,25 @@ def estimate_eigenvalues(rep: LearnedRep, data: TransitionDataset) -> LearnedEig
     diff = f[s[mask]] - f[s2[mask]]
     raw = (diff * diff).sum(axis=0) / mask.sum() * data.observed_edges
     norms = (f * f).sum(axis=0)
-    values = raw / norms
-    return LearnedEigenvalues(values=values[1:])
+    return (raw / norms)[1:]
 
 
-def learned_ra_laprep(rep: LearnedRep, lam: LearnedEigenvalues) -> Embedding:
-    """Rescaled embedding from the learned table and eigenvalue estimates."""
-    if len(lam.values) != rep.d - 1:
+def learned_ra_laprep(rep: LearnedRep, lam: np.ndarray) -> Embedding:
+    """Rescaled embedding from the learned table and eigenvalue estimates 2..d."""
+    if len(lam) != rep.d - 1:
         raise DimensionMismatch(
-            f"{len(lam.values)} eigenvalue estimates for a d = {rep.d} table"
+            f"{len(lam)} eigenvalue estimates for a d = {rep.d} table"
         )
-    if np.any(lam.values <= DEGENERATE_EIG_TOL):
-        worst = float(lam.values.min())
+    if np.any(lam <= DEGENERATE_EIG_TOL):
+        worst = float(lam.min())
         raise DegenerateEigenvalue(
             f"eigenvalue estimate {worst:.3e} is at or below {DEGENERATE_EIG_TOL}"
         )
     return Embedding(
         kind="learned",
         d=rep.d,
-        vectors=rep.params[:, 1:] / np.sqrt(lam.values),
-        eigenvalues=lam.values.copy(),
-        source=rep.source,
+        vectors=rep.params[:, 1:] / np.sqrt(lam),
+        eigenvalues=lam.copy(),
     )
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .envgrid import MazeSpec, transition_table
 from .errors import DimensionMismatch, MissingEmbedding, UnreachableGoal
-from .graph import StateGraph, build_graph, is_connected
+from .graph import graph_from_transitions, is_connected
 from .spectral import Embedding, goal_distances
 
 REWARD_KINDS = ("ra_laprep", "laprep", "l2", "none")
@@ -80,8 +80,8 @@ class QLearningConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if not 0.0 < self.epsilon_fraction <= 1.0:
             raise ValueError("epsilon_fraction must lie in (0, 1]")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if not 0.0 < self.step_size < np.inf:
+            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,6 @@ def q_learning_batch(
     specs: list[RewardSpec],
     seeds: tuple[int, ...],
     config: QLearningConfig,
-    graph: StateGraph | None = None,
 ) -> list[RunResult]:
     """Q-learning for every (spec, seed) pair, spec-major, in lockstep.
 
@@ -188,20 +187,16 @@ def q_learning_batch(
     Each step is one numpy operation over the runs still in an episode.
     Runs own disjoint rows of one flat Q-table and share the (seed, ep)
     noise of their seed, so each equals the same run made alone.
-    ``graph`` is the maze's state graph, when the caller has built it.
     """
     if not specs or not seeds:
         raise ValueError("specs and seeds must be nonempty")
     config.validate()
     table = transition_table(maze)
     n, n_act = table.shape
-    if graph is None:
-        graph = build_graph(maze)
-    elif graph.n_states != n:
-        raise DimensionMismatch(f"graph has {graph.n_states} states, maze has {n}")
     # The state graph is undirected: a goal is reachable from every
     # floor cell exactly when the graph is connected.
-    connected = is_connected(graph)
+    connected = is_connected(graph_from_transitions(n, np.repeat(np.arange(n), n_act),
+                                                    table.ravel()))
     for spec in specs:
         spec.validate(n)
         if not connected:
@@ -264,19 +259,6 @@ def q_learning_batch(
     ]
 
 
-def greedy_rollout(
-    maze: MazeSpec, q: np.ndarray, start: int, goal: int, cap: int = 10_000
-) -> int:
-    """Steps the greedy policy takes from start to goal; -1 if it fails."""
-    table = transition_table(maze)
-    s = start
-    for t in range(cap):
-        if s == goal:
-            return t
-        s = int(table[s, int(np.argmax(q[s]))])
-    return -1 if s != goal else cap
-
-
 def episodes_to_threshold(curve: np.ndarray, threshold: float, window: int) -> int:
     """First episode whose trailing-window mean success meets the threshold.
 
@@ -298,12 +280,10 @@ def run_experiment(
     seeds: tuple[int, ...],
     config: QLearningConfig,
     embeddings: dict[str, Embedding],
-    graph: StateGraph | None = None,
 ) -> ShapingRun:
     """Factorial runs over kinds x goals x seeds with shared noise per seed.
 
-    ``embeddings`` supplies the embedding for each kind that needs one;
-    ``graph`` is the maze's state graph, when the caller has built it.
+    ``embeddings`` supplies the embedding for each kind that needs one.
     """
     if not kinds or not goals or not seeds:
         raise ValueError("kinds, goals, and seeds must be nonempty")
@@ -313,7 +293,7 @@ def run_experiment(
         for kind in kinds
         for goal in goals
     ]
-    batch = q_learning_batch(maze, specs, seeds, config, graph)
+    batch = q_learning_batch(maze, specs, seeds, config)
     runs = {(r.kind, r.goal, r.seed): r for r in batch}
     return ShapingRun(tuple(kinds), tuple(goals), tuple(seeds), config, runs)
 

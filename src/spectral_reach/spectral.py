@@ -62,7 +62,6 @@ class SpectralBasis:
 
     eigenvalues: np.ndarray       # (k,), ascending
     eigenvectors: np.ndarray      # (n, k), column i pairs with eigenvalue i
-    sign_convention: str = SIGN_CONVENTION
 
     @property
     def n_states(self) -> int:
@@ -107,7 +106,6 @@ class Embedding:
     d: int
     vectors: np.ndarray           # (n, d - 1)
     eigenvalues: np.ndarray | None = None
-    source: str = ""
 
     @property
     def n_states(self) -> int:
@@ -216,7 +214,6 @@ def laprep(basis: SpectralBasis, d: int) -> Embedding:
         d=d,
         vectors=basis.eigenvectors[:, 1:d].copy(),
         eigenvalues=basis.eigenvalues[1:d].copy(),
-        source=f"basis:{basis.sign_convention}",
     )
 
 
@@ -230,7 +227,6 @@ def ra_laprep(basis: SpectralBasis, d: int) -> Embedding:
         d=d,
         vectors=basis.eigenvectors[:, 1:d] / np.sqrt(lam),
         eigenvalues=lam.copy(),
-        source=f"basis:{basis.sign_convention}",
     )
 
 
@@ -317,7 +313,7 @@ def embedding_from_csv(text: str, kind: str = "") -> tuple[Embedding, list[tuple
     rows.sort()
     vectors = np.array([[float(v) for v in r[3:]] for _, r in rows])
     coords = [(int(r[1]), int(r[2])) for _, r in rows]
-    return Embedding(kind=kind, d=d, vectors=vectors, source="csv"), coords
+    return Embedding(kind=kind, d=d, vectors=vectors), coords
 
 
 def basis_to_json(basis: SpectralBasis, eigenvalues: np.ndarray | None = None) -> dict:
@@ -327,5 +323,5 @@ def basis_to_json(basis: SpectralBasis, eigenvalues: np.ndarray | None = None) -
         eigenvalues = basis.eigenvalues
     return {
         "eigenvalues": [float(v) for v in eigenvalues],
-        "sign_convention": basis.sign_convention,
+        "sign_convention": SIGN_CONVENTION,
     }

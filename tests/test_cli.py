@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import spectral_reach
-from spectral_reach import cli, graph, layouts, shaping
+from spectral_reach import cli, graph, layouts
 from spectral_reach.cli import main
 from spectral_reach.commute import commute
 from spectral_reach.manifest import sha256_file
@@ -275,7 +275,6 @@ class TestShape:
             return graph.build_graph(maze, *args)
 
         monkeypatch.setattr(cli, "build_graph", counting_build)
-        monkeypatch.setattr(shaping, "build_graph", counting_build)
         assert main(["shape", "--map", "tworoom", "--goal", "5,2", "--episodes", "10",
                      "--seed", "0", "--seeds", "2", "--out", str(tmp_path / "s")]) == 0
         assert len(calls) == 1
@@ -401,6 +400,12 @@ def _env_on_layout(tmp, text):
     return ["env", "--map", str(p)]
 
 
+def _learn(tmp, map_name, *flags):
+    return ["learn", "--map", map_name, "--seed", "0", "--episodes", "20",
+            "--episode-len", "10", "--iterations", "50", "--batch", "16", "--d", "3",
+            *flags, "--out", str(tmp / "learn")]
+
+
 @pytest.mark.parametrize("argv,code,needle", [
     (lambda tmp: ["env", "--map", "continuous_a"], 0, ""),
     (lambda tmp: ["env", "--map", "continuous_b", "--out", str(tmp / "env")], 0, ""),
@@ -434,13 +439,28 @@ def _env_on_layout(tmp, text):
     (lambda tmp: _env_on_layout(tmp, '{"width": 2, "height": 2, "radius": 0.1, '
                                      '"walls": [{"x": 0, "y": 0, "w": NaN, "h": 1}]}'), 1,
      "walls[0].w is nan"),
+    (lambda tmp: _env_on_layout(tmp, '{"width": 1e9, "height": 1, "radius": 0}'), 1,
+     "more than 1000000 grid cells"),
+    (lambda tmp: ["env", "--map", "continuous_a", "--resolution", "100000"], 1,
+     "more than 1000000 grid cells"),
+    (lambda tmp: ["env", "--map", "continuous_a", "--resolution", "9" * 400], 1,
+     "more than 1000000 grid cells"),
+    (lambda tmp: _learn(tmp, "tworoom", "--tau", "nan"), 1, "temperature"),
+    (lambda tmp: _learn(tmp, "biased", "--tau", "inf"), 1, "temperature"),
+    (lambda tmp: _learn(tmp, "tworoom", "--step-size", "nan"), 1, "step_size"),
+    (lambda tmp: _learn(tmp, "tworoom", "--step-size", "inf"), 1, "step_size"),
+    (lambda tmp: _learn(tmp, "tworoom", "--penalty", "nan"), 1, "penalty_weight"),
+    (lambda tmp: _learn(tmp, "tworoom", "--penalty", "inf"), 1, "penalty_weight"),
 ], ids=["continuous_a", "continuous_b", "heatmap-empty-csv", "heatmap-short-row",
         "heatmap-scale-0", "heatmap-scale-negative", "commute-pair-without-colon",
         "map-is-a-directory", "out-is-a-file", "out-under-a-file",
         "layout-not-an-object", "layout-without-width", "layout-without-height",
         "layout-without-radius", "layout-wall-without-h", "layout-null-number",
         "layout-infinite-width", "layout-nan-height", "layout-overflowing-radius",
-        "layout-infinite-wall-y", "layout-nan-wall-w"])
+        "layout-infinite-wall-y", "layout-nan-wall-w", "layout-wide-grid",
+        "layout-fine-resolution", "layout-overflowing-resolution", "learn-nan-tau",
+        "learn-infinite-tau", "learn-nan-step-size", "learn-infinite-step-size",
+        "learn-nan-penalty", "learn-infinite-penalty"])
 def test_exit_code_and_at_most_one_stderr_line(tmp_path, capsys, argv, code, needle):
     assert main(argv(tmp_path)) == code
     err = capsys.readouterr().err

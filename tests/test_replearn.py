@@ -1,12 +1,19 @@
 """Dataset collection, graph-drawing training, and learned embeddings."""
 
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from spectral_reach.envgrid import ACTIONS, step
+from spectral_reach.envgrid import (
+    ACTIONS,
+    ContinuousMazeSpec,
+    discretize_continuous,
+    step,
+    transition_table,
+)
 from spectral_reach.errors import (
     DegenerateEigenvalue,
     DimensionMismatch,
@@ -18,8 +25,6 @@ from spectral_reach.errors import (
 )
 from spectral_reach.graph import build_graph, geodesic_matrix, require_connected
 from spectral_reach.replearn import (
-    CollectionConfig,
-    LearnedEigenvalues,
     LearnedRep,
     TrainConfig,
     TransitionDataset,
@@ -42,9 +47,8 @@ from spectral_reach.spectral import eig_sym, ra_laprep
 
 
 def make_dataset(episodes, n_states):
-    eps = tuple(np.asarray(ep, dtype=np.int64) for ep in episodes)
-    cfg = CollectionConfig(episodes=max(len(eps), 1), episode_len=1)
-    return TransitionDataset(episodes=eps, n_states=n_states, config=cfg)
+    return TransitionDataset(episodes=np.array(episodes, dtype=np.int64, ndmin=2),
+                             n_states=n_states)
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +149,44 @@ class TestCollectDataset:
             collect_dataset(tworoom, 0, 10)
         with pytest.raises(EmptyDataset):
             collect_dataset(tworoom, 10, 0)
+
+    @pytest.mark.parametrize("name,temperature", [
+        ("tworoom", 0.0), ("biased", 0.9), ("biased", 3.0), ("continuous_a", 0.0),
+    ])
+    def test_lockstep_equals_per_episode_loop(self, name, temperature):
+        maze = layouts.load_bundled(name)
+        if isinstance(maze, ContinuousMazeSpec):
+            maze = discretize_continuous(maze, 2)
+        data = collect_dataset(maze, 300, 40, temperature, seed=11)
+        want = reference_collect(maze, 300, 40, temperature, seed=11)
+        assert data.episodes.dtype == np.int64
+        assert np.array_equal(data.episodes, want)
+
+    def test_tworoom_walks_pinned(self, tworoom_data):
+        # SHA-256 of the (2000, 51) int64 episode matrix, recorded with
+        # the per-episode loop that the lockstep collection replaced.
+        digest = hashlib.sha256(np.ascontiguousarray(tworoom_data.episodes).tobytes())
+        assert tworoom_data.episodes.shape == (2000, 51)
+        assert digest.hexdigest() == (
+            "7a2613d3aed5284db478163d514f95e77b6eb1adeb949abf7c423e5e28b3f610"
+        )
+
+
+def reference_collect(maze, episodes, episode_len, temperature, seed):
+    """Walks one episode at a time, one step at a time: the definition
+    the lockstep collection must match."""
+    table = transition_table(maze)
+    cum = np.cumsum(start_distribution(maze, temperature))
+    rows = []
+    for e in range(episodes):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, e))))
+        s = min(int(np.searchsorted(cum, rng.random(), side="right")), len(table) - 1)
+        traj = [s]
+        for a in rng.integers(0, len(ACTIONS), size=episode_len):
+            s = int(table[s, a])
+            traj.append(s)
+        rows.append(traj)
+    return np.array(rows, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +397,7 @@ class TestEstimateEigenvalues:
         rep = exact_rep(zoo_bases["k2"], 2)
         data = make_dataset([[0, 1], [1, 0]], n_states=2)
         est = estimate_eigenvalues(rep, data)
-        assert est.values == pytest.approx([2.0], abs=1e-12)
+        assert est == pytest.approx([2.0], abs=1e-12)
 
     def test_constant_column_gives_zero(self, zoo_bases):
         rep = LearnedRep(
@@ -366,17 +408,17 @@ class TestEstimateEigenvalues:
         )
         data = make_dataset([[0, 1], [1, 0]], n_states=2)
         est = estimate_eigenvalues(rep, data)
-        assert est.values == pytest.approx([0.0], abs=1e-15)
+        assert est == pytest.approx([0.0], abs=1e-15)
 
     def test_three_state_path_exact_on_full_table(self, zoo_mazes, zoo_bases):
         rep = exact_rep(zoo_bases["p3"], 3)
         est = estimate_eigenvalues(rep, exhaustive_dataset(zoo_mazes["p3"]))
-        assert est.values == pytest.approx([1.0, 3.0], abs=1e-9)
+        assert est == pytest.approx([1.0, 3.0], abs=1e-9)
 
     def test_learned_tworoom_within_ten_percent(self, tworoom_rep, tworoom_data, zoo_bases):
         truth = zoo_bases["tworoom"].eigenvalues[1:5]
         est = estimate_eigenvalues(tworoom_rep, tworoom_data)
-        rel = np.abs(est.values - truth) / truth
+        rel = np.abs(est - truth) / truth
         assert np.all(rel <= 0.10)
 
     def test_bump_only_dataset_rejected(self, zoo_bases):
@@ -400,7 +442,7 @@ class TestLearnedRaLaprep:
     def test_exact_inputs_reproduce_ground_truth(self, zoo_bases):
         basis = zoo_bases["k2"]
         rep = exact_rep(basis, 2)
-        est = LearnedEigenvalues(values=np.array([2.0]))
+        est = np.array([2.0])
         learned = learned_ra_laprep(rep, est)
         truth = ra_laprep(basis, 2)
         assert learned.kind == "learned"
@@ -409,12 +451,12 @@ class TestLearnedRaLaprep:
     def test_zero_estimate_refused(self, zoo_bases):
         rep = exact_rep(zoo_bases["k2"], 2)
         with pytest.raises(DegenerateEigenvalue):
-            learned_ra_laprep(rep, LearnedEigenvalues(values=np.array([0.0])))
+            learned_ra_laprep(rep, np.array([0.0]))
 
     def test_estimate_count_mismatch_rejected(self, zoo_bases):
         rep = exact_rep(zoo_bases["k2"], 2)
         with pytest.raises(DimensionMismatch):
-            learned_ra_laprep(rep, LearnedEigenvalues(values=np.array([1.0, 2.0])))
+            learned_ra_laprep(rep, np.array([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------
