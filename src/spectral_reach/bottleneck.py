@@ -17,7 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidState
-from .spectral import Embedding, pairwise_sq_dists
+from .spectral import Embedding, sq_dists_rows
+
+#: distance-matrix rows ``centrality`` holds at once
+ROW_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -31,22 +34,35 @@ class CentralityReport:
 def centrality(e: Embedding) -> np.ndarray:
     """cent(s) = 1 / sum over s' of dist(s, s') under the embedding.
 
-    Warns when two states share identical coordinates (degenerate
-    embedding: the summed distance understates their separation).
+    Distances are summed ROW_BLOCK rows at a time, in O(n * ROW_BLOCK)
+    memory.  Warns when two states share identical coordinates
+    (degenerate embedding: the summed distance understates their
+    separation), naming the first such pair in row-major order.
     """
     if e.n_states < 2:
         raise InvalidState("centrality needs at least two states")
-    d = np.sqrt(pairwise_sq_dists(e))
-    off_diag = d + np.diag(np.full(e.n_states, np.inf))
-    if float(off_diag.min()) <= 0.0:
-        i, j = np.unravel_index(int(np.argmin(off_diag)), d.shape)
+    x = e.vectors
+    sq = np.sum(x * x, axis=1)
+    sums = np.empty(e.n_states)
+    pair = None
+    for lo in range(0, e.n_states, ROW_BLOCK):
+        d = sq_dists_rows(x, sq, lo, min(lo + ROW_BLOCK, e.n_states))
+        np.sqrt(d, out=d)
+        if pair is None:
+            hits = np.argwhere(d == 0.0)
+            hits = hits[hits[:, 1] != hits[:, 0] + lo]
+            if len(hits):
+                pair = (lo + int(hits[0, 0]), int(hits[0, 1]))
+        sums[lo:lo + len(d)] = d.sum(axis=1)
+        del d                      # free this block before the next one is built
+    if pair is not None:
         warnings.warn(
-            f"states {i} and {j} have identical embedding coordinates; "
+            f"states {pair[0]} and {pair[1]} have identical embedding coordinates; "
             "centrality is degenerate for them",
             RuntimeWarning,
             stacklevel=2,
         )
-    return 1.0 / d.sum(axis=1)
+    return 1.0 / sums
 
 
 def top_bottlenecks(cent: np.ndarray, fraction: float, invert: bool = False) -> tuple[int, ...]:

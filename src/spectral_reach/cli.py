@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -201,18 +202,12 @@ def _color(t: float) -> tuple[int, int, int]:
 
 
 def _ppm(maze: MazeSpec, values: dict[tuple[int, int], float], scale: int) -> bytes:
-    finite = [v for v in values.values()]
-    lo, hi = (min(finite), max(finite)) if finite else (0.0, 1.0)
+    lo, hi = (min(values.values()), max(values.values())) if values else (0.0, 1.0)
     span = hi - lo if hi > lo else 1.0
     w, h = maze.width * scale, maze.height * scale
-    img = np.zeros((h, w, 3), dtype=np.uint8)
-    for y in range(maze.height):
-        for x in range(maze.width):
-            if (x, y) in values:
-                rgb = _color((values[(x, y)] - lo) / span)
-            else:
-                rgb = (0, 0, 0)
-            img[y * scale:(y + 1) * scale, x * scale:(x + 1) * scale] = rgb
+    img = np.zeros((h, w, 3), dtype=np.uint8)        # walls stay black
+    for (x, y), v in values.items():
+        img[y * scale:(y + 1) * scale, x * scale:(x + 1) * scale] = _color((v - lo) / span)
     header = f"P6\n{w} {h}\n255\n".encode()
     return header + img.tobytes()
 
@@ -230,12 +225,8 @@ def cmd_heatmap(args) -> int:
     goal = goal_state(maze, index, _parse_cell(args.goal))
     dist = goal_distances(emb.vectors, goal)
     values = {coords[s]: float(dist[s]) for s in range(len(coords))}
-    grid_lines = []
-    for y in range(maze.height):
-        row = []
-        for x in range(maze.width):
-            row.append(f"{values[(x, y)]:.17g}" if (x, y) in values else "")
-        grid_lines.append(",".join(row))
+    grid_lines = [",".join(f"{values[(x, y)]:.17g}" if (x, y) in values else ""
+                           for x in range(maze.width)) for y in range(maze.height)]
     manifest = _manifest(args, {"goal": args.goal, "scale": args.scale,
                                 "resolution": args.resolution}, [])
     _write_outputs(args.out, manifest, {
@@ -378,11 +369,10 @@ def cmd_bottleneck(args) -> int:
     kind = EMBED_KINDS[args.kind]
     emb = _spectral_embeddings(g, d, [kind])[1][kind]
     report = make_report(emb, args.frac, args.invert)
-    lines = ["state_index,x,y,cent,selected"]
     selected = set(report.selected)
-    for s in range(g.n_states):
-        x, y = g.coords[s]
-        lines.append(f"{s},{x},{y},{report.cent[s]:.17g},{int(s in selected)}")
+    lines = ["state_index,x,y,cent,selected"] + [
+        f"{s},{x},{y},{c:.17g},{int(s in selected)}"
+        for s, ((x, y), c) in enumerate(zip(g.coords, report.cent.tolist()))]
     manifest = _manifest(args, {
         "kind": args.kind, "d": d, "frac": args.frac,
         "invert": args.invert, "resolution": args.resolution,
@@ -529,17 +519,17 @@ def main(argv=None) -> int:
     raw = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
     args = parser.parse_args(raw)
     args.argv = raw
-    try:
-        return args.func(args)
-    except SpectralReachError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # a warning is one stderr line, without the source location
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except SpectralReachError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
+        except (OSError, ValueError) as exc:       # JSONDecodeError is a ValueError
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

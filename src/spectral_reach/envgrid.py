@@ -282,8 +282,7 @@ def discretize_continuous(cm: ContinuousMazeSpec, resolution: int) -> MazeSpec:
         )
     if nx <= 0 or ny <= 0:
         raise NoFloor("bounding box smaller than one grid cell")
-    rows = []
-    rows.append(WALL * (nx + 2))
+    rows = [WALL * (nx + 2)]
     found_floor = False
     for j in range(ny):
         cy = (j + 0.5) / resolution

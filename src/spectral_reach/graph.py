@@ -83,10 +83,13 @@ def build_graph(maze: MazeSpec, index: StateIndex | None = None) -> StateGraph:
     """State graph of a maze: nodes are floor cells, edges are legal moves."""
     if index is None:
         index = maze.state_index()
-    table = transition_table(maze)
+    return graph_from_table(transition_table(maze), tuple(index.coords))
+
+
+def graph_from_table(table: np.ndarray, coords: tuple[tuple[int, int], ...] = ()) -> StateGraph:
+    """Graph of an (n, actions) transition table: an edge per move it lists."""
     n, n_actions = table.shape
-    s = np.repeat(np.arange(n), n_actions)
-    return graph_from_transitions(n, s, table.ravel(), tuple(index.coords))
+    return graph_from_transitions(n, np.repeat(np.arange(n), n_actions), table.ravel(), coords)
 
 
 def _hops(dist: np.ndarray) -> np.ndarray:

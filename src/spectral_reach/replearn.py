@@ -44,7 +44,7 @@ from .errors import (
     EmptyDataset,
     NoBiasCells,
 )
-from .graph import StateGraph, build_graph, graph_from_transitions, require_connected
+from .graph import StateGraph, graph_from_table, graph_from_transitions, require_connected
 from .spectral import Embedding, check_dimension, goal_distances
 
 #: eigenvalue estimates at or below this are too degenerate to rescale by
@@ -180,8 +180,8 @@ def collect_dataset(
     """
     if episodes <= 0 or episode_len <= 0:
         raise EmptyDataset("episodes and episode_len must be positive")
-    require_connected(build_graph(maze))
     table = transition_table(maze)
+    require_connected(graph_from_table(table))
     cum = np.cumsum(start_distribution(maze, temperature))
     u = np.empty(episodes)
     actions = np.empty((episodes, episode_len), dtype=np.int64)
@@ -444,11 +444,7 @@ def rep_quality(
         scale = max(float(lam[-1]), 1.0)
         for i in range(cols):
             idx = i + 1           # column i holds eigen-index idx in 0-based terms
-            gaps = []
-            if idx > 0:
-                gaps.append(abs(lam[idx] - lam[idx - 1]))
-            if idx + 1 < len(lam):
-                gaps.append(abs(lam[idx + 1] - lam[idx]))
+            gaps = [abs(lam[j + 1] - lam[j]) for j in (idx - 1, idx) if j + 1 < len(lam)]
             degenerate[i] = min(gaps) < 1e-9 * scale
     elif truth.eigenvalues is not None:
         lam = truth.eigenvalues

@@ -20,7 +20,7 @@ import numpy as np
 
 from .envgrid import MazeSpec, transition_table
 from .errors import DimensionMismatch, MissingEmbedding, UnreachableGoal
-from .graph import graph_from_transitions, is_connected
+from .graph import graph_from_table, is_connected
 from .spectral import Embedding, goal_distances
 
 REWARD_KINDS = ("ra_laprep", "laprep", "l2", "none")
@@ -195,8 +195,7 @@ def q_learning_batch(
     n, n_act = table.shape
     # The state graph is undirected: a goal is reachable from every
     # floor cell exactly when the graph is connected.
-    connected = is_connected(graph_from_transitions(n, np.repeat(np.arange(n), n_act),
-                                                    table.ravel()))
+    connected = is_connected(graph_from_table(table))
     for spec in specs:
         spec.validate(n)
         if not connected:

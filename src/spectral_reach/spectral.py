@@ -18,9 +18,7 @@ shift-invert Lanczos when d < n.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -239,10 +237,21 @@ def goal_distances(x: np.ndarray, goal: int) -> np.ndarray:
 def pairwise_sq_dists(e: Embedding) -> np.ndarray:
     """All-pairs squared embedding distances, (n, n) symmetric."""
     x = e.vectors
-    sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    return sq_dists_rows(x, np.sum(x * x, axis=1), 0, len(x))
+
+
+def sq_dists_rows(x: np.ndarray, sq: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Squared distances from rows lo:hi of an (n, k) array x to every row.
+
+    ``sq`` holds the squared row norms of x.  The (hi - lo, n) result is
+    |a|^2 + |b|^2 - 2 a.b clipped at zero, with exact zeros at (s, s).
+    """
+    d2 = np.add.outer(sq[lo:hi], sq)
+    gram = x[lo:hi] @ x.T
+    gram *= 2.0
+    d2 -= gram
     np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
+    d2.ravel()[lo::len(x) + 1] = 0.0
     return d2
 
 
@@ -284,36 +293,45 @@ def embedding_to_csv(e: Embedding, coords: tuple[tuple[int, int], ...]) -> str:
         raise InvalidState(
             f"coordinate list has {len(coords)} entries, embedding has {e.n_states}"
         )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["state_index", "x", "y"] + [f"e{i}" for i in range(2, e.d + 1)]
-    )
-    for s in range(e.n_states):
-        x, y = coords[s]
-        writer.writerow([s, x, y] + [f"{v:.17g}" for v in e.vectors[s]])
-    return buf.getvalue()
+    header = ",".join(["state_index", "x", "y"] + [f"e{i}" for i in range(2, e.d + 1)])
+    row = "%d,%d,%d" + ",%.17g" * e.vectors.shape[1] + "\n"
+    return "".join([header + "\n"] + [
+        row % (s, *coords[s], *v.tolist()) for s, v in enumerate(e.vectors)
+    ])
 
 
 def embedding_from_csv(text: str, kind: str = "") -> tuple[Embedding, list[tuple[int, int]]]:
-    """Parse an embedding CSV back into vectors and cell coordinates."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, [])
+    """Parse an embedding CSV back into vectors and cell coordinates.
+
+    Rows may come in any order, but their state_index column must be a
+    permutation of 0..n-1, and every state_index, x and y an integer.
+    """
+    lines = text.splitlines()
+    header = lines[0].split(",") if lines else []
     if len(header) < 3:
         raise MalformedEmbedding("embedding CSV lacks its state_index,x,y,... header")
-    d = len(header) - 3 + 1
-    rows = []
-    for r in reader:
-        if len(r) != len(header):
+    for num, line in enumerate(lines[1:], start=2):
+        fields = line.count(",") + 1 if line else 0
+        if fields != len(header):
             raise MalformedEmbedding(
-                f"embedding CSV line {reader.line_num} has {len(r)} fields, "
+                f"embedding CSV line {num} has {fields} fields, "
                 f"its header has {len(header)}"
             )
-        rows.append((int(r[0]), r))
-    rows.sort()
-    vectors = np.array([[float(v) for v in r[3:]] for _, r in rows])
-    coords = [(int(r[1]), int(r[2])) for _, r in rows]
-    return Embedding(kind=kind, d=d, vectors=vectors), coords
+    k = len(header) - 3
+    table = np.zeros(0, dtype=[("index", np.int64, 3), ("vector", np.float64, k)])
+    if len(lines) > 1:
+        try:
+            table = np.loadtxt(lines[1:], dtype=table.dtype, delimiter=",",
+                               comments=None, ndmin=1)
+        except ValueError as exc:
+            raise MalformedEmbedding(f"embedding CSV: {exc}") from None
+    order = np.argsort(table["index"][:, 0])
+    if not np.array_equal(table["index"][order, 0], np.arange(len(table))):
+        raise MalformedEmbedding(
+            f"embedding CSV state_index column is not a permutation of 0..{len(table) - 1}"
+        )
+    coords = [tuple(c) for c in table["index"][order, 1:].tolist()]
+    return Embedding(kind=kind, d=k + 1, vectors=table["vector"][order]), coords
 
 
 def basis_to_json(basis: SpectralBasis, eigenvalues: np.ndarray | None = None) -> dict:

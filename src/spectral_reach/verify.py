@@ -334,10 +334,7 @@ SUITES = {
 def run_suite(name: str) -> list[CheckResult]:
     """Run one suite, or every suite for the name "all"."""
     if name == "all":
-        results = []
-        for suite in SUITES.values():
-            results.extend(suite())
-        return results
+        return [result for suite in SUITES.values() for result in suite()]
     if name not in SUITES:
         raise KeyError(
             f"unknown suite {name!r}; available: {', '.join([*SUITES, 'all'])}"

@@ -26,6 +26,22 @@ def run_python(code_or_args, *, module=False):
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
 
 
+def count_calls(monkeypatch, fn):
+    """Count calls of fn through every binding of it in the package."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "spectral_reach":
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counting)
+    return calls
+
+
 def _no_constants(name):
     raise ValueError(f"{name} is not strict JSON")
 
@@ -248,6 +264,11 @@ class TestLearn:
                      "--step-size", "100.0", "--out", str(tmp_path / "x")]) == 3
         assert "10x" in capsys.readouterr().err
 
+    def test_state_graph_built_once(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, graph.build_graph)
+        assert main(_learn(tmp_path, "tworoom")) == 0
+        assert len(calls) == 1
+
 
 # ---------------------------------------------------------------------------
 # shape
@@ -268,13 +289,7 @@ class TestShape:
         assert len(curves) == 1 + 2 * 3 * 120
 
     def test_state_graph_built_once(self, tmp_path, monkeypatch):
-        calls = []
-
-        def counting_build(maze, *args):
-            calls.append(maze)
-            return graph.build_graph(maze, *args)
-
-        monkeypatch.setattr(cli, "build_graph", counting_build)
+        calls = count_calls(monkeypatch, graph.build_graph)
         assert main(["shape", "--map", "tworoom", "--goal", "5,2", "--episodes", "10",
                      "--seed", "0", "--seeds", "2", "--out", str(tmp_path / "s")]) == 0
         assert len(calls) == 1
@@ -323,6 +338,36 @@ class TestBottleneck:
         assert main(["bottleneck", "--map", "tworoom", "--kind", "ra",
                      "--frac", "0.2", "--invert", "--out", str(tmp_path / "bn")]) == 0
         assert "(3, 2)" not in capsys.readouterr().out
+
+    def test_degenerate_warning_is_one_line(self, tmp_path):
+        # at d = 10, biased has states with identical embedding coordinates
+        proc = run_python(["bottleneck", "--map", "biased", "--d", "10",
+                           "--out", str(tmp_path / "bn")], module=True)
+        assert proc.returncode == 0
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: states ")
+        assert "identical embedding coordinates" in lines[0] and ".py:" not in lines[0]
+
+    def test_peak_rss_on_ten_thousand_states(self, tmp_path):
+        # a 100 x 100 open room; dense n x n distances would need 1.6 GB
+        walls = "#" * 102
+        (tmp_path / "open.txt").write_text(
+            "\n".join([walls] + ["#" + "." * 100 + "#"] * 100 + [walls]) + "\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(spectral_reach.__file__).parents[1]))
+        with open(tmp_path / "stderr", "w") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "spectral_reach.cli", "bottleneck",
+                 "--map", str(tmp_path / "open.txt"), "--d", "10",
+                 "--out", str(tmp_path / "bn")],
+                env=env, stdout=subprocess.DEVNULL, stderr=err)
+            # this child's own peak, unlike RUSAGE_CHILDREN, which holds
+            # the largest of every child this process has waited for
+            _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0, (tmp_path / "stderr").read_text()
+        rows = (tmp_path / "bn" / "bottlenecks.csv").read_text().splitlines()
+        assert len(rows) == 10_001
+        assert usage.ru_maxrss * 1024 < 200e6          # ru_maxrss is in KiB on Linux
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +456,14 @@ def _learn(tmp, map_name, *flags):
     (lambda tmp: ["env", "--map", "continuous_b", "--out", str(tmp / "env")], 0, ""),
     (lambda tmp: _heatmap_on(tmp, ""), 1, ""),
     (lambda tmp: _heatmap_on(tmp, "state_index,x,y,e2\n0,1\n"), 1, ""),
+    (lambda tmp: _heatmap_on(tmp, "state_index,x,y,e2\n0,1,1,0.7\n0,2,1,-0.7\n"), 1,
+     "not a permutation"),
+    (lambda tmp: _heatmap_on(tmp, "state_index,x,y,e2\n0,1,1,0.7\n2,2,1,-0.7\n"), 1,
+     "not a permutation"),
+    (lambda tmp: _heatmap_on(tmp, "state_index,x,y,e2\n0,1,1,0.7\n1,2.5,1,-0.7\n"), 1,
+     "embedding CSV: could not convert string '2.5'"),
+    (lambda tmp: _heatmap_on(tmp, "state_index,x,y,e2\n0,1,1,0.7\n1,2,1,x7\n"), 1,
+     "embedding CSV: could not convert string 'x7'"),
     (lambda tmp: _heatmap_on(tmp, K2_EMBEDDING) + ["--scale", "0"], 1, "--scale"),
     (lambda tmp: _heatmap_on(tmp, K2_EMBEDDING) + ["--scale", "-1"], 1, "--scale"),
     (lambda tmp: _mc_pair(tmp, "1,1"), 1, "x,y:x,y"),
@@ -452,7 +505,8 @@ def _learn(tmp, map_name, *flags):
     (lambda tmp: _learn(tmp, "tworoom", "--penalty", "nan"), 1, "penalty_weight"),
     (lambda tmp: _learn(tmp, "tworoom", "--penalty", "inf"), 1, "penalty_weight"),
 ], ids=["continuous_a", "continuous_b", "heatmap-empty-csv", "heatmap-short-row",
-        "heatmap-scale-0", "heatmap-scale-negative", "commute-pair-without-colon",
+        "heatmap-duplicate-index", "heatmap-index-gap", "heatmap-fractional-x",
+        "heatmap-non-numeric-value", "heatmap-scale-0", "heatmap-scale-negative", "commute-pair-without-colon",
         "map-is-a-directory", "out-is-a-file", "out-under-a-file",
         "layout-not-an-object", "layout-without-width", "layout-without-height",
         "layout-without-radius", "layout-wall-without-h", "layout-null-number",

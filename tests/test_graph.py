@@ -7,6 +7,7 @@ import pytest
 from scipy import sparse
 
 from spectral_reach import layouts
+from spectral_reach.bottleneck import centrality
 from spectral_reach.envgrid import discretize_continuous, parse_maze
 from spectral_reach.errors import DimensionMismatch, GraphDisconnected, InvalidState
 from spectral_reach.graph import (
@@ -19,7 +20,7 @@ from spectral_reach.graph import (
     pseudo_inverse,
     require_connected,
 )
-from spectral_reach.spectral import eig_sym
+from spectral_reach.spectral import eig_sym, ra_laprep
 
 TWOROOM = "#######\n#..#..#\n#.....#\n#######"
 
@@ -109,6 +110,19 @@ class TestBuild:
         finally:
             tracemalloc.stop()
         assert g.n_states == 5004
+        assert peak < 16e6
+
+    def test_centrality_memory_is_linear(self):
+        # n = 5,004 states: the dense distance matrix alone would take 200 MB
+        g = build_graph(discretize_continuous(layouts.load_bundled("continuous_a"), 5))
+        e = ra_laprep(eig_sym(g.laplacian, 10), 10)
+        tracemalloc.start()
+        try:
+            cent = centrality(e)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cent.shape == (5004,) and np.all(cent > 0)
         assert peak < 16e6
 
 

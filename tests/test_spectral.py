@@ -1,6 +1,9 @@
 """Eigendecomposition, embeddings, and truncation-tail accounting."""
 
+import csv
+import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,10 +15,12 @@ from spectral_reach.errors import (
     DimensionOutOfRange,
     GraphDisconnected,
     InvalidState,
+    MalformedEmbedding,
     NotSymmetric,
 )
 from spectral_reach.graph import build_graph, pseudo_inverse
 from spectral_reach.spectral import (
+    Embedding,
     basis_to_json,
     eig_sym,
     eigvals_banded,
@@ -347,6 +352,31 @@ class TestTruncationTail:
             assert approx + truncation_tail(basis, d, 0, 1) == pytest.approx(n02)
 
 
+def csv_module_writer(e, coords):
+    """The embedding CSV as the csv module wrote it, one f-string per value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["state_index", "x", "y"] + [f"e{i}" for i in range(2, e.d + 1)])
+    for s in range(e.n_states):
+        x, y = coords[s]
+        writer.writerow([s, x, y] + [f"{v:.17g}" for v in e.vectors[s]])
+    return buf.getvalue()
+
+
+def assert_parses_like_the_csv_module(text):
+    """embedding_from_csv(text), checked bit for bit against a csv.reader
+    parse with float() per field."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    rows = sorted((int(r[0]), r) for r in reader)
+    want = np.array([[float(v) for v in r[3:]] for _, r in rows])
+    back, coords = embedding_from_csv(text)
+    assert back.vectors.shape == want.shape
+    assert np.array_equal(back.vectors.view(np.int64), want.view(np.int64))
+    assert coords == [(int(r[1]), int(r[2])) for _, r in rows]
+    return back
+
+
 class TestSerialization:
     def test_csv_round_trip(self, zoo_bases, zoo_graphs):
         g = zoo_graphs["tworoom"]
@@ -358,6 +388,50 @@ class TestSerialization:
         back, coords_back = embedding_from_csv(text, kind=e.kind)
         assert np.array_equal(back.vectors, e.vectors)
         assert tuple(coords_back) == coords
+
+    @pytest.mark.parametrize("name", PARTIAL_MAPS)
+    def test_csv_bytes_and_parse_match_the_csv_module(self, name):
+        maze = layouts.load_bundled(name)
+        if name.startswith("continuous"):
+            maze = discretize_continuous(maze, 1)
+        g = build_graph(maze)
+        basis = eig_sym(g.laplacian)
+        for e in (ra_laprep(basis, g.n_states), laprep(basis, min(10, g.n_states))):
+            text = embedding_to_csv(e, g.coords)
+            assert text == csv_module_writer(e, g.coords)
+            assert_parses_like_the_csv_module(text)
+
+    def test_csv_of_extreme_values(self):
+        v = np.array([[-0.0, 5e-324], [1e308, -1e-300], [0.1, -2.5e-310], [np.pi, -0.0]])
+        e = Embedding(kind="ra_laprep", d=3, vectors=v)
+        coords = ((1, 1), (2, 1), (1, 2), (12, 30))
+        text = embedding_to_csv(e, coords)
+        assert text == csv_module_writer(e, coords)
+        back = assert_parses_like_the_csv_module(text)
+        assert np.array_equal(back.vectors.view(np.int64), v.view(np.int64))
+
+    def test_csv_rows_in_any_order(self, zoo_bases, zoo_graphs):
+        e = ra_laprep(zoo_bases["fourroom"], 10)
+        lines = embedding_to_csv(e, zoo_graphs["fourroom"].coords).splitlines()
+        body = lines[1:]
+        np.random.default_rng(0).shuffle(body)
+        back = assert_parses_like_the_csv_module("\n".join([lines[0], *body]) + "\n")
+        assert np.array_equal(back.vectors.view(np.int64), e.vectors.view(np.int64))
+
+    @pytest.mark.parametrize("body,needle", [
+        ("0,1,1,0.7\n0,2,1,-0.7\n", "permutation"),
+        ("0,1,1,0.7\n2,2,1,-0.7\n", "permutation"),
+        ("0,1,1,0.7\n-1,2,1,-0.7\n", "permutation"),
+        ("0,1.5,1,0.7\n1,2,1,-0.7\n", "'1.5'"),
+        ("0,1,1,0.7\n1.0,2,1,-0.7\n", "'1.0'"),
+        ("0,1,1,abc\n1,2,1,-0.7\n", "'abc'"),
+        ("0,1,1,0.7\n1,2,1,\n", "''"),
+        ("0,1,1,0.7\n\n1,2,1,-0.7\n", "line 3 has 0 fields"),
+        ("0,1,1,0.7\n1,2,1,-0.7,3\n", "line 3 has 5 fields"),
+    ])
+    def test_malformed_csv_rejected(self, body, needle):
+        with pytest.raises(MalformedEmbedding, match=re.escape(needle)):
+            embedding_from_csv("state_index,x,y,e2\n" + body)
 
     def test_basis_json(self, zoo_bases):
         payload = basis_to_json(zoo_bases["p3"])
