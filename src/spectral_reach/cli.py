@@ -504,7 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("commute", help="exact or sampled commute times")
     add_map(p)
     p.add_argument("--method", choices=["solve", "pseudo-inverse", "mc"],
-                   default="solve")
+                   default="solve",
+                   help="solve: grounded Cholesky factorization, O(n^3); pseudo-inverse: "
+                        "eigenbasis; mc: seeded random walks for one --pair")
     p.add_argument("--pair", default=None, help="cells 'x,y:x,y' for --method mc")
     p.add_argument("--walks", type=int, default=100000)
     p.add_argument("--seed", type=int, default=None)

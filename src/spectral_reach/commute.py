@@ -5,10 +5,13 @@ matrix P = D^-1 A; wall-bump self loops are not part of this chain).
 m(j|i) is the expected number of steps from i until the first visit to
 j, and the average commute time n(i, j) = m(j|i) + m(i|j).
 
-Three exact routes are implemented independently: dense linear solves of
-the first-passage systems, the pseudo-inverse identity
-n(i, j) = V (l+_ii + l+_jj - 2 l+_ij), and effective resistance
-n = V * R_eff.  A seeded Monte Carlo estimator cross-checks them.
+Two exact routes compute n for every pair, independently of each other:
+``solve`` takes n = V * R_eff from one Cholesky factorization of the
+grounded Laplacian (L without the row and column of state 0), O(n^3);
+``pseudo-inverse`` uses n(i, j) = V (l+_ii + l+_jj - 2 l+_ij) from the
+eigenbasis.  ``first_passage`` solves the n first-passage systems with
+dense LU, O(n^4); it is the oracle both routes are checked against.  A
+seeded Monte Carlo estimator cross-checks them all.
 
 Monte Carlo random source: SplitMix64 (the 64-bit mixer of Java's
 SplittableRandom).  Walk w's stream key is the w-th output of a
@@ -24,6 +27,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InvalidState, SingularSystem
 from .graph import PseudoInverse, StateGraph, pseudo_inverse, require_connected
@@ -81,6 +85,8 @@ def first_passage(g: StateGraph) -> FirstPassageMatrix:
     """
     require_connected(g)
     n = g.n_states
+    if n == 1:
+        return FirstPassageMatrix(values=np.zeros((1, 1)))
     p = g.adjacency.toarray() / g.degrees[:, None]
     m = np.zeros((n, n), dtype=np.float64)
     ones = np.ones(n - 1, dtype=np.float64)
@@ -100,8 +106,19 @@ def first_passage(g: StateGraph) -> FirstPassageMatrix:
 def commute(g: StateGraph, method: str = "solve") -> CommuteMatrix:
     """Average commute times n(i, j) by one of the exact routes."""
     if method == "solve":
-        m = first_passage(g).values
-        values = m + m.T
+        # G = L0^-1 padded with a zero row and column for the ground state 0;
+        # R_eff(i, j) = G_ii + G_jj - 2 G_ij, with G_ij + G_ji keeping it symmetric
+        require_connected(g)
+        n = g.n_states
+        try:
+            factor = cho_factor(g.laplacian[1:, 1:].toarray())
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"grounded Laplacian is singular: {exc}") from exc
+        grounded = np.zeros((n, n), dtype=np.float64)
+        grounded[1:, 1:] = cho_solve(factor, np.eye(n - 1))
+        diag = np.diag(grounded)
+        values = g.volume * (diag[:, None] + diag[None, :] - (grounded + grounded.T))
+        np.fill_diagonal(values, 0.0)
     elif method == "pseudo-inverse":
         require_connected(g)
         plus = pseudo_inverse(g, eig_sym(g.laplacian)).matrix

@@ -13,7 +13,7 @@ import pytest
 import spectral_reach
 from spectral_reach import cli, graph, layouts
 from spectral_reach.cli import main
-from spectral_reach.commute import commute
+from spectral_reach.commute import commute, first_passage
 from spectral_reach.manifest import sha256_file
 
 SPLIT = "#######\n#..#..#\n#..#..#\n#######\n"
@@ -26,6 +26,15 @@ def run_python(code_or_args, *, module=False):
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
 
 
+def replace_everywhere(monkeypatch, fn, replacement):
+    """Replace every binding of fn in the package by replacement."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "spectral_reach":
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, replacement)
+
+
 def count_calls(monkeypatch, fn):
     """Count calls of fn through every binding of it in the package."""
     calls = []
@@ -34,11 +43,7 @@ def count_calls(monkeypatch, fn):
         calls.append(args)
         return fn(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "spectral_reach":
-            for key, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, key, counting)
+    replace_everywhere(monkeypatch, fn, counting)
     return calls
 
 
@@ -393,6 +398,37 @@ class TestCommute:
         mat = commute(graph.build_graph(cli._load_maze(map_name, 1)), method)
         expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in mat.values)
         assert (out / "commute.csv").read_bytes() == expected.encode()
+
+    def test_solve_never_runs_the_first_passage_oracle(self, tmp_path, monkeypatch):
+        def oracle(g):
+            raise AssertionError("commute --method solve ran first_passage")
+
+        replace_everywhere(monkeypatch, first_passage, oracle)
+        assert main(["commute", "--map", "fourroom", "--method", "solve",
+                     "--out", str(tmp_path / "c")]) == 0
+
+    def test_one_state_map_writes_zero_without_stderr(self, tmp_path, capsys):
+        p = tmp_path / "one.txt"
+        p.write_text("###\n#.#\n###\n")
+        out = tmp_path / "c"
+        assert main(["commute", "--map", str(p), "--method", "solve", "--out", str(out)]) == 0
+        assert (out / "commute.csv").read_text() == "0\n"
+        assert capsys.readouterr().err == ""
+
+    def test_failed_factorization_exits_3_after_connectivity(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("leading minor is not positive definite")
+
+        monkeypatch.setattr(sys.modules["spectral_reach.commute"], "cho_factor", failing)
+        assert main(["commute", "--map", "c4", "--method", "solve",
+                     "--out", str(tmp_path / "c")]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: grounded Laplacian")
+        p = tmp_path / "split.txt"
+        p.write_text(SPLIT)
+        assert main(["commute", "--map", str(p), "--method", "solve",
+                     "--out", str(tmp_path / "x")]) == 2
 
     def test_sampled_estimate_with_seed(self, tmp_path):
         out = tmp_path / "mc"

@@ -1,7 +1,10 @@
 """First-passage and commute times: exact routes and the Monte Carlo oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
+from conftest import rel_err
 
 from spectral_reach import layouts
 from spectral_reach.commute import (
@@ -10,12 +13,27 @@ from spectral_reach.commute import (
     effective_resistance,
     first_passage,
 )
-from spectral_reach.envgrid import parse_maze
+from spectral_reach.envgrid import ContinuousMazeSpec, discretize_continuous, parse_maze
 from spectral_reach.errors import GraphDisconnected
 from spectral_reach.graph import build_graph, pseudo_inverse
 from spectral_reach.spectral import eig_sym
 
 DISCONNECTED = "#######\n#..#..#\n#..#..#\n#######"
+ONE_CELL = "###\n#.#\n###"
+#: every bundled map (the zoo among them), continuous layouts at resolution 1
+BUNDLED = tuple(sorted(layouts.bundled_files()))
+
+
+def bundled_graph(name):
+    maze = layouts.load_bundled(name)
+    if isinstance(maze, ContinuousMazeSpec):
+        maze = discretize_continuous(maze, 1)
+    return build_graph(maze)
+
+
+def open_room(side):
+    wall = "#" * (side + 2)
+    return "\n".join([wall] + ["#" + "." * side + "#"] * side + [wall])
 
 
 def hand_first_passage_p3():
@@ -62,11 +80,17 @@ class TestFirstPassage:
         with pytest.raises(GraphDisconnected):
             first_passage(g)
 
+    def test_one_state_is_zero_without_warning(self):
+        g = build_graph(parse_maze(ONE_CELL))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert first_passage(g).values.tolist() == [[0.0]]
+
 
 class TestCommute:
     def test_k2(self, zoo_graphs):
         n = commute(zoo_graphs["k2"], method="solve").values
-        assert n[0, 1] == pytest.approx(2.0)
+        assert n.tolist() == [[0, 2], [2, 0]]
 
     def test_p3_resistance_oracle(self, p3_graph):
         n = commute(p3_graph, method="solve").values
@@ -93,10 +117,10 @@ class TestCommute:
             assert np.max(np.abs(a - b) / scale) <= 1e-7, name
 
     def test_symmetric_zero_diag(self, zoo_graphs):
-        for g in zoo_graphs.values():
+        for name, g in zoo_graphs.items():
             n = commute(g, method="solve").values
-            assert np.allclose(n, n.T, atol=1e-9)
-            assert np.all(np.abs(np.diag(n)) <= 1e-9)
+            assert np.array_equal(n, n.T), name
+            assert np.all(np.diag(n) == 0.0), name
 
     def test_first_passage_sum_identity(self, zoo_graphs):
         for name, g in zoo_graphs.items():
@@ -112,6 +136,26 @@ class TestCommute:
         g = build_graph(parse_maze(DISCONNECTED))
         with pytest.raises(GraphDisconnected):
             commute(g, method="solve")
+
+
+class TestGroundedSolve:
+    """The solve route: V * R_eff from the grounded Laplacian's Cholesky factor."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_agrees_with_first_passage_and_pseudo_inverse(self, name):
+        g = bundled_graph(name)
+        n = commute(g, method="solve").values
+        m = first_passage(g).values
+        assert rel_err(n, m + m.T) <= 1e-9
+        assert rel_err(n, commute(g, method="pseudo-inverse").values) <= 1e-9
+        assert np.array_equal(n, n.T)
+
+    def test_thousand_state_room_matches_pseudo_inverse(self):
+        g = build_graph(parse_maze(open_room(32)))
+        assert g.n_states == 1024
+        n = commute(g, method="solve").values
+        assert rel_err(n, commute(g, method="pseudo-inverse").values) <= 1e-9
+        assert np.array_equal(n, n.T)
 
 
 class TestEffectiveResistance:
