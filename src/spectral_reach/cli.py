@@ -29,10 +29,10 @@ from .envgrid import MazeSpec, discretize_continuous, goal_state
 from .errors import SpectralReachError
 from .graph import (
     StateGraph,
+    bfs_distances,
     build_graph,
     connected_components,
     export_graph_json,
-    geodesic_matrix,
 )
 from .manifest import RunManifest, atomic_write_bytes, atomic_write_text, sha256_file
 from .replearn import (
@@ -152,7 +152,7 @@ def _spectral_embeddings(
     partial solver, for d = n by the dense full decomposition.
     """
     check_dimension(d, g.n_states)
-    basis = eig_sym(g.laplacian, d)
+    basis = eig_sym(g.laplacian if d < g.n_states else g.dense_laplacian(), d)
     return basis, {kind: EMBEDDERS[kind](basis, d) for kind in kinds}
 
 
@@ -279,12 +279,12 @@ def cmd_learn(args) -> int:
     lam = estimate_eigenvalues(rep, data)
     emb = learned_ra_laprep(rep, lam)
 
-    basis = eig_sym(g.laplacian)
+    basis = eig_sym(g.dense_laplacian())
     truth = ra_laprep(basis, d)
     index = maze.state_index()
     goals = tuple(index.of(c) for c in maze.goal_cells)
-    quality = rep_quality(emb, truth, geodesic_matrix(g), goals,
-                          full_spectrum=basis.eigenvalues)
+    geodesics = {goal: bfs_distances(g, goal) for goal in goals}
+    quality = rep_quality(emb, truth, geodesics, goals, full_spectrum=basis.eigenvalues)
 
     manifest = _manifest(args, {
         "tau": args.tau, "d": d, "episodes": args.episodes,

@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InvalidState, SingularSystem
 from .graph import PseudoInverse, StateGraph, pseudo_inverse, require_connected
@@ -108,6 +107,8 @@ def commute(g: StateGraph, method: str = "solve") -> CommuteMatrix:
     if method == "solve":
         # G = L0^-1 padded with a zero row and column for the ground state 0;
         # R_eff(i, j) = G_ii + G_jj - 2 G_ij, with G_ij + G_ji keeping it symmetric
+        from scipy.linalg import cho_factor, cho_solve
+
         require_connected(g)
         n = g.n_states
         try:
@@ -121,7 +122,7 @@ def commute(g: StateGraph, method: str = "solve") -> CommuteMatrix:
         np.fill_diagonal(values, 0.0)
     elif method == "pseudo-inverse":
         require_connected(g)
-        plus = pseudo_inverse(g, eig_sym(g.laplacian)).matrix
+        plus = pseudo_inverse(g, eig_sym(g.dense_laplacian())).matrix
         diag = np.diag(plus)
         values = g.volume * (diag[:, None] + diag[None, :] - 2.0 * plus)
         np.fill_diagonal(values, 0.0)
@@ -191,8 +192,8 @@ def commute_mc(
     if s == s2:
         return McEstimate(0.0, 0.0, walks, 0, seed)
 
-    # row r of the CSR adjacency lists r's neighbors in ascending order
-    first, nbrs, deg = g.adjacency.indptr, g.adjacency.indices, g.degrees
+    # row r of the CSR lists r's neighbors in ascending order
+    first, nbrs, deg = g.indptr, g.indices, g.degrees
     keys = _stream_keys(seed, walks)
 
     pos = np.full(walks, s, dtype=np.int64)

@@ -11,42 +11,72 @@ and A).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .envgrid import MazeSpec, StateIndex, transition_table
 from .errors import DimensionMismatch, GraphDisconnected
-from .spectral import check_state
+from .spectral import check_dense_size, check_state
+
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
 class StateGraph:
-    """Undirected state graph with its Laplacian.  Immutable.
+    """Undirected state graph, stored once as a canonical CSR.  Immutable.
 
-    ``adjacency`` and ``laplacian`` are canonical CSR arrays: sorted
-    column indices within each row, no duplicate entries and no stored
-    zeros.  The adjacency holds int64 ones and no self loops, so row s
-    lists the neighbors of s in ascending order; the Laplacian holds
-    float64 D - A.  Dense copies are made only by the solvers that need
-    them.
+    Row s lists the neighbors of s in ascending order,
+    ``indices[indptr[s]:indptr[s + 1]]``, with no duplicates and no self
+    loops; ``degrees[s]`` is their count.  ``adjacency`` (int64 ones) and
+    ``laplacian`` (float64 D - A) are scipy ``csr_array`` views of this
+    CSR for the sparse solvers, built on first access, so scipy is loaded
+    only by the code that reads them.  ``dense_laplacian()`` gives L to
+    the dense solvers.
     """
 
     n_states: int
-    adjacency: sparse.csr_array  # (n, n) 0/1 int64
+    indptr: np.ndarray           # (n + 1,) row starts
+    indices: np.ndarray          # (volume,) neighbor lists, row after row
     degrees: np.ndarray          # (n,) int64
     volume: int                  # sum of degrees = 2 * edge count
-    laplacian: sparse.csr_array  # (n, n) float64, L = D - A
     coords: tuple[tuple[int, int], ...] = field(default=())
 
     def check_state(self, s: int) -> None:
         check_state(s, self.n_states)
 
+    @cached_property
+    def adjacency(self):
+        """(n, n) 0/1 int64 ``scipy.sparse.csr_array`` sharing indptr and indices."""
+        from scipy import sparse
+
+        ones = np.ones(self.indices.size, dtype=np.int64)
+        n = self.n_states
+        return sparse.csr_array((ones, self.indices, self.indptr), shape=(n, n))
+
+    @cached_property
+    def laplacian(self):
+        """(n, n) float64 ``scipy.sparse.csr_array`` L = D - A."""
+        from scipy import sparse
+
+        return sparse.diags_array(self.degrees.astype(np.float64)) - self.adjacency
+
+    def dense_laplacian(self) -> np.ndarray:
+        """L = D - A as a dense (n, n) float64 array, for the dense solvers.
+
+        Refused, like the dense eigensolver, above its size cap.
+        """
+        check_dense_size(self.n_states)
+        lap = np.zeros((self.n_states, self.n_states))
+        lap[_entry_rows(self), self.indices] = -1.0
+        np.fill_diagonal(lap, self.degrees)
+        return lap
+
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edge list, each pair (i, j) with i < j, sorted."""
-        upper = sparse.triu(self.adjacency, k=1)    # COO in row-major order
-        return list(zip(upper.row.tolist(), upper.col.tolist()))
+        rows = _entry_rows(self)
+        upper = self.indices > rows
+        return list(zip(rows[upper].tolist(), self.indices[upper].tolist()))
 
 
 @dataclass(frozen=True)
@@ -61,20 +91,24 @@ def graph_from_transitions(
 ) -> StateGraph:
     """Undirected graph on n states with an edge per transition s -> s2.
 
-    Self transitions (wall bumps) are dropped; L = D - A.
+    Self transitions (wall bumps) are dropped; L = D - A.  The CSR index
+    dtype is the one scipy gives the same transitions (int32 unless the
+    states or the entry count need int64), so its views share the arrays.
     """
     move = s != s2
     src = np.concatenate([s[move], s2[move]])
     dst = np.concatenate([s2[move], s[move]])
-    adj = sparse.csr_array((np.ones(src.size, dtype=np.int64), (src, dst)), shape=(n, n))
-    adj.data[:] = 1                  # duplicate transitions were summed
-    deg = np.diff(adj.indptr).astype(np.int64)
+    fits = np.can_cast(src.dtype, np.int32) and max(src.size, n) <= _INT32_MAX
+    idx_dtype = np.int32 if fits else np.int64
+    # one sorted key per distinct directed edge: row-major, duplicates merged
+    rows, cols = np.divmod(np.unique(src.astype(np.int64) * n + dst), n)
+    deg = np.bincount(rows, minlength=n).astype(np.int64)
     return StateGraph(
         n_states=n,
-        adjacency=adj,
+        indptr=np.concatenate(([0], np.cumsum(deg))).astype(idx_dtype),
+        indices=cols.astype(idx_dtype),
         degrees=deg,
         volume=int(deg.sum()),
-        laplacian=sparse.diags_array(deg.astype(np.float64)) - adj,
         coords=coords,
     )
 
@@ -92,18 +126,46 @@ def graph_from_table(table: np.ndarray, coords: tuple[tuple[int, int], ...] = ()
     return graph_from_transitions(n, np.repeat(np.arange(n), n_actions), table.ravel(), coords)
 
 
-def _hops(dist: np.ndarray) -> np.ndarray:
-    """Unweighted shortest-path lengths as int64, -1 where unreachable."""
-    dist[np.isinf(dist)] = -1
-    return dist.astype(np.int64)
+def _entry_rows(g: StateGraph) -> np.ndarray:
+    """Row of every CSR entry: the source state of each directed edge."""
+    return np.repeat(np.arange(g.n_states), g.degrees)
+
+
+def _neighbor_positions(g: StateGraph, nodes: np.ndarray) -> np.ndarray:
+    """Positions in ``g.indices`` of the neighbor lists of nodes, concatenated."""
+    counts = g.degrees[nodes]
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(g.indptr[nodes] - (ends - counts), counts)
+
+
+def _component_roots(g: StateGraph) -> np.ndarray:
+    """Smallest member of every state's component.
+
+    Each round hooks every tree root to the smallest root across its
+    edges, then jumps pointers until each state points at a root; it
+    stops when no edge joins two roots.  Roots only ever point to smaller
+    indices, so the final root of a component is its smallest member.
+    """
+    rows, cols = _entry_rows(g), g.indices
+    root = np.arange(g.n_states)
+    while True:
+        hooked = root.copy()
+        np.minimum.at(hooked, root[rows], root[cols])
+        while not np.array_equal(jumped := hooked[hooked], hooked):
+            hooked = jumped
+        if np.array_equal(hooked, root):
+            return root
+        root = hooked
 
 
 def connected_components(g: StateGraph) -> tuple[tuple[int, ...], ...]:
     """Connected components, each sorted, ordered by smallest member."""
-    _, labels = csgraph.connected_components(g.adjacency, directed=False)
-    members = np.argsort(labels, kind="stable")
-    comps = np.split(members, np.cumsum(np.bincount(labels))[:-1])
-    return tuple(sorted(tuple(c.tolist()) for c in comps))
+    _, labels = np.unique(_component_roots(g), return_inverse=True)
+    members = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    # map slices in C: no Python loop over the components
+    return tuple(map(tuple, map(members.__getitem__, map(slice, [0, *ends[:-1]], ends))))
 
 
 def is_connected(g: StateGraph) -> bool:
@@ -119,15 +181,41 @@ def require_connected(g: StateGraph) -> None:
         )
 
 
+def _bfs(g: StateGraph, sources: np.ndarray) -> np.ndarray:
+    """Hop distances from each source, one row per source; -1 if unreachable.
+
+    All searches advance together, one level per round, over (row, state)
+    pairs: a frontier pair expands to its state's CSR neighbor list.  A
+    pair reached twice in one round keeps one copy: each copy writes a
+    distinct ticket into its cell, and the copy whose ticket stays wins.
+    """
+    n = g.n_states
+    dist = np.full((len(sources), n), -1, dtype=np.int64)
+    cells = dist.ravel()                      # a view: cell r * n + s is dist[r, s]
+    row, node = np.arange(len(sources)), np.asarray(sources, dtype=np.int64)
+    dist[row, node] = 0
+    level = 0
+    while row.size:
+        level += 1
+        flat = np.repeat(row * n, g.degrees[node]) + g.indices[_neighbor_positions(g, node)]
+        flat = flat[cells[flat] < 0]
+        ticket = -2 - np.arange(flat.size)
+        cells[flat] = ticket
+        flat = flat[cells[flat] == ticket]
+        cells[flat] = level
+        row, node = np.divmod(flat, n)
+    return dist
+
+
 def bfs_distances(g: StateGraph, source: int) -> np.ndarray:
     """Geodesic (shortest-path) distances from one state; -1 if unreachable."""
     g.check_state(source)
-    return _hops(csgraph.shortest_path(g.adjacency, unweighted=True, indices=source))
+    return _bfs(g, np.array([source]))[0]
 
 
 def geodesic_matrix(g: StateGraph) -> np.ndarray:
-    """All-pairs geodesic distances; -1 between components."""
-    return _hops(csgraph.shortest_path(g.adjacency, unweighted=True))
+    """All-pairs geodesic distances, row s from state s; -1 between components."""
+    return _bfs(g, np.arange(g.n_states))
 
 
 def pseudo_inverse(g: StateGraph, basis) -> PseudoInverse:

@@ -411,11 +411,14 @@ def spearman_rho(a, b) -> float:
 def rep_quality(
     learned: Embedding,
     truth: Embedding,
-    geodesics: np.ndarray,
+    geodesics: np.ndarray | dict[int, np.ndarray],
     goals: tuple[int, ...] = (),
     full_spectrum: np.ndarray | None = None,
 ) -> QualityMetrics:
     """Per-dimension alignment and distance-profile agreement.
+
+    ``geodesics[goal]`` is the geodesic distance of every state to goal:
+    a row of the all-pairs matrix, or of a dict holding the goal rows.
 
     ``full_spectrum`` (all Laplacian eigenvalues, ascending) sharpens the
     degeneracy flags; otherwise only gaps inside the truth embedding's

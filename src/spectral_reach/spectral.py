@@ -13,17 +13,16 @@ information and is always dropped: an embedding of dimension ``d``
 stores ``d - 1`` coordinates per state, taken from eigen-indices
 2 through d in ascending eigenvalue order.  Such an embedding needs only
 the d smallest eigenpairs, which ``eig_sym(L, d)`` computes by sparse
-shift-invert Lanczos when d < n.
+shift-invert Lanczos when d < n.  Only the sparse and banded solvers
+need scipy, and they import it when called.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import eig_banded
-from scipy.sparse.linalg import eigsh
 
 from .errors import (
     ConvergenceFailure,
@@ -121,49 +120,59 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def eig_sym(L: np.ndarray | sparse.sparray, k: int | None = None) -> SpectralBasis:
+def _check_symmetric(skew: float) -> None:
+    if skew > SYMMETRY_TOL:
+        raise NotSymmetric(f"max |L - L^T| = {skew:.3e} exceeds {SYMMETRY_TOL}")
+
+
+def eig_sym(L, k: int | None = None) -> SpectralBasis:
     """Eigendecomposition of a symmetric Laplacian, eigenvalues ascending.
 
-    L is sparse (say, ``StateGraph.laplacian``) or dense.  Without k, or
-    with k = n, this is the full dense decomposition, which refuses
-    matrices above the dense size cap.  For k < n only the k smallest
-    eigenpairs are computed (``_eig_partial``), with no cap.  Both run on
-    one sparse copy of L, validated symmetric to 1e-12, and apply the
-    same deterministic sign convention to the eigenvectors.
+    L is dense (say, ``StateGraph.dense_laplacian()``) or scipy sparse
+    (``StateGraph.laplacian``).  Without k, or with k = n, this is the
+    full dense decomposition by numpy, which refuses matrices above the
+    dense size cap.  For k < n only the k smallest eigenpairs are
+    computed (``_eig_partial``, on a sparse copy of L), with no cap.
+    Both validate L symmetric to 1e-12 and apply the same deterministic
+    sign convention to the eigenvectors.
     """
-    if not sparse.issparse(L):
+    # a scipy sparse L can exist only once scipy.sparse is loaded
+    sparse = sys.modules.get("scipy.sparse")
+    sparse_in = sparse is not None and sparse.issparse(L)
+    if not sparse_in:
         L = np.asarray(L, dtype=np.float64)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {L.shape}")
     n = L.shape[0]
     if k is not None and not 1 <= k <= n:
         raise DimensionOutOfRange(f"k = {k} eigenpairs outside [1, {n}]")
-    partial = k is not None and k < n
-    if not partial and n > SIZE_CAP:
-        raise DimensionOutOfRange(
-            f"matrix size {n} exceeds the dense solver cap {SIZE_CAP}"
-        )
-    a = sparse.csc_array(L, dtype=np.float64)
-    skew = float(abs(a - a.T).max()) if n else 0.0
-    if skew > SYMMETRY_TOL:
-        raise NotSymmetric(f"max |L - L^T| = {skew:.3e} exceeds {SYMMETRY_TOL}")
-    if partial:
+    if k is not None and k < n:
+        from scipy import sparse
+
+        a = sparse.csc_array(L, dtype=np.float64)
+        _check_symmetric(float(abs(a - a.T).max()))
         return _eig_partial(a, k)
+    check_dense_size(n)
+    if sparse_in:
+        L = L.astype(np.float64).toarray()
+    _check_symmetric(float(np.abs(L - L.T).max()) if n else 0.0)
     try:
-        lam, vec = np.linalg.eigh(a.toarray())
+        lam, vec = np.linalg.eigh(L)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
     return SpectralBasis(eigenvalues=lam, eigenvectors=_fix_signs(vec))
 
 
-def _eig_partial(a: sparse.csc_array, k: int) -> SpectralBasis:
-    """The k < n smallest eigenpairs of symmetric a by shift-invert Lanczos (ARPACK).
+def _eig_partial(a, k: int) -> SpectralBasis:
+    """The k < n smallest eigenpairs of a symmetric sparse a by shift-invert Lanczos (ARPACK).
 
     a - sigma I is factored once, sparse, with sigma just below zero;
     Lanczos runs to machine precision from a fixed seeded start vector
     (never the constant one, which is the zero mode of a Laplacian), so
     repeated calls give identical bytes.
     """
+    from scipy.sparse.linalg import eigsh
+
     v0 = np.random.default_rng(PARTIAL_START_SEED).standard_normal(a.shape[0])
     try:
         lam, vec = eigsh(a, k, sigma=PARTIAL_SHIFT, which="LM", v0=v0, tol=0)
@@ -173,7 +182,7 @@ def _eig_partial(a: sparse.csc_array, k: int) -> SpectralBasis:
     return SpectralBasis(eigenvalues=lam[order], eigenvectors=_fix_signs(vec[:, order]))
 
 
-def eigvals_banded(L: np.ndarray | sparse.sparray) -> np.ndarray:
+def eigvals_banded(L) -> np.ndarray:
     """All eigenvalues of a symmetric banded matrix, ascending, no vectors.
 
     L is sparse or dense.  LAPACK reduces the band
@@ -182,6 +191,9 @@ def eigvals_banded(L: np.ndarray | sparse.sparray) -> np.ndarray:
     states in row-major order is banded: b is the largest index step of
     an edge, about one maze row.
     """
+    from scipy import sparse
+    from scipy.linalg import eig_banded
+
     upper = sparse.triu(L)
     b = int((upper.col - upper.row).max()) if upper.nnz else 0
     band = np.zeros((b + 1, upper.shape[0]))
@@ -190,6 +202,14 @@ def eigvals_banded(L: np.ndarray | sparse.sparray) -> np.ndarray:
         return eig_banded(band, eigvals_only=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"band eigenvalue solve failed: {exc}") from exc
+
+
+def check_dense_size(n: int) -> None:
+    """Refuse a dense n x n eigendecomposition above the size cap."""
+    if n > SIZE_CAP:
+        raise DimensionOutOfRange(
+            f"matrix size {n} exceeds the dense solver cap {SIZE_CAP}"
+        )
 
 
 def check_dimension(d: int, n: int) -> None:

@@ -2,14 +2,39 @@
 
 Session scope keeps eigendecompositions to one per graph for the whole
 run; everything here is deterministic, so sharing is safe.
+
+BLAS runs on one thread, pinned before numpy loads OpenBLAS: with more,
+a test's time depends on what else runs on the cores (a dense solve can
+take 50 times longer when a second process competes for them).
 """
 
-import numpy as np
-import pytest
+import ctypes
+import os
+from pathlib import Path
 
-from spectral_reach import layouts
-from spectral_reach.graph import StateGraph, build_graph
-from spectral_reach.spectral import SpectralBasis, eig_sym
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from spectral_reach import layouts  # noqa: E402
+from spectral_reach.graph import StateGraph, build_graph  # noqa: E402
+from spectral_reach.spectral import SpectralBasis, eig_sym  # noqa: E402
+
+
+def openblas_threads() -> int | None:
+    """Threads of the OpenBLAS bundled with numpy's wheel; None for other builds."""
+    libs = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    get_threads = ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return get_threads()
+
+
+_threads = openblas_threads()
+assert _threads in (1, None), f"BLAS runs {_threads} threads: numpy loaded before the pin"
+
 
 @pytest.fixture(scope="session")
 def zoo_mazes():

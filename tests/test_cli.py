@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import spectral_reach
 from spectral_reach import cli, graph, layouts
@@ -420,7 +421,8 @@ class TestCommute:
         def failing(a):
             raise np.linalg.LinAlgError("leading minor is not positive definite")
 
-        monkeypatch.setattr(sys.modules["spectral_reach.commute"], "cho_factor", failing)
+        # the solve route imports cho_factor from scipy.linalg when it runs
+        monkeypatch.setattr(scipy.linalg, "cho_factor", failing)
         assert main(["commute", "--map", "c4", "--method", "solve",
                      "--out", str(tmp_path / "c")]) == 3
         err = capsys.readouterr().err
@@ -590,6 +592,62 @@ def test_cli_process_never_imports_scipy_stats():
     proc = run_python(FOOTPRINT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def scipy_modules_after(argv):
+    """Exit code of one CLI run in a fresh process, and the scipy modules it loaded."""
+    proc = run_python(
+        "import sys\nfrom spectral_reach.cli import main\n"
+        f"code = main({[str(a) for a in argv]!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert proc.returncode == 0, proc.stderr
+    code, modules = proc.stdout.splitlines()[-1].split(" ", 1)
+    return int(code), modules
+
+
+def test_cli_import_loads_no_scipy():
+    proc = run_python("import sys, spectral_reach.cli\n"
+                      "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+SCIPY_FREE = {
+    "env": ["env", "--map", "fourroom"],
+    "embed-full": ["embed", "--map", "fourroom"],
+    "heatmap": ["heatmap", "{emb}", "--map", "fourroom", "--goal", "11,11"],
+    "bottleneck-full": ["bottleneck", "--map", "fourroom"],
+    "commute-pinv": ["commute", "--map", "fourroom", "--method", "pseudo-inverse"],
+    "commute-mc": ["commute", "--map", "fourroom", "--method", "mc", "--pair", "1,1:11,11",
+                   "--walks", "200", "--seed", "0"],
+    "learn": ["learn", "--map", "fourroom", "--seed", "0", "--episodes", "100",
+              "--iterations", "50", "--batch", "32"],
+}
+SCIPY_SOLVERS = {
+    "embed-partial": ["embed", "--map", "fourroom", "--d", "10"],
+    "shape": ["shape", "--map", "fourroom", "--seed", "0", "--seeds", "2", "--episodes", "20"],
+    "commute-solve": ["commute", "--map", "fourroom", "--method", "solve"],
+}
+
+
+@pytest.fixture(scope="module")
+def fourroom_embedding(tmp_path_factory):
+    out = tmp_path_factory.mktemp("emb")
+    assert main(["embed", "--map", "fourroom", "--out", str(out)]) == 0
+    return out / "embedding.csv"
+
+
+@pytest.mark.parametrize("job", sorted(SCIPY_FREE))
+def test_scipy_free_commands_never_load_scipy(job, tmp_path, fourroom_embedding):
+    argv = [a.format(emb=fourroom_embedding) for a in SCIPY_FREE[job]]
+    code, modules = scipy_modules_after(argv + ["--out", tmp_path / "o"])
+    assert (code, modules) == (0, "[]")
+
+
+@pytest.mark.parametrize("job", sorted(SCIPY_SOLVERS))
+def test_scipy_solver_commands_still_run(job, tmp_path):
+    code, _ = scipy_modules_after(SCIPY_SOLVERS[job] + ["--out", tmp_path / "o"])
+    assert code == 0
 
 
 # ---------------------------------------------------------------------------

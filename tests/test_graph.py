@@ -1,14 +1,21 @@
 """State-graph construction, connectivity, and the Laplacian pseudo-inverse."""
 
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import csgraph
 
-from spectral_reach import layouts
+from spectral_reach import graph, layouts
 from spectral_reach.bottleneck import centrality
-from spectral_reach.envgrid import discretize_continuous, parse_maze
+from spectral_reach.envgrid import (
+    ContinuousMazeSpec,
+    discretize_continuous,
+    parse_maze,
+    transition_table,
+)
 from spectral_reach.errors import DimensionMismatch, GraphDisconnected, InvalidState
 from spectral_reach.graph import (
     bfs_distances,
@@ -16,6 +23,8 @@ from spectral_reach.graph import (
     connected_components,
     export_graph_json,
     geodesic_matrix,
+    graph_from_table,
+    graph_from_transitions,
     is_connected,
     pseudo_inverse,
     require_connected,
@@ -124,6 +133,152 @@ class TestBuild:
             tracemalloc.stop()
         assert cent.shape == (5004,) and np.all(cent > 0)
         assert peak < 16e6
+
+
+def checkerboard(size):
+    """Square map whose floor is a checkerboard: every floor cell is its own
+    component, except along an open row and column through the middle."""
+    mid = size // 2
+    rows = ["#" * (size + 2)]
+    for y in range(1, size + 1):
+        rows.append("#" + "".join(
+            "." if (x + y) % 2 == 0 or y == mid or x == mid else "#"
+            for x in range(1, size + 1)) + "#")
+    return parse_maze("\n".join(rows + ["#" * (size + 2)]))
+
+
+def oracle_csr(n, s, s2):
+    """The scipy construction the numpy core replaced: COO with summed duplicates."""
+    move = s != s2
+    src = np.concatenate([s[move], s2[move]])
+    dst = np.concatenate([s2[move], s[move]])
+    adj = sparse.csr_array((np.ones(src.size, dtype=np.int64), (src, dst)), shape=(n, n))
+    adj.data[:] = 1
+    deg = np.diff(adj.indptr).astype(np.int64)
+    return adj, sparse.diags_array(deg.astype(np.float64)) - adj
+
+
+def assert_same_bytes(dense, lap, rows=256):
+    """dense equals lap.toarray() byte for byte (signed zeros too), compared a
+    block of rows at a time: a test run's peak RSS also counts against every
+    child process it starts later."""
+    assert dense.shape == lap.shape and dense.dtype == lap.dtype
+    for lo in range(0, len(dense), rows):
+        assert dense[lo:lo + rows].tobytes() == lap[lo:lo + rows].toarray().tobytes(), lo
+
+
+def oracle_components(adj):
+    _, labels = csgraph.connected_components(adj, directed=False)
+    members = np.argsort(labels, kind="stable")
+    comps = np.split(members, np.cumsum(np.bincount(labels))[:-1])
+    return tuple(sorted(tuple(c.tolist()) for c in comps))
+
+
+def oracle_hops(adj, **kw):
+    dist = csgraph.shortest_path(adj, unweighted=True, **kw)
+    dist[np.isinf(dist)] = -1
+    return dist.astype(np.int64)
+
+
+def core_mazes():
+    out = {}
+    for name in sorted(layouts.bundled_files()):
+        maze = layouts.load_bundled(name)
+        if isinstance(maze, ContinuousMazeSpec):
+            maze = discretize_continuous(maze, 1)
+        out[name] = maze
+    out["checkerboard"] = checkerboard(64)
+    return out
+
+
+CORE_MAZES = core_mazes()
+
+
+class TestNumpyCoreMatchesScipy:
+    """The numpy CSR, traversals and dense Laplacian against scipy and csgraph."""
+
+    @pytest.mark.parametrize("name", sorted(CORE_MAZES))
+    def test_csr_edges_and_laplacian(self, name):
+        table = transition_table(CORE_MAZES[name])
+        n = len(table)
+        g = graph_from_table(table)
+        adj, lap = oracle_csr(n, np.repeat(np.arange(n), table.shape[1]), table.ravel())
+        for got, want in ((g.indptr, adj.indptr), (g.indices, adj.indices)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(g.degrees, np.diff(adj.indptr)) and g.degrees.dtype == np.int64
+        upper = sparse.triu(adj, k=1)
+        assert g.edges() == list(zip(upper.row.tolist(), upper.col.tolist()))
+        # the lazy scipy views equal the old construction and share the one CSR
+        for view, want in ((g.adjacency, adj), (g.laplacian, lap)):
+            assert type(view) is type(want) and view.has_canonical_format
+            for part in ("data", "indices", "indptr"):
+                got, ref = getattr(view, part), getattr(want, part)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), part
+        assert np.shares_memory(g.adjacency.indices, g.indices)
+        assert_same_bytes(g.dense_laplacian(), lap)
+
+    @pytest.mark.parametrize("name", sorted(CORE_MAZES))
+    def test_components_and_bfs_from_every_state(self, name):
+        g = build_graph(CORE_MAZES[name])
+        adj = g.adjacency
+        assert connected_components(g) == oracle_components(adj)
+        want = oracle_hops(adj) if g.n_states < 1000 else None
+        for s in range(g.n_states):
+            row = want[s] if want is not None else oracle_hops(adj, indices=s)
+            got = bfs_distances(g, s)
+            assert got.dtype == np.int64 and np.array_equal(got, row), s
+        if want is not None:
+            assert np.array_equal(geodesic_matrix(g), want)
+
+    def test_checkerboard_has_thousands_of_components(self):
+        comps = connected_components(build_graph(CORE_MAZES["checkerboard"]))
+        assert sum(len(c) == 1 for c in comps) > 1500
+
+    def test_components_run_no_python_loop_per_component(self):
+        g = build_graph(CORE_MAZES["checkerboard"])
+        lines = 0
+
+        def trace_graph_module(frame, event, arg):
+            if frame.f_code.co_filename != graph.__file__:
+                return None
+
+            def count(frame, event, arg):
+                nonlocal lines
+                lines += event == "line"
+                return count
+
+            return count
+
+        sys.settrace(trace_graph_module)
+        try:
+            comps = connected_components(g)
+        finally:
+            sys.settrace(None)
+        assert len(comps) > 1500 and lines < 100
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_graphs_with_shuffled_labels(self, seed):
+        # edges between arbitrary labels: hooking rounds meet non-monotone trees
+        rng = np.random.default_rng(seed)
+        n = 400
+        m = [150, 300, 400, 800][seed]
+        s, s2 = rng.integers(0, n, m), rng.integers(0, n, m)
+        g = graph_from_transitions(n, s, s2)
+        adj, lap = oracle_csr(n, s, s2)
+        assert np.array_equal(g.indices, adj.indices) and np.array_equal(g.indptr, adj.indptr)
+        assert connected_components(g) == oracle_components(adj)
+        assert np.array_equal(geodesic_matrix(g), oracle_hops(adj))
+        assert_same_bytes(g.dense_laplacian(), lap)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    def test_index_dtype_follows_scipy(self, dtype):
+        table = transition_table(layouts.zoo_maze("fourroom")).astype(dtype)
+        n = len(table)
+        s = np.repeat(np.arange(n, dtype=dtype), table.shape[1])
+        g = graph_from_transitions(n, s, table.ravel())
+        adj, _ = oracle_csr(n, s, table.ravel())
+        assert g.indices.dtype == adj.indices.dtype and g.indptr.dtype == adj.indptr.dtype
+        assert np.shares_memory(g.adjacency.indptr, g.indptr)
 
 
 class TestConnectivity:
