@@ -8,77 +8,51 @@ Monte Carlo walks, learns the embedding from sampled transitions, and
 evaluates distance-shaped rewards and bottleneck discovery on top.
 """
 
+import sys
+from importlib import import_module
+from types import ModuleType
+
 __version__ = "0.1.0"
 
-from .envgrid import (
-    ACTIONS,
-    ContinuousMazeSpec,
-    MazeSpec,
-    StateIndex,
-    discretize_continuous,
-    parse_maze,
-    step,
-)
-from .errors import SpectralReachError
-from .graph import StateGraph, build_graph, connected_components, pseudo_inverse
-from .spectral import (
-    Embedding,
-    SpectralBasis,
-    eig_sym,
-    goal_distances,
-    laprep,
-    ra_laprep,
-    truncation_tail,
-)
-from .commute import commute, commute_mc, effective_resistance, first_passage
-from .mds import classic_mds, double_center, equivalence_residual
-from .replearn import (
-    collect_dataset,
-    estimate_eigenvalues,
-    learned_ra_laprep,
-    rep_quality,
-    train_graph_drawing,
-)
-from .shaping import QLearningConfig, RewardSpec, q_learning, run_experiment
-from .bottleneck import centrality, top_bottlenecks
+# defining module -> the public names it exports.  A name's module is
+# imported on first access (PEP 562), so a process loads only what it uses.
+_EXPORTS = {
+    "envgrid": "ACTIONS ContinuousMazeSpec MazeSpec StateIndex discretize_continuous "
+               "parse_maze step",
+    "errors": "SpectralReachError",
+    "graph": "StateGraph build_graph connected_components pseudo_inverse",
+    "spectral": "Embedding SpectralBasis eig_sym goal_distances laprep ra_laprep "
+                "truncation_tail",
+    "commute": "commute commute_mc effective_resistance first_passage",
+    "mds": "classic_mds double_center equivalence_residual",
+    "replearn": "collect_dataset estimate_eigenvalues learned_ra_laprep rep_quality "
+                "train_graph_drawing",
+    "shaping": "QLearningConfig RewardSpec q_learning run_experiment",
+    "bottleneck": "centrality top_bottlenecks",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
-__all__ = [
-    "ACTIONS",
-    "ContinuousMazeSpec",
-    "Embedding",
-    "MazeSpec",
-    "QLearningConfig",
-    "RewardSpec",
-    "SpectralBasis",
-    "SpectralReachError",
-    "StateGraph",
-    "StateIndex",
-    "__version__",
-    "build_graph",
-    "centrality",
-    "classic_mds",
-    "collect_dataset",
-    "commute",
-    "commute_mc",
-    "connected_components",
-    "discretize_continuous",
-    "double_center",
-    "effective_resistance",
-    "eig_sym",
-    "equivalence_residual",
-    "estimate_eigenvalues",
-    "first_passage",
-    "goal_distances",
-    "laprep",
-    "learned_ra_laprep",
-    "parse_maze",
-    "pseudo_inverse",
-    "q_learning",
-    "ra_laprep",
-    "rep_quality",
-    "run_experiment",
-    "step",
-    "top_bottlenecks",
-    "train_graph_drawing",
-    "truncation_tail",
-]
+__all__ = sorted([*_MODULE_OF, "__version__"])
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+class _Package(ModuleType):
+    """Keeps a re-exported name when a submodule of that name loads.
+
+    The import system sets every loaded submodule as a package attribute,
+    which would hide the function ``commute`` behind the module ``commute``.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        if not (name in _MODULE_OF and isinstance(value, ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

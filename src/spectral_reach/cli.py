@@ -23,9 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import layouts
-from .commute import commute, commute_mc
-from .bottleneck import make_report
-from .envgrid import MazeSpec, discretize_continuous, goal_state
+from .envgrid import MAX_GRID_CELLS, MazeSpec, discretize_continuous, goal_state
 from .errors import SpectralReachError
 from .graph import (
     StateGraph,
@@ -35,22 +33,6 @@ from .graph import (
     export_graph_json,
 )
 from .manifest import RunManifest, atomic_write_bytes, atomic_write_text, sha256_file
-from .replearn import (
-    TrainConfig,
-    collect_dataset,
-    estimate_eigenvalues,
-    learned_ra_laprep,
-    rep_quality,
-    train_graph_drawing,
-    training_log_csv,
-)
-from .shaping import (
-    QLearningConfig,
-    REWARD_KINDS,
-    curves_csv,
-    paired_auc_test,
-    run_experiment,
-)
 from .spectral import (
     Embedding,
     SpectralBasis,
@@ -64,10 +46,11 @@ from .spectral import (
     laprep,
     ra_laprep,
 )
-from .verify import run_suite
 
 EMBED_KINDS = {"lap": "laprep", "ra": "ra_laprep"}
 EMBEDDERS = {"laprep": laprep, "ra_laprep": ra_laprep}
+#: largest heatmap: a grid of MAX_GRID_CELLS cells at the default --scale of 8
+MAX_HEATMAP_PIXELS = MAX_GRID_CELLS * 8 ** 2
 
 #: heatmap color stops, linear in normalized value (plasma-like ramp)
 COLOR_STOPS = (
@@ -157,7 +140,7 @@ def _spectral_embeddings(
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each imports the consumer module it runs, and no other
 # ---------------------------------------------------------------------------
 
 def cmd_env(args) -> int:
@@ -216,6 +199,9 @@ def cmd_heatmap(args) -> int:
     if args.scale < 1:
         raise SpectralReachError(f"--scale must be at least 1 pixel per cell, got {args.scale}")
     maze = _load_maze(args.map, args.resolution)
+    if maze.width * maze.height * args.scale ** 2 > MAX_HEATMAP_PIXELS:
+        raise SpectralReachError(f"--scale {args.scale} makes a heatmap of more than "
+                                 f"{MAX_HEATMAP_PIXELS} pixels")
     index = maze.state_index()
     emb, coords = embedding_from_csv(Path(args.embedding_csv).read_text())
     if tuple(coords) != index.coords:
@@ -238,6 +224,7 @@ def cmd_heatmap(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
     try:
         results = run_suite(args.suite)
     except KeyError as exc:
@@ -257,6 +244,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_learn(args) -> int:
+    from .replearn import (TrainConfig, collect_dataset, estimate_eigenvalues,
+                           learned_ra_laprep, rep_quality, train_graph_drawing,
+                           training_log_csv)
     maze = _load_maze(args.map, args.resolution)
     g = build_graph(maze)
     data = collect_dataset(
@@ -308,6 +298,8 @@ def cmd_learn(args) -> int:
 
 
 def cmd_shape(args) -> int:
+    from .shaping import (QLearningConfig, REWARD_KINDS, curves_csv, paired_auc_test,
+                          run_experiment)
     maze = _load_maze(args.map, args.resolution)
     g = build_graph(maze)
     index = maze.state_index()
@@ -363,6 +355,7 @@ def cmd_shape(args) -> int:
 
 
 def cmd_bottleneck(args) -> int:
+    from .bottleneck import make_report
     maze = _load_maze(args.map, args.resolution)
     g = build_graph(maze)
     d = args.d if args.d is not None else g.n_states
@@ -384,6 +377,7 @@ def cmd_bottleneck(args) -> int:
 
 
 def cmd_commute(args) -> int:
+    from .commute import commute, commute_mc
     maze = _load_maze(args.map, args.resolution)
     g = build_graph(maze)
     if args.method in ("solve", "pseudo-inverse"):

@@ -28,9 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Loaded lazily, so traced core functions are read through their module when
+# called: a name bound at import would keep a wrapper the core held then.
+from . import spectral
 from .errors import InvalidState, SingularSystem
 from .graph import PseudoInverse, StateGraph, pseudo_inverse, require_connected
-from .spectral import eig_sym
 
 #: default cap on a single sampled walk's total length
 WALK_CAP = 10**6
@@ -122,7 +124,7 @@ def commute(g: StateGraph, method: str = "solve") -> CommuteMatrix:
         np.fill_diagonal(values, 0.0)
     elif method == "pseudo-inverse":
         require_connected(g)
-        plus = pseudo_inverse(g, eig_sym(g.dense_laplacian())).matrix
+        plus = pseudo_inverse(g, spectral.eig_sym(g.dense_laplacian())).matrix
         diag = np.diag(plus)
         values = g.volume * (diag[:, None] + diag[None, :] - 2.0 * plus)
         np.fill_diagonal(values, 0.0)

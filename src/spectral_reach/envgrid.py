@@ -282,20 +282,26 @@ def discretize_continuous(cm: ContinuousMazeSpec, resolution: int) -> MazeSpec:
         )
     if nx <= 0 or ny <= 0:
         raise NoFloor("bounding box smaller than one grid cell")
-    rows = [WALL * (nx + 2)]
-    found_floor = False
-    for j in range(ny):
-        cy = (j + 0.5) / resolution
-        row = [WALL]
-        for i in range(nx):
-            cx = (i + 0.5) / resolution
-            # 1e-12 absorbs float noise when the disk exactly touches a wall.
-            clear = all(r.clearance(cx, cy) >= cm.radius - 1e-12 for r in cm.walls)
-            row.append(FLOOR if clear else WALL)
-            found_floor = found_floor or clear
-        row.append(WALL)
-        rows.append("".join(row))
-    rows.append(WALL * (nx + 2))
-    if not found_floor:
+    cx = (np.arange(nx) + 0.5) / resolution
+    cy = (np.arange(ny) + 0.5) / resolution
+    # 1e-12 absorbs float noise when the disk exactly touches a wall.
+    need = cm.radius - 1e-12
+    clear = np.ones((ny, nx), dtype=bool)
+    for r in cm.walls:
+        # WallRect.clearance over the whole grid: dx per column, dy per row
+        dx = np.maximum(np.maximum(r.x - cx, 0.0), cx - (r.x + r.w))
+        dy = np.maximum(np.maximum(r.y - cy, 0.0), cy - (r.y + r.h))
+        dist = np.hypot(dx, dy[:, None])
+        keeps = dist >= need
+        # np.hypot and math.hypot may differ in the last ulp (under 1e-9 for
+        # any distance in a capped grid): cells this close to the bound are
+        # decided by the scalar rule itself.
+        for j, i in zip(*np.nonzero(np.abs(dist - need) <= 1e-9)):
+            keeps[j, i] = r.clearance(float(cx[i]), float(cy[j])) >= need
+        clear &= keeps
+    if not clear.any():
         raise NoFloor("no cell gives the agent disk clearance from all walls")
-    return MazeSpec(width=nx + 2, height=ny + 2, rows=tuple(rows))
+    grid = np.full((ny + 2, nx + 2), ord(WALL), dtype=np.uint8)
+    grid[1:-1, 1:-1][clear] = ord(FLOOR)
+    rows = tuple(row.tobytes().decode("ascii") for row in grid)
+    return MazeSpec(width=nx + 2, height=ny + 2, rows=rows)

@@ -101,7 +101,7 @@ def graph_from_transitions(
     fits = np.can_cast(src.dtype, np.int32) and max(src.size, n) <= _INT32_MAX
     idx_dtype = np.int32 if fits else np.int64
     # one sorted key per distinct directed edge: row-major, duplicates merged
-    rows, cols = np.divmod(np.unique(src.astype(np.int64) * n + dst), n)
+    rows, cols = np.divmod(sorted_unique(src.astype(np.int64) * n + dst), n)
     deg = np.bincount(rows, minlength=n).astype(np.int64)
     return StateGraph(
         n_states=n,
@@ -111,6 +111,12 @@ def graph_from_transitions(
         volume=int(deg.sum()),
         coords=coords,
     )
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of nonnegative integer keys, without loading ``numpy.ma``."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
 
 
 def build_graph(maze: MazeSpec, index: StateIndex | None = None) -> StateGraph:
@@ -159,9 +165,15 @@ def _component_roots(g: StateGraph) -> np.ndarray:
         root = hooked
 
 
+def _component_labels(g: StateGraph) -> np.ndarray:
+    """Component number of every state, components ordered by smallest member."""
+    root = _component_roots(g)
+    return (np.cumsum(root == np.arange(g.n_states)) - 1)[root]    # rank of the root
+
+
 def connected_components(g: StateGraph) -> tuple[tuple[int, ...], ...]:
     """Connected components, each sorted, ordered by smallest member."""
-    _, labels = np.unique(_component_roots(g), return_inverse=True)
+    labels = _component_labels(g)
     members = np.argsort(labels, kind="stable").tolist()
     ends = np.cumsum(np.bincount(labels)).tolist()
     # map slices in C: no Python loop over the components

@@ -17,8 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Loaded lazily, so traced core functions are read through their module when
+# called: a name bound at import would keep a wrapper the core held then.
+from . import spectral
 from .errors import DimensionMismatch, NegativeEntry, NotSymmetric
-from .spectral import SYMMETRY_TOL, Embedding, pairwise_sq_dists
+from .spectral import SYMMETRY_TOL, Embedding
 
 #: eigenvalue cutoff = RELATIVE_CUTOFF * largest eigenvalue of B
 RELATIVE_CUTOFF = 1e-9
@@ -104,5 +107,5 @@ def equivalence_residual(x: MdsResult, phi: Embedding, volume: int) -> float:
     xe = x.embedding
     sq = np.sum(xe * xe, axis=1)
     mds_d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (xe @ xe.T), 0.0)
-    phi_d2 = pairwise_sq_dists(phi)
+    phi_d2 = spectral.pairwise_sq_dists(phi)
     return float(np.max(np.abs(np.sqrt(mds_d2) - np.sqrt(volume * phi_d2))))

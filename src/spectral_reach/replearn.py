@@ -44,7 +44,8 @@ from .errors import (
     EmptyDataset,
     NoBiasCells,
 )
-from .graph import StateGraph, graph_from_table, graph_from_transitions, require_connected
+from .graph import (StateGraph, graph_from_table, graph_from_transitions, require_connected,
+                    sorted_unique)
 from .spectral import Embedding, check_dimension, goal_distances
 
 #: eigenvalue estimates at or below this are too degenerate to rescale by
@@ -103,7 +104,7 @@ class TransitionDataset:
         mask = s != s2
         lo = np.minimum(s[mask], s2[mask])
         hi = np.maximum(s[mask], s2[mask])
-        return len(np.unique(lo * self.n_states + hi))
+        return len(sorted_unique(lo * self.n_states + hi))
 
 
 @dataclass(frozen=True)

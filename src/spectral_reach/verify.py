@@ -13,20 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import layouts
+# Loaded lazily, so traced core functions are read through their module when
+# called: a name bound at import would keep a wrapper the core held then.
+from . import envgrid, graph, layouts, spectral
 from .commute import commute, effective_resistance, first_passage
 from .bottleneck import centrality, make_report, top_bottlenecks
-from .envgrid import parse_maze
-from .graph import build_graph, connected_components, pseudo_inverse
+from .graph import pseudo_inverse
 from .mds import classic_mds, double_center, equivalence_residual
-from .spectral import (
-    Embedding,
-    eig_sym,
-    pairwise_sq_dists,
-    ra_laprep,
-    tail_bound,
-    truncation_tail,
-)
+from .spectral import Embedding, tail_bound, truncation_tail
 
 
 @dataclass(frozen=True)
@@ -48,14 +42,14 @@ class CheckResult:
 def _zoo():
     for name in layouts.ZOO_NAMES:
         maze = layouts.zoo_maze(name)
-        yield name, maze, build_graph(maze)
+        yield name, maze, graph.build_graph(maze)
 
 
 def suite_env() -> list[CheckResult]:
     out = []
     for name in layouts.ZOO_NAMES:
         maze = layouts.zoo_maze(name)
-        round_trip = parse_maze(maze.render_text())
+        round_trip = envgrid.parse_maze(maze.render_text())
         out.append(CheckResult(
             "env", f"{name}:parse-render-roundtrip",
             round_trip == maze, f"{maze.width}x{maze.height}",
@@ -78,13 +72,13 @@ def suite_graph() -> list[CheckResult]:
             "graph", f"{name}:laplacian-psd", float(lam[0]) >= -1e-10, f"min {lam[0]:.2e}",
         ))
         out.append(CheckResult(
-            "graph", f"{name}:connected", len(connected_components(g)) == 1, "",
+            "graph", f"{name}:connected", len(graph.connected_components(g)) == 1, "",
         ))
         out.append(CheckResult(
             "graph", f"{name}:volume-is-degree-sum",
             g.volume == int(g.degrees.sum()) and g.volume == 2 * len(g.edges()), str(g.volume),
         ))
-        basis = eig_sym(g.laplacian)
+        basis = spectral.eig_sym(g.laplacian)
         plus = pseudo_inverse(g, basis).matrix
         resid = float(np.max(np.abs(lap @ plus @ lap - lap)))
         out.append(CheckResult(
@@ -100,7 +94,7 @@ def suite_graph() -> list[CheckResult]:
 def suite_spectral() -> list[CheckResult]:
     out = []
     for name, maze, g in _zoo():
-        basis = eig_sym(g.laplacian)
+        basis = spectral.eig_sym(g.laplacian)
         lam, vec = basis.eigenvalues, basis.eigenvectors
         out.append(CheckResult(
             "spectral", f"{name}:lambda1-zero", abs(float(lam[0])) <= 1e-9, f"{lam[0]:.2e}",
@@ -117,7 +111,7 @@ def suite_spectral() -> list[CheckResult]:
             "spectral", f"{name}:v1-constant",
             float(np.max(np.abs(np.abs(v1) - 1.0))) <= 1e-9, "",
         ))
-        basis2 = eig_sym(g.laplacian)
+        basis2 = spectral.eig_sym(g.laplacian)
         bitwise = np.array_equal(basis.eigenvectors, basis2.eigenvectors) and \
             np.array_equal(basis.eigenvalues, basis2.eigenvalues)
         out.append(CheckResult(
@@ -132,7 +126,7 @@ def suite_spectral() -> list[CheckResult]:
             "spectral", f"{name}:quadratic-form", abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs)),
             f"|{lhs:.6f} - {rhs:.6f}|",
         ))
-        phi = ra_laprep(basis, g.n_states)
+        phi = spectral.ra_laprep(basis, g.n_states)
         for j in range(phi.vectors.shape[1]):
             if abs(np.sum(phi.vectors[:, j])) > 1e-8:
                 out.append(CheckResult(
@@ -147,7 +141,7 @@ def suite_spectral() -> list[CheckResult]:
 def suite_commute() -> list[CheckResult]:
     out = []
     for name, maze, g in _zoo():
-        basis = eig_sym(g.laplacian)
+        basis = spectral.eig_sym(g.laplacian)
         plus = pseudo_inverse(g, basis)
         m = first_passage(g).values
         n_solve = commute(g, "solve").values
@@ -174,8 +168,8 @@ def suite_commute() -> list[CheckResult]:
             "commute", f"{name}:resistance-identity", res_identity <= 1e-7,
             f"rel {res_identity:.2e}",
         ))
-        phi = ra_laprep(basis, g.n_states)
-        d2 = pairwise_sq_dists(phi)
+        phi = spectral.ra_laprep(basis, g.n_states)
+        d2 = spectral.pairwise_sq_dists(phi)
         ident = float(np.max(np.abs(g.volume * d2 - n_solve))) / scale
         out.append(CheckResult(
             "commute", f"{name}:embedding-identity", ident <= 1e-8, f"rel {ident:.2e}",
@@ -191,7 +185,7 @@ def suite_commute() -> list[CheckResult]:
 def suite_mds() -> list[CheckResult]:
     out = []
     for name, maze, g in _zoo():
-        basis = eig_sym(g.laplacian)
+        basis = spectral.eig_sym(g.laplacian)
         n_mat = commute(g, "solve").values
         b = double_center(n_mat)
         plus = pseudo_inverse(g, basis).matrix
@@ -212,7 +206,7 @@ def suite_mds() -> list[CheckResult]:
         out.append(CheckResult(
             "mds", f"{name}:distance-reconstruction", rec_err <= 1e-6, f"max {rec_err:.2e}",
         ))
-        phi = ra_laprep(basis, g.n_states)
+        phi = spectral.ra_laprep(basis, g.n_states)
         resid = equivalence_residual(res, phi, g.volume)
         out.append(CheckResult(
             "mds", f"{name}:matches-rescaled-embedding", resid <= 1e-6, f"max {resid:.2e}",
@@ -223,7 +217,7 @@ def suite_mds() -> list[CheckResult]:
 def suite_tail() -> list[CheckResult]:
     out = []
     for name, maze, g in _zoo():
-        basis = eig_sym(g.laplacian)
+        basis = spectral.eig_sym(g.laplacian)
         n = g.n_states
         vol = g.volume
         n_mat = commute(g, "solve").values
@@ -249,8 +243,8 @@ def suite_tail() -> list[CheckResult]:
         ok_gap = True
         scale = max(float(n_mat.max()), 1.0)
         for d in (2, max(2, n // 2), n):
-            phi = ra_laprep(basis, d)
-            approx = vol * pairwise_sq_dists(phi)
+            phi = spectral.ra_laprep(basis, d)
+            approx = vol * spectral.pairwise_sq_dists(phi)
             ok_gap &= bool(np.all(np.abs((n_mat - approx) - by_d[d]) <= 1e-7 * scale))
         # spot-check the scalar operation against the accumulated matrices
         ok_op = abs(truncation_tail(basis, n, 0, n - 1)) == 0.0
@@ -270,10 +264,10 @@ def suite_bottleneck() -> list[CheckResult]:
     reports = {}
     for name in ("tworoom", "fourroom"):
         maze = layouts.zoo_maze(name)
-        g = build_graph(maze)
+        g = graph.build_graph(maze)
         index = maze.state_index()
-        basis = eig_sym(g.laplacian)
-        phi = ra_laprep(basis, g.n_states)
+        basis = spectral.eig_sym(g.laplacian)
+        phi = spectral.ra_laprep(basis, g.n_states)
         cent = centrality(phi)
         doors = {index.of(c) for c in layouts.DOORWAYS[name]}
         reports[name] = (maze, g, index, phi, cent, doors)
@@ -310,7 +304,7 @@ def suite_bottleneck() -> list[CheckResult]:
     # the largest centrality outright; full-dimension distances (the
     # commute metric) dilute their advantage to ~top 23%.
     maze, g, index, phi, cent, doors = reports["fourroom"]
-    phi10 = ra_laprep(eig_sym(g.laplacian), 10)
+    phi10 = spectral.ra_laprep(spectral.eig_sym(g.laplacian), 10)
     selected = set(make_report(phi10, 0.2).selected)
     out.append(CheckResult(
         "bottleneck", "fourroom:doorways-in-top-20pct-at-d10",

@@ -359,21 +359,20 @@ class TestBottleneck:
         walls = "#" * 102
         (tmp_path / "open.txt").write_text(
             "\n".join([walls] + ["#" + "." * 100 + "#"] * 100 + [walls]) + "\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(spectral_reach.__file__).parents[1]))
-        with open(tmp_path / "stderr", "w") as err:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "spectral_reach.cli", "bottleneck",
-                 "--map", str(tmp_path / "open.txt"), "--d", "10",
-                 "--out", str(tmp_path / "bn")],
-                env=env, stdout=subprocess.DEVNULL, stderr=err)
-            # this child's own peak, unlike RUSAGE_CHILDREN, which holds
-            # the largest of every child this process has waited for
-            _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0, (tmp_path / "stderr").read_text()
+        argv = ["bottleneck", "--map", str(tmp_path / "open.txt"), "--d", "10",
+                "--out", str(tmp_path / "bn")]
+        # The child reports its own peak (VmHWM, reset by exec): the ru_maxrss
+        # of wait4 also holds the peak the forking test process had reached.
+        proc = run_python(
+            "import re, sys\nfrom spectral_reach.cli import main\n"
+            f"code = main({argv!r})\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
+            "sys.exit(code)\n")
+        assert proc.returncode == 0, proc.stderr
         rows = (tmp_path / "bn" / "bottlenecks.csv").read_text().splitlines()
         assert len(rows) == 10_001
-        assert usage.ru_maxrss * 1024 < 200e6          # ru_maxrss is in KiB on Linux
+        assert int(proc.stdout.splitlines()[-1]) * 1024 < 200e6
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +488,22 @@ def _learn(tmp, map_name, *flags):
             *flags, "--out", str(tmp / "learn")]
 
 
+@pytest.mark.parametrize("scale", [2310, 10_000])
+def test_heatmap_scale_refused_before_allocating(tmp_path, scale):
+    # k2 is 4 x 3 cells: 2,310 is the smallest scale above 64,000,000 pixels.
+    # The child's address space is capped, so an unguarded image allocation
+    # fails there instead of reaching the machine's out-of-memory killer.
+    argv = _heatmap_on(tmp_path, K2_EMBEDDING) + ["--scale", str(scale)]
+    proc = run_python("import resource, sys\n"
+                      "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+                      "from spectral_reach.cli import main\n"
+                      f"sys.exit(main({argv!r}))\n")
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: --scale {scale} makes a heatmap")
+    assert not (tmp_path / "heat").exists()
+
+
 @pytest.mark.parametrize("argv,code,needle", [
     (lambda tmp: ["env", "--map", "continuous_a"], 0, ""),
     (lambda tmp: ["env", "--map", "continuous_b", "--out", str(tmp / "env")], 0, ""),
@@ -594,22 +609,32 @@ def test_cli_process_never_imports_scipy_stats():
     assert proc.stdout == "False\n"
 
 
-def scipy_modules_after(argv):
-    """Exit code of one CLI run in a fresh process, and the scipy modules it loaded."""
-    proc = run_python(
-        "import sys\nfrom spectral_reach.cli import main\n"
-        f"code = main({[str(a) for a in argv]!r})\n"
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+def modules_after(argv=None):
+    """Exit code of one CLI run in a fresh process, and every module it loaded.
+
+    Without argv the process only imports ``spectral_reach.cli``.
+    """
+    run = f"code = main({[str(a) for a in argv]!r})\n" if argv is not None else "code = 0\n"
+    proc = run_python("import sys\nfrom spectral_reach.cli import main\n" + run +
+                      "print(code, *sorted(sys.modules))\n")
     assert proc.returncode == 0, proc.stderr
-    code, modules = proc.stdout.splitlines()[-1].split(" ", 1)
-    return int(code), modules
+    code, *modules = proc.stdout.splitlines()[-1].split(" ")
+    return int(code), set(modules)
+
+
+def scipy_of(modules):
+    return sorted(m for m in modules if m.split(".")[0] == "scipy")
+
+
+CONSUMERS = {f"spectral_reach.{m}"
+             for m in ("commute", "bottleneck", "replearn", "shaping", "verify", "mds")}
 
 
 def test_cli_import_loads_no_scipy():
-    proc = run_python("import sys, spectral_reach.cli\n"
-                      "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    # nor any consumer module: each subcommand imports its own when it runs
+    _, modules = modules_after()
+    assert scipy_of(modules) == []
+    assert not modules & (CONSUMERS | {"numpy.ma"})
 
 
 SCIPY_FREE = {
@@ -640,14 +665,46 @@ def fourroom_embedding(tmp_path_factory):
 @pytest.mark.parametrize("job", sorted(SCIPY_FREE))
 def test_scipy_free_commands_never_load_scipy(job, tmp_path, fourroom_embedding):
     argv = [a.format(emb=fourroom_embedding) for a in SCIPY_FREE[job]]
-    code, modules = scipy_modules_after(argv + ["--out", tmp_path / "o"])
-    assert (code, modules) == (0, "[]")
+    code, modules = modules_after(argv + ["--out", tmp_path / "o"])
+    assert (code, scipy_of(modules)) == (0, [])
+    # the graph core dedupes without np.unique, which loads numpy.ma
+    assert "numpy.ma" not in modules
+    if job != "learn":
+        unused = {f"spectral_reach.{m}" for m in ("replearn", "shaping", "verify", "mds")}
+        assert not modules & unused
 
 
 @pytest.mark.parametrize("job", sorted(SCIPY_SOLVERS))
 def test_scipy_solver_commands_still_run(job, tmp_path):
-    code, _ = scipy_modules_after(SCIPY_SOLVERS[job] + ["--out", tmp_path / "o"])
+    code, _ = modules_after(SCIPY_SOLVERS[job] + ["--out", tmp_path / "o"])
     assert code == 0
+
+
+PUBLIC_NAMES = """ACTIONS ContinuousMazeSpec Embedding MazeSpec QLearningConfig RewardSpec
+SpectralBasis SpectralReachError StateGraph StateIndex __version__ build_graph centrality
+classic_mds collect_dataset commute commute_mc connected_components discretize_continuous
+double_center effective_resistance eig_sym equivalence_residual estimate_eigenvalues
+first_passage goal_distances laprep learned_ra_laprep parse_maze pseudo_inverse q_learning
+ra_laprep rep_quality run_experiment step top_bottlenecks train_graph_drawing
+truncation_tail""".split()
+
+
+def test_every_public_name_resolves_lazily():
+    assert spectral_reach.__all__ == PUBLIC_NAMES
+    proc = run_python(
+        "import sys\nimport spectral_reach as sr\n"
+        "assert not [m for m in sys.modules if m.startswith('spectral_reach.')]\n"
+        "import spectral_reach.commute  # the submodule, before the function of its name\n"
+        "from spectral_reach import *\n"
+        "for name in sr.__all__:\n"
+        "    obj = getattr(sr, name)\n"
+        "    assert globals()[name] is obj, name\n"
+        "    if callable(obj):\n"
+        "        assert getattr(sys.modules[obj.__module__], name) is obj, name\n"
+        "assert sr.commute is sys.modules['spectral_reach.commute'].commute\n"
+        "print(len(sr.__all__))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{len(spectral_reach.__all__)}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ import pytest
 from spectral_reach import layouts
 from spectral_reach.envgrid import (
     ACTIONS,
+    MAX_GRID_CELLS,
     ContinuousMazeSpec,
+    MazeSpec,
     WallRect,
     discretize_continuous,
     goal_state,
@@ -19,6 +21,7 @@ from spectral_reach.envgrid import (
 )
 from spectral_reach.errors import (
     GoalIsWall,
+    MapError,
     InvalidState,
     NoFloor,
     OpenBorder,
@@ -239,6 +242,141 @@ class TestContinuous:
         cm = ContinuousMazeSpec.from_json(json.dumps(payload))
         assert cm.width == 4.0
         assert cm.walls[0].h == 2.0
+
+
+def _scalar_discretize(cm: ContinuousMazeSpec, resolution: int) -> MazeSpec:
+    """The per-cell loop ``discretize_continuous`` replaced, kept as its oracle."""
+    nx = int(round(cm.width * resolution))
+    ny = int(round(cm.height * resolution))
+    assert 0 < nx * ny <= MAX_GRID_CELLS
+    rows = ["#" * (nx + 2)]
+    found_floor = False
+    for j in range(ny):
+        cy = (j + 0.5) / resolution
+        row = ["#"]
+        for i in range(nx):
+            cx = (i + 0.5) / resolution
+            clear = all(r.clearance(cx, cy) >= cm.radius - 1e-12 for r in cm.walls)
+            row.append("." if clear else "#")
+            found_floor = found_floor or clear
+        row.append("#")
+        rows.append("".join(row))
+    rows.append("#" * (nx + 2))
+    if not found_floor:
+        raise NoFloor("no cell gives the agent disk clearance from all walls")
+    return MazeSpec(width=nx + 2, height=ny + 2, rows=tuple(rows))
+
+
+def _same_as_oracle(cm: ContinuousMazeSpec, resolution: int) -> bool:
+    """Whether both discretizations give the same maze, or both raise NoFloor."""
+    try:
+        expected = _scalar_discretize(cm, resolution)
+    except NoFloor:
+        with pytest.raises(NoFloor):
+            discretize_continuous(cm, resolution)
+        return True
+    return discretize_continuous(cm, resolution) == expected
+
+
+def _rooms_layout(rng, rooms: int, size: int, door: int) -> ContinuousMazeSpec:
+    """rooms x rooms rooms of size x size units, one door gap per partition segment."""
+    width = rooms * size + rooms - 1
+    walls = []
+    for k in range(1, rooms):
+        at = k * (size + 1) - 1
+        for j in range(rooms):
+            lo = j * (size + 1)
+            start, end = (lo - 1 if j else lo), (lo + size + 1 if j < rooms - 1 else lo + size)
+            for vertical in (True, False):
+                gap = lo + 1 + int(rng.integers(size - door - 1))
+                for a, b in ((start, gap), (gap + door, end)):
+                    walls.append(WallRect(at, a, 1, b - a) if vertical else WallRect(a, at, b - a, 1))
+    return ContinuousMazeSpec(width=width, height=width, radius=0.5, walls=tuple(walls))
+
+
+def _touching_layout(rng) -> ContinuousMazeSpec:
+    """Walls on the half-cell lattice of resolution 1, 2 or 4, so disks touch walls exactly.
+
+    Walls may have zero width or height and lie on the box edge; radii
+    include 0 and the exact distances to lattice corners.
+    """
+    half = 2 ** int(rng.integers(1, 4))               # lattice steps per unit
+    width = int(rng.integers(1, 7 * half)) / half
+    height = int(rng.integers(1, 7 * half)) / half
+    walls = []
+    for _ in range(int(rng.integers(0, 6))):
+        x = int(rng.integers(0, round(width * half) + 1)) / half
+        y = int(rng.integers(0, round(height * half) + 1)) / half
+        w = int(rng.integers(0, round((width - x) * half) + 1)) / half
+        h = int(rng.integers(0, round((height - y) * half) + 1)) / half
+        walls.append(WallRect(x, y, w, h))
+    a, b = (int(v) / half for v in rng.integers(0, 4, size=2))
+    radius = float(rng.choice([0.0, 0.25, 0.5, 1.0, math.hypot(a, b), rng.random()]))
+    return ContinuousMazeSpec(width=width, height=height, radius=radius, walls=tuple(walls))
+
+
+class TestDiscretizationOracle:
+    @pytest.mark.parametrize("name", ["continuous_a", "continuous_b"])
+    @pytest.mark.parametrize("resolution", range(1, 9))
+    def test_bundled_layouts(self, name, resolution):
+        assert _same_as_oracle(layouts.load_bundled(name), resolution)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_rooms_layouts(self, seed):
+        rng = np.random.default_rng(seed)
+        cm = _rooms_layout(rng, rooms=int(rng.integers(2, 4)), size=int(rng.integers(5, 11)),
+                           door=2)
+        for resolution in (1, 2, 3):
+            assert _same_as_oracle(cm, resolution)
+
+    def test_random_touching_layouts(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            cm = _touching_layout(rng)
+            for resolution in (1, 2, 4):
+                if round(cm.width * resolution) and round(cm.height * resolution):
+                    assert _same_as_oracle(cm, resolution), cm
+
+    @pytest.mark.parametrize("width,height", [(5.0, 1.0), (1.0, 5.0), (1.0, 1.0)])
+    def test_one_row_and_one_column_boxes(self, width, height):
+        splits = (WallRect(width / 2, 0.0, 0.0, height), WallRect(0.0, height / 2, width, 0.0))
+        for walls in ((), splits[:1], splits[1:], (WallRect(0.0, 0.0, 0.5, 0.5),)):
+            for radius in (0.0, 0.5, 0.6):
+                cm = ContinuousMazeSpec(width=width, height=height, radius=radius, walls=walls)
+                assert _same_as_oracle(cm, 1)
+
+    def test_no_floor_still_raised(self):
+        cm = ContinuousMazeSpec(width=3, height=2, radius=0.1, walls=(WallRect(0, 0, 3, 2),))
+        with pytest.raises(NoFloor):
+            _scalar_discretize(cm, 3)
+        assert _same_as_oracle(cm, 3)
+
+    def test_grid_cap_still_refused(self):
+        cm = ContinuousMazeSpec(width=1001, height=1000, radius=0.0, walls=())
+        with pytest.raises(MapError, match="more than"):
+            discretize_continuous(cm, 1)
+
+    def test_last_ulp_hypot_difference_decided_by_scalar_rule(self):
+        # A wall corner whose distance from the first cell center differs
+        # in the last ulp between math.hypot and np.hypot, with the radius
+        # set so that the two disagree on whether the disk fits.
+        cases = []
+        for a in range(4, 60):
+            for b in range(6, 60):
+                dx, dy = a / 7 - 0.5, b / 11 - 0.5
+                if math.hypot(dx, dy) != np.hypot(dx, dy):
+                    cases.append((a / 7, b / 11, max(math.hypot(dx, dy), np.hypot(dx, dy))))
+        assert cases
+        for x, y, need in cases:
+            radius = need + 1e-12
+            while radius - 1e-12 != need:
+                radius = math.nextafter(radius, math.inf if radius - 1e-12 < need else 0.0)
+            side = 2 * math.ceil(max(x, y) + radius + 1)    # floor beyond the wall
+            cm = ContinuousMazeSpec(width=side, height=side, radius=radius,
+                                    walls=(WallRect(x, y, 0.5, 0.5),))
+            maze = discretize_continuous(cm, 1)
+            assert maze.is_floor(1, 1) == (cm.walls[0].clearance(0.5, 0.5) >= radius - 1e-12)
+            assert maze == _scalar_discretize(cm, 1)
 
 
 def _bundled(kind):

@@ -281,6 +281,61 @@ class TestNumpyCoreMatchesScipy:
         assert np.shares_memory(g.adjacency.indptr, g.indptr)
 
 
+def unique_csr(n, s, s2):
+    """The np.unique construction the sort-and-mask dedupe replaced."""
+    move = s != s2
+    src = np.concatenate([s[move], s2[move]])
+    dst = np.concatenate([s2[move], s[move]])
+    rows, cols = np.divmod(np.unique(src.astype(np.int64) * n + dst), n)
+    deg = np.bincount(rows, minlength=n).astype(np.int64)
+    return np.concatenate(([0], np.cumsum(deg))), cols, deg
+
+
+class TestSortedDedupeMatchesUnique:
+    """The sort-based CSR and component labels against np.unique, dtypes included."""
+
+    @pytest.mark.parametrize("size", [0, 1, 7, 1000])
+    def test_sorted_unique(self, size):
+        keys = np.random.default_rng(size).integers(0, 50, size)
+        got, want = graph.sorted_unique(keys), np.unique(keys)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_multi_edge_transitions(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        m = int(rng.integers(0, 4 * n))
+        s, s2 = rng.integers(0, n, m), rng.integers(0, n, m)
+        s2[: m // 3] = s[: m // 3]                     # wall bumps
+        s, s2 = np.concatenate([s, s2, s]), np.concatenate([s2, s, s2])   # repeats
+        g = graph_from_transitions(n, s, s2)
+        indptr, indices, deg = unique_csr(n, s, s2)
+        for got, want in ((g.indptr, indptr), (g.indices, indices), (g.degrees, deg)):
+            assert np.array_equal(got, want)
+        assert g.indices.dtype == g.indptr.dtype == oracle_csr(n, s, s2)[0].indices.dtype
+        assert g.degrees.dtype == np.int64
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_component_labels(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 300
+        m = [0, 50, 150, 250, 400, 900][seed]                # from all isolated to one piece
+        g = graph_from_transitions(n, rng.integers(0, n, m), rng.integers(0, n, m))
+        got = graph._component_labels(g)
+        want = np.unique(graph._component_roots(g), return_inverse=True)[1]
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert connected_components(g) == oracle_components(g.adjacency)
+
+    def test_one_state_without_moves(self):
+        none = np.zeros(0, np.int64)
+        g = graph_from_transitions(1, none, none)
+        assert g.indptr.tolist() == [0, 0] and g.indices.size == 0 and g.volume == 0
+        assert g.indptr.dtype == g.indices.dtype == oracle_csr(1, none, none)[0].indices.dtype
+        assert connected_components(g) == ((0,),)
+        g = graph_from_table(np.zeros((1, 4), dtype=np.int64))   # every move bumps
+        assert g.indices.size == 0 and connected_components(g) == ((0,),)
+
+
 class TestConnectivity:
     SEALED = "#######\n#..#..#\n#..#..#\n#######"
 

@@ -162,6 +162,14 @@ class TestCollectDataset:
         assert data.episodes.dtype == np.int64
         assert np.array_equal(data.episodes, want)
 
+    @pytest.mark.parametrize("name,episodes", [("tworoom", 1), ("biased", 5), ("fourroom", 300)])
+    def test_observed_edges_match_unique(self, name, episodes):
+        data = collect_dataset(layouts.load_bundled(name), episodes, 20, 0.0, seed=1)
+        s, s2 = data.pairs
+        move = s != s2
+        keys = np.minimum(s, s2)[move] * data.n_states + np.maximum(s, s2)[move]
+        assert data.observed_edges == len(np.unique(keys))
+
     def test_tworoom_walks_pinned(self, tworoom_data):
         # SHA-256 of the (2000, 51) int64 episode matrix, recorded with
         # the per-episode loop that the lockstep collection replaced.
