@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import sys
 import warnings
@@ -377,16 +376,14 @@ def cmd_bottleneck(args) -> int:
 
 
 def cmd_commute(args) -> int:
-    from .commute import commute, commute_mc
+    from .commute import commute, commute_mc, symmetric_csv
     maze = _load_maze(args.map, args.resolution)
     g = build_graph(maze)
     if args.method in ("solve", "pseudo-inverse"):
         mat = commute(g, args.method)
-        buf = io.StringIO()
-        np.savetxt(buf, mat.values, fmt="%.17g", delimiter=",")
         manifest = _manifest(args, {"method": args.method,
                                     "resolution": args.resolution}, [])
-        _write_outputs(args.out, manifest, {"commute.csv": buf.getvalue()})
+        _write_outputs(args.out, manifest, {"commute.csv": symmetric_csv(mat.values)})
         print(f"wrote {g.n_states}x{g.n_states} commute matrix ({args.method})")
         return 0
     if args.method == "mc":
@@ -499,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_map(p)
     p.add_argument("--method", choices=["solve", "pseudo-inverse", "mc"],
                    default="solve",
-                   help="solve: grounded Cholesky factorization, O(n^3); pseudo-inverse: "
+                   help="solve: inverse of the grounded Laplacian, O(n^3); pseudo-inverse: "
                         "eigenbasis; mc: seeded random walks for one --pair")
     p.add_argument("--pair", default=None, help="cells 'x,y:x,y' for --method mc")
     p.add_argument("--walks", type=int, default=100000)

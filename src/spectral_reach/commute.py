@@ -6,12 +6,13 @@ m(j|i) is the expected number of steps from i until the first visit to
 j, and the average commute time n(i, j) = m(j|i) + m(i|j).
 
 Two exact routes compute n for every pair, independently of each other:
-``solve`` takes n = V * R_eff from one Cholesky factorization of the
-grounded Laplacian (L without the row and column of state 0), O(n^3);
-``pseudo-inverse`` uses n(i, j) = V (l+_ii + l+_jj - 2 l+_ij) from the
-eigenbasis.  ``first_passage`` solves the n first-passage systems with
-dense LU, O(n^4); it is the oracle both routes are checked against.  A
-seeded Monte Carlo estimator cross-checks them all.
+``solve`` takes n = V * R_eff from the inverse of the grounded Laplacian
+(L without state 0's row and column), O(n^3); ``pseudo-inverse`` uses
+n(i, j) = V (l+_ii + l+_jj - 2 l+_ij) from the eigenbasis.  Both give an
+exactly symmetric matrix, which ``symmetric_csv`` writes by formatting
+about half of it.  ``first_passage``, dense LU on the n first-passage
+systems in O(n^4), is the oracle both are checked against, and a seeded
+Monte Carlo estimator cross-checks them all.
 
 Monte Carlo random source: SplitMix64 (the 64-bit mixer of Java's
 SplittableRandom).  Walk w's stream key is the w-th output of a
@@ -23,15 +24,16 @@ parallel execution produce bit-identical estimates.
 
 from __future__ import annotations
 
+import io
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 # Loaded lazily, so traced core functions are read through their module when
 # called: a name bound at import would keep a wrapper the core held then.
 from . import spectral
-from .errors import InvalidState, SingularSystem
+from .errors import InvalidState, NotSymmetric, SingularSystem
 from .graph import PseudoInverse, StateGraph, pseudo_inverse, require_connected
 
 #: default cap on a single sampled walk's total length
@@ -40,6 +42,8 @@ WALK_CAP = 10**6
 CAPPED_WARN_FRACTION = 1e-3
 
 COMMUTE_METHODS = ("solve", "pseudo-inverse")
+#: rows per block of ``symmetric_csv``
+CSV_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -68,13 +72,7 @@ class McEstimate:
     seed: int
 
     def as_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "walks": self.walks,
-            "capped": self.capped,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def first_passage(g: StateGraph) -> FirstPassageMatrix:
@@ -88,49 +86,73 @@ def first_passage(g: StateGraph) -> FirstPassageMatrix:
     n = g.n_states
     if n == 1:
         return FirstPassageMatrix(values=np.zeros((1, 1)))
-    p = g.adjacency.toarray() / g.degrees[:, None]
+    p = (g.dense_laplacian() < 0) / g.degrees[:, None]
     m = np.zeros((n, n), dtype=np.float64)
     ones = np.ones(n - 1, dtype=np.float64)
     for j in range(n):
         keep = np.arange(n) != j
-        system = np.eye(n - 1) - p[np.ix_(keep, keep)]
         try:
-            sol = np.linalg.solve(system, ones)
+            m[keep, j] = np.linalg.solve(np.eye(n - 1) - p[np.ix_(keep, keep)], ones)
         except np.linalg.LinAlgError as exc:
-            raise SingularSystem(
-                f"first-passage system for target state {j} is singular: {exc}"
-            ) from exc
-        m[keep, j] = sol
+            raise SingularSystem(f"first-passage system for target state {j} "
+                                 f"is singular: {exc}") from exc
     return FirstPassageMatrix(values=m)
 
 
 def commute(g: StateGraph, method: str = "solve") -> CommuteMatrix:
-    """Average commute times n(i, j) by one of the exact routes."""
-    if method == "solve":
-        # G = L0^-1 padded with a zero row and column for the ground state 0;
-        # R_eff(i, j) = G_ii + G_jj - 2 G_ij, with G_ij + G_ji keeping it symmetric
-        from scipy.linalg import cho_factor, cho_solve
+    """Average commute times n(i, j) = V R_eff(i, j) by one of the exact routes.
 
-        require_connected(g)
-        n = g.n_states
+    Both read R_eff(i, j) = G_ii + G_jj - 2 G_ij off a symmetric G:
+    ``solve`` the inverse of the grounded Laplacian, padded with a zero
+    row and column for the ground state 0; ``pseudo-inverse`` L+.  Taking
+    2 G_ij as G_ij + G_ji keeps n exactly symmetric.
+    """
+    if method not in COMMUTE_METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {COMMUTE_METHODS}")
+    require_connected(g)
+    if method == "solve":
+        gram = np.zeros((g.n_states, g.n_states))
         try:
-            factor = cho_factor(g.laplacian[1:, 1:].toarray())
+            gram[1:, 1:] = np.linalg.inv(g.dense_laplacian()[1:, 1:])
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"grounded Laplacian is singular: {exc}") from exc
-        grounded = np.zeros((n, n), dtype=np.float64)
-        grounded[1:, 1:] = cho_solve(factor, np.eye(n - 1))
-        diag = np.diag(grounded)
-        values = g.volume * (diag[:, None] + diag[None, :] - (grounded + grounded.T))
-        np.fill_diagonal(values, 0.0)
-    elif method == "pseudo-inverse":
-        require_connected(g)
-        plus = pseudo_inverse(g, spectral.eig_sym(g.dense_laplacian())).matrix
-        diag = np.diag(plus)
-        values = g.volume * (diag[:, None] + diag[None, :] - 2.0 * plus)
-        np.fill_diagonal(values, 0.0)
     else:
-        raise ValueError(f"unknown method {method!r}, expected one of {COMMUTE_METHODS}")
+        gram = pseudo_inverse(g, spectral.eig_sym(g.dense_laplacian())).matrix
+    diag = np.diag(gram)
+    values = g.volume * (diag[:, None] + diag[None, :] - (gram + gram.T))
+    np.fill_diagonal(values, 0.0)
     return CommuteMatrix(values=values, method=method)
+
+
+def symmetric_csv(values: np.ndarray) -> bytes:
+    """CSV bytes of an exactly symmetric matrix, equal to ``np.savetxt``'s
+    with ``fmt="%.17g"`` and ``delimiter=","``, from about half the formatting.
+
+    Blocks of ``CSV_BLOCK`` rows format from their first column on; left of
+    it they read the strings earlier blocks formatted, kept in compact
+    fixed-width bytes arrays dropped once read: at most about n^2 / 4 are held.
+    """
+    if not np.array_equal(values, values.T):
+        raise NotSymmetric("matrix is not exactly symmetric")
+    n, k = len(values), CSV_BLOCK
+    out = io.BytesIO()
+    above: dict[int, list] = {a: [] for a in range(0, n, k)}    # strings above each block
+    for a in range(0, n, k):
+        rows = [list(map(b"%.17g".__mod__, r)) for r in values[a:a + k, a:].tolist()]
+        right = np.array([row[k:] for row in rows])
+        for c in range(a + k, n, k):
+            above[c].append(right[:, c - a - k:c - a].copy())
+        left = np.concatenate(above.pop(a)).T.tolist() if a else [[]] * len(rows)
+        chunk = b"".join([b",".join(l + row) + b"\n" for l, row in zip(left, rows)])
+        if not a:
+            # Reserve the size the first rows predict: a buffer grown write
+            # by write is moved as it grows, and a move holds two copies.
+            out.seek(len(chunk) * n // len(rows) - 1)
+            out.write(b"\0")
+            out.seek(0)
+        out.write(chunk)
+    out.truncate()
+    return out.getvalue()
 
 
 def effective_resistance(g: StateGraph, plus: PseudoInverse, s: int, s2: int) -> float:
@@ -198,34 +220,27 @@ def commute_mc(
     first, nbrs, deg = g.indptr, g.indices, g.degrees
     keys = _stream_keys(seed, walks)
 
+    # Every active walk has taken the same t steps; pos, keys and phase hold
+    # the active walks only, and active maps them back to walk numbers.
     pos = np.full(walks, s, dtype=np.int64)
     phase = np.zeros(walks, dtype=bool)          # False: heading to s2, True: returning
-    steps = np.zeros(walks, dtype=np.int64)
     totals = np.zeros(walks, dtype=np.int64)
     capped = np.zeros(walks, dtype=bool)
-    active = np.arange(walks)
-
+    active, t = np.arange(walks), 0
     with np.errstate(over="ignore"):
         while active.size:
-            t = steps[active].astype(np.uint64)
-            draw = _splitmix64(keys[active] + (t + _U64(1)) * _GAMMA)
+            t += 1
+            draw = _splitmix64(keys + _U64(t) * _GAMMA)
             u = (draw >> _U64(11)).astype(np.float64) * (2.0 ** -53)
-            cur = pos[active]
-            k = (u * deg[cur]).astype(np.int64)
-            nxt = nbrs[first[cur] + k]
-            pos[active] = nxt
-            steps[active] += 1
-
-            phase[active] |= nxt == s2
-            done = phase[active] & (nxt == s)
-            over = steps[active] >= cap
-
-            finished = done | over
+            pos = nbrs[first[pos] + (u * deg[pos]).astype(np.int64)]
+            phase |= pos == s2
+            done = phase & (pos == s)
+            finished = done | (t == cap)         # a walk done at the cap is not capped
             if finished.any():
-                fin = active[finished]
-                totals[fin] = steps[fin]
-                capped[fin] = over[finished] & ~done[finished]
-                active = active[~finished]
+                totals[active[finished]] = t
+                capped[active[finished & ~done]] = True
+                keep = ~finished
+                active, pos, keys, phase = active[keep], pos[keep], keys[keep], phase[keep]
 
     used = totals[~capped]
     n_capped = int(capped.sum())

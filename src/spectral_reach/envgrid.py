@@ -214,6 +214,11 @@ class WallRect:
         dy = max(self.y - py, 0.0, py - (self.y + self.h))
         return math.hypot(dx, dy)
 
+    def clears(self, px: float, py: float, need: float) -> bool:
+        """Clearance >= need for a disk at (px, py): never from strictly inside."""
+        inside = self.x < px < self.x + self.w and self.y < py < self.y + self.h
+        return not inside and self.clearance(px, py) >= need
+
 
 @dataclass(frozen=True)
 class ContinuousMazeSpec:
@@ -262,8 +267,9 @@ class ContinuousMazeSpec:
 def discretize_continuous(cm: ContinuousMazeSpec, resolution: int) -> MazeSpec:
     """Overlay a uniform grid of ``resolution`` cells per unit length.
 
-    A grid cell becomes Floor iff the agent disk centered at the cell
-    center keeps clearance >= radius from every wall rectangle; the grid
+    A grid cell becomes Floor iff its center lies strictly inside no wall
+    rectangle and the agent disk centered there keeps clearance >= radius
+    from every one (so a wall blocks its inner cells at radius 0); the grid
     is padded with a one-cell wall border.  Raises NoFloor when nothing
     survives (resolution too coarse or walls fill the space), and
     MapError when the grid would have more than MAX_GRID_CELLS cells.
@@ -292,12 +298,13 @@ def discretize_continuous(cm: ContinuousMazeSpec, resolution: int) -> MazeSpec:
         dx = np.maximum(np.maximum(r.x - cx, 0.0), cx - (r.x + r.w))
         dy = np.maximum(np.maximum(r.y - cy, 0.0), cy - (r.y + r.h))
         dist = np.hypot(dx, dy[:, None])
-        keeps = dist >= need
+        inside = ((r.y < cy) & (cy < r.y + r.h))[:, None] & (r.x < cx) & (cx < r.x + r.w)
+        keeps = (dist >= need) & ~inside
         # np.hypot and math.hypot may differ in the last ulp (under 1e-9 for
         # any distance in a capped grid): cells this close to the bound are
         # decided by the scalar rule itself.
         for j, i in zip(*np.nonzero(np.abs(dist - need) <= 1e-9)):
-            keeps[j, i] = r.clearance(float(cx[i]), float(cy[j])) >= need
+            keeps[j, i] = r.clears(float(cx[i]), float(cy[j]), need)
         clear &= keeps
     if not clear.any():
         raise NoFloor("no cell gives the agent disk clearance from all walls")

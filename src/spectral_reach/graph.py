@@ -231,9 +231,11 @@ def geodesic_matrix(g: StateGraph) -> np.ndarray:
 
 
 def pseudo_inverse(g: StateGraph, basis) -> PseudoInverse:
-    """L+ from the spectral side: sum of (1/lambda_i) v_i v_i^T over i >= 2.
+    """L+ = Phi Phi^T, Phi_i = v_i / sqrt(lambda_i) for i >= 2: the RA-LapRep columns.
 
-    Requires a full basis and a connected graph (exactly one zero eigenvalue).
+    numpy forms a product with its own transpose from one triangle and
+    mirrors it, so L+ is exactly symmetric.  Requires a full basis and a
+    connected graph (exactly one zero eigenvalue).
     """
     basis.require_full("pseudo_inverse")
     lam = basis.eigenvalues
@@ -243,9 +245,8 @@ def pseudo_inverse(g: StateGraph, basis) -> PseudoInverse:
             f"basis has {vec.shape[0]} states, graph has {g.n_states}"
         )
     basis.require_connected()
-    tail = vec[:, 1:]
-    plus = (tail / lam[1:]) @ tail.T
-    return PseudoInverse(matrix=plus)
+    phi = vec[:, 1:] / np.sqrt(lam[1:])
+    return PseudoInverse(matrix=phi @ phi.T)
 
 
 def export_graph_json(g: StateGraph) -> dict:

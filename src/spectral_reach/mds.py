@@ -53,11 +53,9 @@ def double_center(d2: np.ndarray) -> np.ndarray:
         raise NotSymmetric(
             f"a squared-dissimilarity matrix needs a zero diagonal; max |diag| = {diag:.3e}"
         )
-    n = d2.shape[0]
     row_mean = d2.mean(axis=1, keepdims=True)
     col_mean = d2.mean(axis=0, keepdims=True)
-    b = -0.5 * (d2 - row_mean - col_mean + d2.mean())
-    return b
+    return -0.5 * (d2 - row_mean - col_mean + d2.mean())
 
 
 def classic_mds(d2: np.ndarray) -> MdsResult:
@@ -84,12 +82,8 @@ def classic_mds(d2: np.ndarray) -> MdsResult:
             stacklevel=2,
         )
     x = vec[:, keep] * np.sqrt(lam[keep])
-    return MdsResult(
-        embedding=x,
-        eigenvalues=lam[keep],
-        indefinite=indefinite,
-        min_eigenvalue=min_eig,
-    )
+    return MdsResult(embedding=x, eigenvalues=lam[keep], indefinite=indefinite,
+                     min_eigenvalue=min_eig)
 
 
 def equivalence_residual(x: MdsResult, phi: Embedding, volume: int) -> float:

@@ -9,7 +9,7 @@ selection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,12 +31,7 @@ class CheckResult:
     detail: str
 
     def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _zoo():
@@ -60,9 +55,9 @@ def suite_env() -> list[CheckResult]:
 def suite_graph() -> list[CheckResult]:
     out = []
     for name, maze, g in _zoo():
-        sym = (g.adjacency != g.adjacency.T).nnz == 0
+        lap = g.dense_laplacian()
+        sym = np.array_equal(lap, lap.T)      # A is symmetric exactly when L = D - A is
         out.append(CheckResult("graph", f"{name}:adjacency-symmetric", sym, ""))
-        lap = g.laplacian.toarray()
         rowsum = float(np.max(np.abs(lap.sum(axis=1))))
         out.append(CheckResult(
             "graph", f"{name}:laplacian-zero-rowsums", rowsum <= 1e-12, f"max {rowsum:.2e}",
@@ -78,7 +73,7 @@ def suite_graph() -> list[CheckResult]:
             "graph", f"{name}:volume-is-degree-sum",
             g.volume == int(g.degrees.sum()) and g.volume == 2 * len(g.edges()), str(g.volume),
         ))
-        basis = spectral.eig_sym(g.laplacian)
+        basis = spectral.eig_sym(lap)
         plus = pseudo_inverse(g, basis).matrix
         resid = float(np.max(np.abs(lap @ plus @ lap - lap)))
         out.append(CheckResult(
@@ -94,7 +89,8 @@ def suite_graph() -> list[CheckResult]:
 def suite_spectral() -> list[CheckResult]:
     out = []
     for name, maze, g in _zoo():
-        basis = spectral.eig_sym(g.laplacian)
+        lap = g.dense_laplacian()
+        basis = spectral.eig_sym(lap)
         lam, vec = basis.eigenvalues, basis.eigenvectors
         out.append(CheckResult(
             "spectral", f"{name}:lambda1-zero", abs(float(lam[0])) <= 1e-9, f"{lam[0]:.2e}",
@@ -111,7 +107,7 @@ def suite_spectral() -> list[CheckResult]:
             "spectral", f"{name}:v1-constant",
             float(np.max(np.abs(np.abs(v1) - 1.0))) <= 1e-9, "",
         ))
-        basis2 = spectral.eig_sym(g.laplacian)
+        basis2 = spectral.eig_sym(lap)
         bitwise = np.array_equal(basis.eigenvectors, basis2.eigenvectors) and \
             np.array_equal(basis.eigenvalues, basis2.eigenvalues)
         out.append(CheckResult(
@@ -120,7 +116,7 @@ def suite_spectral() -> list[CheckResult]:
         # random quadratic form identity: x^T L x = sum over edges of squared diffs
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((42, g.n_states))))
         x = rng.normal(size=g.n_states)
-        lhs = float(x @ g.laplacian.toarray() @ x)
+        lhs = float(x @ lap @ x)
         rhs = float(sum((x[i] - x[j]) ** 2 for i, j in g.edges()))
         out.append(CheckResult(
             "spectral", f"{name}:quadratic-form", abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs)),
@@ -141,7 +137,7 @@ def suite_spectral() -> list[CheckResult]:
 def suite_commute() -> list[CheckResult]:
     out = []
     for name, maze, g in _zoo():
-        basis = spectral.eig_sym(g.laplacian)
+        basis = spectral.eig_sym(g.dense_laplacian())
         plus = pseudo_inverse(g, basis)
         m = first_passage(g).values
         n_solve = commute(g, "solve").values
@@ -185,7 +181,7 @@ def suite_commute() -> list[CheckResult]:
 def suite_mds() -> list[CheckResult]:
     out = []
     for name, maze, g in _zoo():
-        basis = spectral.eig_sym(g.laplacian)
+        basis = spectral.eig_sym(g.dense_laplacian())
         n_mat = commute(g, "solve").values
         b = double_center(n_mat)
         plus = pseudo_inverse(g, basis).matrix
@@ -217,7 +213,7 @@ def suite_mds() -> list[CheckResult]:
 def suite_tail() -> list[CheckResult]:
     out = []
     for name, maze, g in _zoo():
-        basis = spectral.eig_sym(g.laplacian)
+        basis = spectral.eig_sym(g.dense_laplacian())
         n = g.n_states
         vol = g.volume
         n_mat = commute(g, "solve").values
@@ -266,7 +262,7 @@ def suite_bottleneck() -> list[CheckResult]:
         maze = layouts.zoo_maze(name)
         g = graph.build_graph(maze)
         index = maze.state_index()
-        basis = spectral.eig_sym(g.laplacian)
+        basis = spectral.eig_sym(g.dense_laplacian())
         phi = spectral.ra_laprep(basis, g.n_states)
         cent = centrality(phi)
         doors = {index.of(c) for c in layouts.DOORWAYS[name]}
@@ -304,7 +300,7 @@ def suite_bottleneck() -> list[CheckResult]:
     # the largest centrality outright; full-dimension distances (the
     # commute metric) dilute their advantage to ~top 23%.
     maze, g, index, phi, cent, doors = reports["fourroom"]
-    phi10 = spectral.ra_laprep(spectral.eig_sym(g.laplacian), 10)
+    phi10 = spectral.ra_laprep(spectral.eig_sym(g.dense_laplacian()), 10)
     selected = set(make_report(phi10, 0.2).selected)
     out.append(CheckResult(
         "bottleneck", "fourroom:doorways-in-top-20pct-at-d10",

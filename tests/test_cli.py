@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import spectral_reach
 from spectral_reach import cli, graph, layouts
@@ -46,6 +45,28 @@ def count_calls(monkeypatch, fn):
 
     replace_everywhere(monkeypatch, fn, counting)
     return calls
+
+
+def peak_rss_bytes(argv):
+    """Peak RSS of one successful CLI run in a fresh process.
+
+    The child reports its own peak (VmHWM, reset by exec): the ru_maxrss
+    of wait4 also holds the peak the forking test process had reached.
+    """
+    proc = run_python(
+        "import re, sys\nfrom spectral_reach.cli import main\n"
+        f"code = main({[str(a) for a in argv]!r})\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
+        "sys.exit(code)\n")
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.splitlines()[-1]) * 1024
+
+
+def open_room_text(side):
+    """ASCII map of a side x side room without inner walls."""
+    wall = "#" * (side + 2)
+    return "\n".join([wall] + ["#" + "." * side + "#"] * side + [wall]) + "\n"
 
 
 def _no_constants(name):
@@ -356,23 +377,12 @@ class TestBottleneck:
 
     def test_peak_rss_on_ten_thousand_states(self, tmp_path):
         # a 100 x 100 open room; dense n x n distances would need 1.6 GB
-        walls = "#" * 102
-        (tmp_path / "open.txt").write_text(
-            "\n".join([walls] + ["#" + "." * 100 + "#"] * 100 + [walls]) + "\n")
-        argv = ["bottleneck", "--map", str(tmp_path / "open.txt"), "--d", "10",
-                "--out", str(tmp_path / "bn")]
-        # The child reports its own peak (VmHWM, reset by exec): the ru_maxrss
-        # of wait4 also holds the peak the forking test process had reached.
-        proc = run_python(
-            "import re, sys\nfrom spectral_reach.cli import main\n"
-            f"code = main({argv!r})\n"
-            "status = open('/proc/self/status').read()\n"
-            "print(re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
-            "sys.exit(code)\n")
-        assert proc.returncode == 0, proc.stderr
+        (tmp_path / "open.txt").write_text(open_room_text(100))
+        peak = peak_rss_bytes(["bottleneck", "--map", str(tmp_path / "open.txt"), "--d", "10",
+                               "--out", str(tmp_path / "bn")])
         rows = (tmp_path / "bn" / "bottlenecks.csv").read_text().splitlines()
         assert len(rows) == 10_001
-        assert int(proc.stdout.splitlines()[-1]) * 1024 < 200e6
+        assert peak < 200e6
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +430,8 @@ class TestCommute:
         def failing(a):
             raise np.linalg.LinAlgError("leading minor is not positive definite")
 
-        # the solve route imports cho_factor from scipy.linalg when it runs
-        monkeypatch.setattr(scipy.linalg, "cho_factor", failing)
+        # the solve route inverts the grounded Laplacian through np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", failing)
         assert main(["commute", "--map", "c4", "--method", "solve",
                      "--out", str(tmp_path / "c")]) == 3
         err = capsys.readouterr().err
@@ -430,6 +440,21 @@ class TestCommute:
         p.write_text(SPLIT)
         assert main(["commute", "--map", str(p), "--method", "solve",
                      "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("method", ["solve", "pseudo-inverse"])
+    def test_exact_routes_refuse_beyond_the_dense_cap(self, tmp_path, capsys, method):
+        assert main(["commute", "--map", "continuous_a", "--resolution", "5",
+                     "--method", method, "--out", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().err == (
+            "error: matrix size 5004 exceeds the dense solver cap 4096\n")
+
+    def test_pseudo_inverse_peak_rss_on_a_thousand_states(self, tmp_path):
+        # n = 1,024: each n x n float64 matrix is 8.4 MB, the CSV about 20 MB
+        (tmp_path / "open.txt").write_text(open_room_text(32))
+        peak = peak_rss_bytes(["commute", "--map", tmp_path / "open.txt",
+                               "--method", "pseudo-inverse", "--out", tmp_path / "c"])
+        assert len((tmp_path / "c" / "commute.csv").read_bytes().splitlines()) == 1024
+        assert peak <= 100e6
 
     def test_sampled_estimate_with_seed(self, tmp_path):
         out = tmp_path / "mc"
@@ -643,15 +668,16 @@ SCIPY_FREE = {
     "heatmap": ["heatmap", "{emb}", "--map", "fourroom", "--goal", "11,11"],
     "bottleneck-full": ["bottleneck", "--map", "fourroom"],
     "commute-pinv": ["commute", "--map", "fourroom", "--method", "pseudo-inverse"],
+    "commute-solve": ["commute", "--map", "fourroom", "--method", "solve"],
     "commute-mc": ["commute", "--map", "fourroom", "--method", "mc", "--pair", "1,1:11,11",
                    "--walks", "200", "--seed", "0"],
     "learn": ["learn", "--map", "fourroom", "--seed", "0", "--episodes", "100",
               "--iterations", "50", "--batch", "32"],
+    "verify": ["verify", "--suite", "all"],
 }
 SCIPY_SOLVERS = {
     "embed-partial": ["embed", "--map", "fourroom", "--d", "10"],
     "shape": ["shape", "--map", "fourroom", "--seed", "0", "--seeds", "2", "--episodes", "20"],
-    "commute-solve": ["commute", "--map", "fourroom", "--method", "solve"],
 }
 
 
@@ -670,7 +696,8 @@ def test_scipy_free_commands_never_load_scipy(job, tmp_path, fourroom_embedding)
     # the graph core dedupes without np.unique, which loads numpy.ma
     assert "numpy.ma" not in modules
     if job != "learn":
-        unused = {f"spectral_reach.{m}" for m in ("replearn", "shaping", "verify", "mds")}
+        runs = {"verify", "mds"} if job == "verify" else set()
+        unused = {f"spectral_reach.{m}" for m in {"replearn", "shaping", "verify", "mds"} - runs}
         assert not modules & unused
 
 

@@ -1,5 +1,7 @@
 """First-passage and commute times: exact routes and the Monte Carlo oracle."""
 
+import importlib
+import io
 import warnings
 
 import numpy as np
@@ -8,13 +10,15 @@ from conftest import rel_err
 
 from spectral_reach import layouts
 from spectral_reach.commute import (
+    CSV_BLOCK,
     commute,
     commute_mc,
     effective_resistance,
     first_passage,
+    symmetric_csv,
 )
 from spectral_reach.envgrid import ContinuousMazeSpec, discretize_continuous, parse_maze
-from spectral_reach.errors import GraphDisconnected
+from spectral_reach.errors import GraphDisconnected, NotSymmetric, SingularSystem
 from spectral_reach.graph import build_graph, pseudo_inverse
 from spectral_reach.spectral import eig_sym
 
@@ -22,6 +26,8 @@ DISCONNECTED = "#######\n#..#..#\n#..#..#\n#######"
 ONE_CELL = "###\n#.#\n###"
 #: every bundled map (the zoo among them), continuous layouts at resolution 1
 BUNDLED = tuple(sorted(layouts.bundled_files()))
+# the module: the package attribute of that name is the function
+commute_module = importlib.import_module("spectral_reach.commute")
 
 
 def bundled_graph(name):
@@ -139,7 +145,7 @@ class TestCommute:
 
 
 class TestGroundedSolve:
-    """The solve route: V * R_eff from the grounded Laplacian's Cholesky factor."""
+    """The solve route: V * R_eff from the inverse of the grounded Laplacian."""
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_agrees_with_first_passage_and_pseudo_inverse(self, name):
@@ -156,6 +162,63 @@ class TestGroundedSolve:
         n = commute(g, method="solve").values
         assert rel_err(n, commute(g, method="pseudo-inverse").values) <= 1e-9
         assert np.array_equal(n, n.T)
+
+
+class TestExactSymmetry:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_pseudo_inverse_and_both_routes_are_exactly_symmetric(self, name):
+        g = bundled_graph(name)
+        plus = pseudo_inverse(g, eig_sym(g.dense_laplacian())).matrix
+        assert np.array_equal(plus, plus.T)
+        for method in ("solve", "pseudo-inverse"):
+            n = commute(g, method=method).values
+            assert np.array_equal(n, n.T), method
+
+
+def savetxt_bytes(values):
+    buf = io.StringIO()
+    np.savetxt(buf, values, fmt="%.17g", delimiter=",")
+    return buf.getvalue().encode()
+
+
+class TestSymmetricCsv:
+    @pytest.mark.parametrize("seed,n", [(0, 2), (1, 7), (2, 40), (3, 129)])
+    def test_bytes_equal_savetxt(self, seed, n):
+        rng = np.random.default_rng(seed)
+        # exponent-form magnitudes, both signs, and signed zeros
+        a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-320, 300, size=(n, n))
+        a[rng.random((n, n)) < 0.1] = 0.0
+        a[rng.random((n, n)) < 0.1] = -0.0
+        a[rng.random((n, n)) < 0.1] = 3.0
+        values = np.triu(a) + np.triu(a, 1).T
+        assert np.array_equal(values, values.T)
+        assert symmetric_csv(values) == savetxt_bytes(values)
+
+    def test_every_size_around_the_row_block(self):
+        a = np.random.default_rng(4).standard_normal((3 * CSV_BLOCK + 1,) * 2) * 1e5
+        for n in range(1, len(a) + 1):
+            values = a[:n, :n] + a[:n, :n].T
+            assert symmetric_csv(values) == savetxt_bytes(values), n
+
+    def test_extremes_of_the_format_width(self):
+        values = np.array([[-1.2345678901234567e-308, -5e-324],
+                           [-5e-324, -np.finfo(float).max]])
+        assert len(max(("%.17g" % v for v in values.ravel()), key=len)) == 24
+        assert symmetric_csv(values) == savetxt_bytes(values)
+
+    def test_one_state(self):
+        assert symmetric_csv(np.zeros((1, 1))) == b"0\n"
+
+    def test_commute_matrices(self, zoo_graphs):
+        for method in ("solve", "pseudo-inverse"):
+            values = commute(zoo_graphs["fourroom"], method=method).values
+            assert symmetric_csv(values) == savetxt_bytes(values), method
+
+    def test_asymmetric_matrix_refused(self):
+        values = np.zeros((3, 3))
+        values[0, 2] = np.nextafter(0.0, 1.0)
+        with pytest.raises(NotSymmetric):
+            symmetric_csv(values)
 
 
 class TestEffectiveResistance:
@@ -245,6 +308,69 @@ class TestMonteCarlo:
         index = maze.state_index()
         est = commute_mc(build_graph(maze), *map(index.of, pair), walks=2000, seed=7)
         assert (est.estimate, est.stderr, est.capped) == (*expected, 0)
+
+
+def reference_mc(g, s, s2, walks, cap, seed):
+    """The per-walk step loop commute_mc replaced, kept as its oracle.
+
+    Returns (estimate, stderr, capped).
+    """
+    u64, gamma = np.uint64, commute_module._GAMMA
+    first, nbrs, deg = g.indptr, g.indices, g.degrees
+    keys = commute_module._stream_keys(seed, walks)
+    pos = np.full(walks, s, dtype=np.int64)
+    phase = np.zeros(walks, dtype=bool)
+    steps = np.zeros(walks, dtype=np.int64)
+    totals = np.zeros(walks, dtype=np.int64)
+    capped = np.zeros(walks, dtype=bool)
+    active = np.arange(walks)
+    with np.errstate(over="ignore"):
+        while active.size:
+            t = steps[active].astype(np.uint64)
+            draw = commute_module._splitmix64(keys[active] + (t + u64(1)) * gamma)
+            u = (draw >> u64(11)).astype(np.float64) * (2.0 ** -53)
+            cur = pos[active]
+            k = (u * deg[cur]).astype(np.int64)
+            nxt = nbrs[first[cur] + k]
+            pos[active] = nxt
+            steps[active] += 1
+            phase[active] |= nxt == s2
+            done = phase[active] & (nxt == s)
+            over = steps[active] >= cap
+            finished = done | over
+            if finished.any():
+                fin = active[finished]
+                totals[fin] = steps[fin]
+                capped[fin] = over[finished] & ~done[finished]
+                active = active[~finished]
+    used = totals[~capped]
+    stderr = float(used.std(ddof=1) / np.sqrt(used.size)) if used.size > 1 else 0.0
+    return float(used.mean()), stderr, int(capped.sum())
+
+
+class TestMonteCarloMatchesReferenceLoop:
+    # each cap, set near the pair's commute time, caps some walks and not all
+    @pytest.mark.parametrize("name,pair,cap", [
+        ("tworoom", (0, 8), 60), ("tworoom", (3, 1), 40), ("fourroom", (0, 60), 1200),
+        ("c4", (0, 2), 6), ("p3", (2, 0), 8),
+    ])
+    def test_identical_estimates(self, zoo_graphs, name, pair, cap):
+        g = zoo_graphs[name]
+        for seed in (0, 5, 2**40 + 3):
+            for walk_cap in (cap, 10**6):
+                want = reference_mc(g, *pair, walks=300, cap=walk_cap, seed=seed)
+                assert (0 < want[2] < 300) == (walk_cap == cap)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    est = commute_mc(g, *pair, walks=300, cap=walk_cap, seed=seed)
+                assert (est.estimate, est.stderr, est.capped) == want
+
+    def test_walk_done_exactly_at_the_cap_is_not_capped(self, zoo_graphs):
+        # on k2 every round trip takes exactly 2 steps
+        est = commute_mc(zoo_graphs["k2"], 0, 1, walks=50, cap=2, seed=1)
+        assert (est.estimate, est.capped) == (2.0, 0)
+        with pytest.warns(RuntimeWarning, match="cap"), pytest.raises(SingularSystem):
+            commute_mc(zoo_graphs["k2"], 0, 1, walks=50, cap=1, seed=1)
 
 
 class TestMetricProperty:

@@ -256,7 +256,10 @@ def _scalar_discretize(cm: ContinuousMazeSpec, resolution: int) -> MazeSpec:
         row = ["#"]
         for i in range(nx):
             cx = (i + 0.5) / resolution
-            clear = all(r.clearance(cx, cy) >= cm.radius - 1e-12 for r in cm.walls)
+            # a center strictly inside a wall is blocked at any radius, 0 included
+            clear = all(r.clearance(cx, cy) >= cm.radius - 1e-12
+                        and not (r.x < cx < r.x + r.w and r.y < cy < r.y + r.h)
+                        for r in cm.walls)
             row.append("." if clear else "#")
             found_floor = found_floor or clear
         row.append("#")
@@ -350,6 +353,22 @@ class TestDiscretizationOracle:
         with pytest.raises(NoFloor):
             _scalar_discretize(cm, 3)
         assert _same_as_oracle(cm, 3)
+
+    def test_wall_filling_the_box_leaves_no_floor_at_radius_zero(self):
+        cm = ContinuousMazeSpec(width=3, height=2, radius=0.0, walls=(WallRect(0, 0, 3, 2),))
+        for resolution in (1, 2, 3):
+            with pytest.raises(NoFloor):
+                discretize_continuous(cm, resolution)
+            assert _same_as_oracle(cm, resolution)
+
+    def test_cells_inside_a_wall_are_blocked_at_radius_zero(self):
+        # centers 1.5 and 2.5 lie inside the first wall; 3.5 and 4.5 lie on
+        # the second wall's edges, so their cells stay floor
+        walls = (WallRect(1, 0, 2, 1), WallRect(3.5, 0, 1, 1))
+        cm = ContinuousMazeSpec(width=5, height=1, radius=0.0, walls=walls)
+        maze = discretize_continuous(cm, 1)
+        assert maze.rows[1] == "#.##..#"
+        assert _same_as_oracle(cm, 1)
 
     def test_grid_cap_still_refused(self):
         cm = ContinuousMazeSpec(width=1001, height=1000, radius=0.0, walls=())
