@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import warnings
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,8 @@ from .graph import (
     connected_components,
     export_graph_json,
 )
-from .manifest import RunManifest, atomic_write_bytes, atomic_write_text, sha256_file
+from .manifest import (RunManifest, atomic_write_bytes, atomic_write_chunks, atomic_write_text,
+                       sha256_file)
 from .spectral import (
     Embedding,
     SpectralBasis,
@@ -114,13 +116,16 @@ def _manifest(args, config: dict, seeds: list[int]) -> RunManifest:
     return m
 
 
-def _write_outputs(out_dir: str, manifest: RunManifest, files: dict[str, str | bytes]) -> None:
+def _write_outputs(out_dir: str, manifest: RunManifest,
+                   files: dict[str, str | bytes | Iterable[bytes]]) -> None:
     out = Path(out_dir)
     for name, payload in files.items():
-        if isinstance(payload, bytes):
+        if isinstance(payload, str):
+            atomic_write_text(out / name, payload)
+        elif isinstance(payload, bytes):
             atomic_write_bytes(out / name, payload)
         else:
-            atomic_write_text(out / name, payload)
+            atomic_write_chunks(out / name, payload)
         manifest.outputs.append(name)
     atomic_write_text(out / "run_manifest.json", manifest.to_json())
 
@@ -202,7 +207,7 @@ def cmd_heatmap(args) -> int:
         raise SpectralReachError(f"--scale {args.scale} makes a heatmap of more than "
                                  f"{MAX_HEATMAP_PIXELS} pixels")
     index = maze.state_index()
-    emb, coords = embedding_from_csv(Path(args.embedding_csv).read_text())
+    emb, coords = embedding_from_csv(args.embedding_csv)
     if tuple(coords) != index.coords:
         raise SpectralReachError(
             f"embedding cells differ from the {len(index)} floor cells of the map"

@@ -9,8 +9,8 @@ Two exact routes compute n for every pair, independently of each other:
 ``solve`` takes n = V * R_eff from the inverse of the grounded Laplacian
 (L without state 0's row and column), O(n^3); ``pseudo-inverse`` uses
 n(i, j) = V (l+_ii + l+_jj - 2 l+_ij) from the eigenbasis.  Both give an
-exactly symmetric matrix, which ``symmetric_csv`` writes by formatting
-about half of it.  ``first_passage``, dense LU on the n first-passage
+exactly symmetric matrix, which ``symmetric_csv`` streams in row blocks,
+formatting about half of it.  ``first_passage``, dense LU on the n first-passage
 systems in O(n^4), is the oracle both are checked against, and a seeded
 Monte Carlo estimator cross-checks them all.
 
@@ -24,8 +24,8 @@ parallel execution produce bit-identical estimates.
 
 from __future__ import annotations
 
-import io
 import warnings
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -35,6 +35,7 @@ import numpy as np
 from . import spectral
 from .errors import InvalidState, NotSymmetric, SingularSystem
 from .graph import PseudoInverse, StateGraph, pseudo_inverse, require_connected
+from .spectral import CSV_BLOCK
 
 #: default cap on a single sampled walk's total length
 WALK_CAP = 10**6
@@ -42,8 +43,6 @@ WALK_CAP = 10**6
 CAPPED_WARN_FRACTION = 1e-3
 
 COMMUTE_METHODS = ("solve", "pseudo-inverse")
-#: rows per block of ``symmetric_csv``
-CSV_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -124,18 +123,21 @@ def commute(g: StateGraph, method: str = "solve") -> CommuteMatrix:
     return CommuteMatrix(values=values, method=method)
 
 
-def symmetric_csv(values: np.ndarray) -> bytes:
+def symmetric_csv(values: np.ndarray) -> Iterator[bytes]:
     """CSV bytes of an exactly symmetric matrix, equal to ``np.savetxt``'s
     with ``fmt="%.17g"`` and ``delimiter=","``, from about half the formatting.
 
-    Blocks of ``CSV_BLOCK`` rows format from their first column on; left of
-    it they read the strings earlier blocks formatted, kept in compact
-    fixed-width bytes arrays dropped once read: at most about n^2 / 4 are held.
+    One chunk per block of ``CSV_BLOCK`` rows, symmetry checked at the call.  A
+    block formats from its first column on; left of it, it reads earlier blocks'
+    strings, kept in compact fixed-width bytes arrays dropped once read (n^2 / 4 at most).
     """
     if not np.array_equal(values, values.T):
         raise NotSymmetric("matrix is not exactly symmetric")
+    return _symmetric_rows(values)
+
+
+def _symmetric_rows(values: np.ndarray) -> Iterator[bytes]:
     n, k = len(values), CSV_BLOCK
-    out = io.BytesIO()
     above: dict[int, list] = {a: [] for a in range(0, n, k)}    # strings above each block
     for a in range(0, n, k):
         rows = [list(map(b"%.17g".__mod__, r)) for r in values[a:a + k, a:].tolist()]
@@ -143,16 +145,7 @@ def symmetric_csv(values: np.ndarray) -> bytes:
         for c in range(a + k, n, k):
             above[c].append(right[:, c - a - k:c - a].copy())
         left = np.concatenate(above.pop(a)).T.tolist() if a else [[]] * len(rows)
-        chunk = b"".join([b",".join(l + row) + b"\n" for l, row in zip(left, rows)])
-        if not a:
-            # Reserve the size the first rows predict: a buffer grown write
-            # by write is moved as it grows, and a move holds two copies.
-            out.seek(len(chunk) * n // len(rows) - 1)
-            out.write(b"\0")
-            out.seek(0)
-        out.write(chunk)
-    out.truncate()
-    return out.getvalue()
+        yield b"".join([b",".join(l + row) + b"\n" for l, row in zip(left, rows)])
 
 
 def effective_resistance(g: StateGraph, plus: PseudoInverse, s: int, s2: int) -> float:

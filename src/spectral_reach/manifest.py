@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,12 +55,19 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    atomic_write_chunks(path, (data,))
+
+
+def atomic_write_chunks(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write the chunks in turn to a temporary file, then rename it over path:
+    an iterable that raises, or a failed write, leaves neither file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -255,11 +255,12 @@ def attraction_value_grad(
     """Weighted mean squared pair difference and its gradient in f."""
     diff = f[s] - f[s2]
     value = float(np.mean((diff * diff) @ weights))
-    grad = np.zeros_like(f)
     scaled = (2.0 / len(s)) * diff * weights
-    np.add.at(grad, s, scaled)
-    np.subtract.at(grad, s2, scaled)
-    return value, grad
+    # add scaled at s, then -scaled at s2: np.add.at and np.subtract.at's sums, bit for bit
+    n, d = f.shape
+    bins = (np.concatenate([s, s2])[:, None] * d + np.arange(d)).ravel()
+    grad = np.bincount(bins, np.concatenate([scaled, -scaled]).ravel(), minlength=n * d)
+    return value, grad.reshape(n, d)
 
 
 def penalty_value_grad(

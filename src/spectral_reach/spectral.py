@@ -19,8 +19,11 @@ need scipy, and they import it when called.
 
 from __future__ import annotations
 
+import itertools
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -46,6 +49,8 @@ PARTIAL_SHIFT = -1e-3
 #: seed of the partial solver's fixed Lanczos start vector
 PARTIAL_START_SEED = 0
 SIGN_CONVENTION = "max-abs-positive"
+#: rows per chunk of the streamed CSV writers
+CSV_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -251,7 +256,9 @@ def ra_laprep(basis: SpectralBasis, d: int) -> Embedding:
 def goal_distances(x: np.ndarray, goal: int) -> np.ndarray:
     """Euclidean distance of every row of an (n, k) array to row ``goal``."""
     check_state(goal, len(x))
-    return np.linalg.norm(x - x[goal], axis=1)
+    diff = x - x[goal]
+    diff *= diff          # np.linalg.norm's sum of squares, without its two n x k temporaries
+    return np.sqrt(np.add.reduce(diff, axis=1))
 
 
 def pairwise_sq_dists(e: Embedding) -> np.ndarray:
@@ -307,44 +314,49 @@ def tail_bound(basis: SpectralBasis, d: int) -> float:
 # exports
 # ---------------------------------------------------------------------------
 
-def embedding_to_csv(e: Embedding, coords: tuple[tuple[int, int], ...]) -> str:
-    """CSV with header state_index,x,y,e2,...,ed (one row per state)."""
+def embedding_to_csv(e: Embedding, coords: tuple[tuple[int, int], ...]) -> Iterator[bytes]:
+    """CSV with header state_index,x,y,e2,...,ed (one row per state), as
+    chunks of ``CSV_BLOCK`` rows; the coordinate count is checked at the call."""
     if len(coords) != e.n_states:
         raise InvalidState(
             f"coordinate list has {len(coords)} entries, embedding has {e.n_states}"
         )
     header = ",".join(["state_index", "x", "y"] + [f"e{i}" for i in range(2, e.d + 1)])
-    row = "%d,%d,%d" + ",%.17g" * e.vectors.shape[1] + "\n"
-    return "".join([header + "\n"] + [
-        row % (s, *coords[s], *v.tolist()) for s, v in enumerate(e.vectors)
-    ])
+    row = b"%d,%d,%d" + b",%.17g" * e.vectors.shape[1] + b"\n"
+    blocks = (b"".join([row % (s, *coords[s], *v) for s, v in
+                        enumerate(e.vectors[a:a + CSV_BLOCK].tolist(), start=a)])
+              for a in range(0, e.n_states, CSV_BLOCK))
+    return itertools.chain([header.encode() + b"\n"], blocks)
 
 
-def embedding_from_csv(text: str, kind: str = "") -> tuple[Embedding, list[tuple[int, int]]]:
-    """Parse an embedding CSV back into vectors and cell coordinates.
+def embedding_from_csv(path: str | Path,
+                       kind: str = "") -> tuple[Embedding, list[tuple[int, int]]]:
+    """Parse an embedding CSV file back into vectors and cell coordinates.
 
     Rows may come in any order, but their state_index column must be a
-    permutation of 0..n-1, and every state_index, x and y an integer.
+    permutation of 0..n-1, and every state_index, x and y an integer.  The
+    file is streamed twice: to count each row's fields, then by ``np.loadtxt``.
     """
-    lines = text.splitlines()
-    header = lines[0].split(",") if lines else []
-    if len(header) < 3:
-        raise MalformedEmbedding("embedding CSV lacks its state_index,x,y,... header")
-    for num, line in enumerate(lines[1:], start=2):
-        fields = line.count(",") + 1 if line else 0
-        if fields != len(header):
-            raise MalformedEmbedding(
-                f"embedding CSV line {num} has {fields} fields, "
-                f"its header has {len(header)}"
-            )
-    k = len(header) - 3
-    table = np.zeros(0, dtype=[("index", np.int64, 3), ("vector", np.float64, k)])
-    if len(lines) > 1:
-        try:
-            table = np.loadtxt(lines[1:], dtype=table.dtype, delimiter=",",
-                               comments=None, ndmin=1)
-        except ValueError as exc:
-            raise MalformedEmbedding(f"embedding CSV: {exc}") from None
+    with open(path) as f:
+        header = f.readline().rstrip("\n").split(",")
+        if len(header) < 3:
+            raise MalformedEmbedding("embedding CSV lacks its state_index,x,y,... header")
+        start, rows = f.tell(), 0
+        for rows, line in enumerate(f, start=1):
+            fields = line.count(",") + 1 if line != "\n" else 0
+            if fields != len(header):
+                raise MalformedEmbedding(
+                    f"embedding CSV line {rows + 1} has {fields} fields, "
+                    f"its header has {len(header)}"
+                )
+        k = len(header) - 3
+        table = np.zeros(0, dtype=[("index", np.int64, 3), ("vector", np.float64, k)])
+        if rows:
+            f.seek(start)
+            try:
+                table = np.loadtxt(f, dtype=table.dtype, delimiter=",", comments=None, ndmin=1)
+            except ValueError as exc:
+                raise MalformedEmbedding(f"embedding CSV: {exc}") from None
     order = np.argsort(table["index"][:, 0])
     if not np.array_equal(table["index"][order, 0], np.arange(len(table))):
         raise MalformedEmbedding(

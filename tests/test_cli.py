@@ -13,8 +13,9 @@ import pytest
 import spectral_reach
 from spectral_reach import cli, graph, layouts
 from spectral_reach.cli import main
-from spectral_reach.commute import commute, first_passage
-from spectral_reach.manifest import sha256_file
+from spectral_reach.commute import CommuteMatrix, commute, first_passage
+from spectral_reach.errors import NotSymmetric
+from spectral_reach.manifest import atomic_write_chunks, sha256_file
 
 SPLIT = "#######\n#..#..#\n#..#..#\n#######\n"
 
@@ -224,6 +225,31 @@ class TestHeatmap:
         rows = (out / "dist_grid.csv").read_text().strip().split("\n")
         values = [float(v) for v in rows[1].split(",")[1:4]]
         assert values == pytest.approx([np.sqrt(2), 1.0, 0.0])
+
+
+@pytest.fixture(scope="module")
+def thousand_state_embedding(tmp_path_factory):
+    """Peak RSS of ``embed`` at d = n on a 32 x 32 open room, and its embedding."""
+    tmp = tmp_path_factory.mktemp("room32")
+    (tmp / "open.txt").write_text(open_room_text(32))
+    peak = peak_rss_bytes(["embed", "--map", tmp / "open.txt", "--out", tmp / "emb"])
+    return peak, tmp / "open.txt", tmp / "emb" / "embedding.csv"
+
+
+class TestStreamedCsvPeakRss:
+    # n = 1,024: the embedding CSV is about 20 MB, each n x n float64 matrix 8.4 MB;
+    # the CSVs are written and read in row blocks, never held whole
+    def test_embed_at_full_dimension(self, thousand_state_embedding):
+        peak, _, csv_path = thousand_state_embedding
+        assert csv_path.stat().st_size > 20e6
+        assert peak <= 95e6
+
+    def test_heatmap_of_that_embedding(self, tmp_path, thousand_state_embedding):
+        _, map_path, csv_path = thousand_state_embedding
+        peak = peak_rss_bytes(["heatmap", csv_path, "--map", map_path, "--goal", "32,32",
+                               "--out", tmp_path / "heat"])
+        assert len((tmp_path / "heat" / "dist_grid.csv").read_text().splitlines()) == 34
+        assert peak <= 60e6
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +481,29 @@ class TestCommute:
                                "--method", "pseudo-inverse", "--out", tmp_path / "c"])
         assert len((tmp_path / "c" / "commute.csv").read_bytes().splitlines()) == 1024
         assert peak <= 100e6
+
+    def test_failure_mid_stream_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        def failing(values):
+            yield b"0,4\n"
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys.modules["spectral_reach.commute"], "symmetric_csv", failing)
+        out = tmp_path / "c"
+        assert main(["commute", "--map", "p3", "--method", "solve", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert list(out.iterdir()) == []
+
+    def test_asymmetric_matrix_refused_before_any_output(self, tmp_path, capsys, monkeypatch):
+        def skewed(g, method):
+            values = np.zeros((g.n_states, g.n_states))
+            values[0, 1] = 1.0
+            return CommuteMatrix(values=values, method=method)
+
+        monkeypatch.setattr(sys.modules["spectral_reach.commute"], "commute", skewed)
+        out = tmp_path / "c"
+        assert main(["commute", "--map", "p3", "--method", "solve", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: matrix is not exactly symmetric\n"
+        assert not out.exists()
 
     def test_sampled_estimate_with_seed(self, tmp_path):
         out = tmp_path / "mc"
@@ -701,6 +750,21 @@ def test_scipy_free_commands_never_load_scipy(job, tmp_path, fourroom_embedding)
         assert not modules & unused
 
 
+#: modules a streamed-CSV job may load beyond ``import spectral_reach.cli``: text
+#: files look up the locale's encoding, and each job imports its consumer module
+STREAMED_CSV_JOBS = {"embed-full": set(), "heatmap": set(),
+                     "commute-pinv": {"spectral_reach.commute"}}
+
+
+@pytest.mark.parametrize("job", sorted(STREAMED_CSV_JOBS))
+def test_streamed_csv_jobs_load_no_module_beyond_the_cli_import(job, tmp_path,
+                                                                 fourroom_embedding):
+    argv = [a.format(emb=fourroom_embedding) for a in SCIPY_FREE[job]]
+    code, modules = modules_after(argv + ["--out", tmp_path / "o"])
+    assert code == 0
+    assert modules - modules_after()[1] <= {"locale", "_locale"} | STREAMED_CSV_JOBS[job]
+
+
 @pytest.mark.parametrize("job", sorted(SCIPY_SOLVERS))
 def test_scipy_solver_commands_still_run(job, tmp_path):
     code, _ = modules_after(SCIPY_SOLVERS[job] + ["--out", tmp_path / "o"])
@@ -739,6 +803,23 @@ def test_every_public_name_resolves_lazily():
 # ---------------------------------------------------------------------------
 
 class TestManifests:
+    @pytest.mark.parametrize("error", [OSError(28, "No space left on device"),
+                                       NotSymmetric("formatting failed")])
+    def test_failed_chunk_stream_leaves_no_file(self, tmp_path, error):
+        def chunks():
+            yield b"0,1\n"
+            raise error
+
+        out = tmp_path / "out"
+        with pytest.raises(type(error)):
+            atomic_write_chunks(out / "commute.csv", chunks())
+        assert list(out.iterdir()) == []
+
+    def test_chunks_written_in_order(self, tmp_path):
+        atomic_write_chunks(tmp_path / "a.csv", iter([b"1,2\n", b"", b"3,4\n"]))
+        assert (tmp_path / "a.csv").read_bytes() == b"1,2\n3,4\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
     def test_rerun_reproduces_every_byte(self, tmp_path):
         out = tmp_path / "rr"
         argv = ["shape", "--map", "tworoom", "--kind", "ra_laprep,none",

@@ -181,6 +181,10 @@ def savetxt_bytes(values):
     return buf.getvalue().encode()
 
 
+def csv_bytes(values):
+    return b"".join(symmetric_csv(values))
+
+
 class TestSymmetricCsv:
     @pytest.mark.parametrize("seed,n", [(0, 2), (1, 7), (2, 40), (3, 129)])
     def test_bytes_equal_savetxt(self, seed, n):
@@ -192,31 +196,36 @@ class TestSymmetricCsv:
         a[rng.random((n, n)) < 0.1] = 3.0
         values = np.triu(a) + np.triu(a, 1).T
         assert np.array_equal(values, values.T)
-        assert symmetric_csv(values) == savetxt_bytes(values)
+        assert csv_bytes(values) == savetxt_bytes(values)
 
     def test_every_size_around_the_row_block(self):
         a = np.random.default_rng(4).standard_normal((3 * CSV_BLOCK + 1,) * 2) * 1e5
         for n in range(1, len(a) + 1):
             values = a[:n, :n] + a[:n, :n].T
-            assert symmetric_csv(values) == savetxt_bytes(values), n
+            chunks = list(symmetric_csv(values))
+            assert b"".join(chunks) == savetxt_bytes(values), n
+            # one chunk per block of rows
+            assert [c.count(b"\n") for c in chunks] == [
+                min(CSV_BLOCK, n - a) for a in range(0, n, CSV_BLOCK)], n
 
     def test_extremes_of_the_format_width(self):
         values = np.array([[-1.2345678901234567e-308, -5e-324],
                            [-5e-324, -np.finfo(float).max]])
         assert len(max(("%.17g" % v for v in values.ravel()), key=len)) == 24
-        assert symmetric_csv(values) == savetxt_bytes(values)
+        assert csv_bytes(values) == savetxt_bytes(values)
 
     def test_one_state(self):
-        assert symmetric_csv(np.zeros((1, 1))) == b"0\n"
+        assert csv_bytes(np.zeros((1, 1))) == b"0\n"
 
     def test_commute_matrices(self, zoo_graphs):
         for method in ("solve", "pseudo-inverse"):
             values = commute(zoo_graphs["fourroom"], method=method).values
-            assert symmetric_csv(values) == savetxt_bytes(values), method
+            assert csv_bytes(values) == savetxt_bytes(values), method
 
     def test_asymmetric_matrix_refused(self):
         values = np.zeros((3, 3))
         values[0, 2] = np.nextafter(0.0, 1.0)
+        # at the call, before any chunk is formatted or written
         with pytest.raises(NotSymmetric):
             symmetric_csv(values)
 

@@ -303,6 +303,21 @@ class TestObjectiveTerms:
         approx = finite_difference(lambda x: attraction_value_grad(x, w, s, s2)[0], f)
         assert np.max(np.abs(grad - approx)) < 1e-6
 
+    def test_attraction_gradient_equals_the_ufunc_at_scatter_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        for _ in range(300):
+            n, d, batch = rng.integers(1, 30), rng.integers(1, 12), rng.integers(1, 200)
+            f = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-5, 5)
+            w = rng.random(d) * 3.0
+            s, s2 = rng.integers(0, n, size=batch), rng.integers(0, n, size=batch)
+            _, grad = attraction_value_grad(f, w, s, s2)
+            want = np.zeros_like(f)
+            scaled = (2.0 / batch) * (f[s] - f[s2]) * w
+            np.add.at(want, s, scaled)
+            np.subtract.at(want, s2, scaled)
+            assert grad.shape == want.shape
+            assert np.array_equal(grad.view(np.int64), want.view(np.int64))
+
     def test_penalty_hand_value(self):
         # Uniform weights, f1 already unit-norm, f2 identically zero:
         # the only violation is the (2, 2) diagonal target.

@@ -20,6 +20,7 @@ from spectral_reach.errors import (
 )
 from spectral_reach.graph import build_graph, pseudo_inverse
 from spectral_reach.spectral import (
+    CSV_BLOCK,
     Embedding,
     basis_to_json,
     eig_sym,
@@ -363,14 +364,25 @@ def csv_module_writer(e, coords):
     return buf.getvalue()
 
 
-def assert_parses_like_the_csv_module(text):
-    """embedding_from_csv(text), checked bit for bit against a csv.reader
+def csv_text(e, coords):
+    return b"".join(embedding_to_csv(e, coords)).decode()
+
+
+def parse_text(text, tmp_path, kind=""):
+    """embedding_from_csv of text written to a file."""
+    path = tmp_path / "embedding.csv"
+    path.write_text(text)
+    return embedding_from_csv(path, kind=kind)
+
+
+def assert_parses_like_the_csv_module(text, tmp_path):
+    """embedding_from_csv on text, checked bit for bit against a csv.reader
     parse with float() per field."""
     reader = csv.reader(io.StringIO(text))
     next(reader)
     rows = sorted((int(r[0]), r) for r in reader)
     want = np.array([[float(v) for v in r[3:]] for _, r in rows])
-    back, coords = embedding_from_csv(text)
+    back, coords = parse_text(text, tmp_path)
     assert back.vectors.shape == want.shape
     assert np.array_equal(back.vectors.view(np.int64), want.view(np.int64))
     assert coords == [(int(r[1]), int(r[2])) for _, r in rows]
@@ -378,44 +390,60 @@ def assert_parses_like_the_csv_module(text):
 
 
 class TestSerialization:
-    def test_csv_round_trip(self, zoo_bases, zoo_graphs):
+    def test_csv_round_trip(self, zoo_bases, zoo_graphs, tmp_path):
         g = zoo_graphs["tworoom"]
         e = ra_laprep(zoo_bases["tworoom"], 4)
         coords = tuple(map(tuple, g.coords))
-        text = embedding_to_csv(e, coords)
+        text = csv_text(e, coords)
         header = text.splitlines()[0]
         assert header == "state_index,x,y,e2,e3,e4"
-        back, coords_back = embedding_from_csv(text, kind=e.kind)
+        back, coords_back = parse_text(text, tmp_path, kind=e.kind)
         assert np.array_equal(back.vectors, e.vectors)
         assert tuple(coords_back) == coords
 
     @pytest.mark.parametrize("name", PARTIAL_MAPS)
-    def test_csv_bytes_and_parse_match_the_csv_module(self, name):
+    def test_csv_bytes_and_parse_match_the_csv_module(self, name, tmp_path):
         maze = layouts.load_bundled(name)
         if name.startswith("continuous"):
             maze = discretize_continuous(maze, 1)
         g = build_graph(maze)
         basis = eig_sym(g.laplacian)
         for e in (ra_laprep(basis, g.n_states), laprep(basis, min(10, g.n_states))):
-            text = embedding_to_csv(e, g.coords)
+            text = csv_text(e, g.coords)
             assert text == csv_module_writer(e, g.coords)
-            assert_parses_like_the_csv_module(text)
+            assert_parses_like_the_csv_module(text, tmp_path)
 
-    def test_csv_of_extreme_values(self):
+    def test_csv_of_extreme_values(self, tmp_path):
         v = np.array([[-0.0, 5e-324], [1e308, -1e-300], [0.1, -2.5e-310], [np.pi, -0.0]])
         e = Embedding(kind="ra_laprep", d=3, vectors=v)
         coords = ((1, 1), (2, 1), (1, 2), (12, 30))
-        text = embedding_to_csv(e, coords)
+        text = csv_text(e, coords)
         assert text == csv_module_writer(e, coords)
-        back = assert_parses_like_the_csv_module(text)
+        back = assert_parses_like_the_csv_module(text, tmp_path)
         assert np.array_equal(back.vectors.view(np.int64), v.view(np.int64))
 
-    def test_csv_rows_in_any_order(self, zoo_bases, zoo_graphs):
+    def test_streamed_rows_for_every_size_around_the_block(self):
+        v = np.random.default_rng(5).standard_normal((2 * CSV_BLOCK + 1, 3)) * 1e5
+        for n in range(1, len(v) + 1):
+            e = Embedding(kind="ra_laprep", d=4, vectors=v[:n])
+            coords = tuple((s % 7, s // 7) for s in range(n))
+            chunks = list(embedding_to_csv(e, coords))
+            assert b"".join(chunks).decode() == csv_module_writer(e, coords), n
+            # the header, then one chunk per block of rows
+            assert [c.count(b"\n") for c in chunks] == [1] + [
+                min(CSV_BLOCK, n - a) for a in range(0, n, CSV_BLOCK)], n
+
+    def test_coordinate_count_refused_before_the_first_chunk(self):
+        e = Embedding(kind="ra_laprep", d=2, vectors=np.zeros((3, 1)))
+        with pytest.raises(InvalidState, match="coordinate list has 2 entries"):
+            embedding_to_csv(e, ((1, 1), (2, 1)))
+
+    def test_csv_rows_in_any_order(self, zoo_bases, zoo_graphs, tmp_path):
         e = ra_laprep(zoo_bases["fourroom"], 10)
-        lines = embedding_to_csv(e, zoo_graphs["fourroom"].coords).splitlines()
+        lines = csv_text(e, zoo_graphs["fourroom"].coords).splitlines()
         body = lines[1:]
         np.random.default_rng(0).shuffle(body)
-        back = assert_parses_like_the_csv_module("\n".join([lines[0], *body]) + "\n")
+        back = assert_parses_like_the_csv_module("\n".join([lines[0], *body]) + "\n", tmp_path)
         assert np.array_equal(back.vectors.view(np.int64), e.vectors.view(np.int64))
 
     @pytest.mark.parametrize("body,needle", [
@@ -429,9 +457,34 @@ class TestSerialization:
         ("0,1,1,0.7\n\n1,2,1,-0.7\n", "line 3 has 0 fields"),
         ("0,1,1,0.7\n1,2,1,-0.7,3\n", "line 3 has 5 fields"),
     ])
-    def test_malformed_csv_rejected(self, body, needle):
+    def test_malformed_csv_rejected(self, body, needle, tmp_path):
         with pytest.raises(MalformedEmbedding, match=re.escape(needle)):
-            embedding_from_csv("state_index,x,y,e2\n" + body)
+            parse_text("state_index,x,y,e2\n" + body, tmp_path)
+
+    @pytest.mark.parametrize("row,bad,message", [
+        ("first", "{s},1,1", "embedding CSV line 2 has 3 fields, its header has 4"),
+        ("last", "{s},1,1,0.5,7", "embedding CSV line {line} has 5 fields, its header has 4"),
+        ("first", "{s},1,1,abc", "embedding CSV: could not convert string 'abc' to float64 "
+                                 "at row 0, column 4."),
+        ("last", "{s},1,x,0.5", "embedding CSV: could not convert string 'x' to int64 "
+                                "at row {row}, column 3."),
+    ])
+    def test_malformed_row_of_a_file_beyond_one_read_buffer(self, tmp_path, row, bad, message):
+        n = 4 * io.DEFAULT_BUFFER_SIZE // 10          # rows of at least 10 bytes
+        rows = [f"{s},{s % 9},{s // 9},{s / 7!r}" for s in range(n)]
+        at = 0 if row == "first" else n - 1
+        rows[at] = bad.format(s=at)
+        text = "state_index,x,y,e2\n" + "\n".join(rows) + "\n"
+        assert len(text) > 4 * io.DEFAULT_BUFFER_SIZE
+        with pytest.raises(MalformedEmbedding) as info:
+            parse_text(text, tmp_path)
+        assert str(info.value) == message.format(line=at + 2, row=at)
+
+    def test_header_only_and_empty_files(self, tmp_path):
+        back, coords = parse_text("state_index,x,y,e2,e3\n", tmp_path)
+        assert back.vectors.shape == (0, 2) and coords == []
+        with pytest.raises(MalformedEmbedding, match="lacks its state_index"):
+            parse_text("", tmp_path)
 
     def test_basis_json(self, zoo_bases):
         payload = basis_to_json(zoo_bases["p3"])
