@@ -7,6 +7,10 @@ cells), 3 numerical failures.  Stochastic subcommands require --seed;
 all outputs are written atomically and accompanied by a run manifest,
 and re-running a command with identical inputs reproduces every output
 byte for byte.
+
+Every subcommand runs through one pipeline, ``run``: it loads the
+--map once, calls the subcommand, which returns a ``Result``, then
+writes the result's files and manifest under --out and prints.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import hashlib
 import json
 import sys
 import warnings
-from collections.abc import Iterable
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +36,7 @@ from .graph import (
     connected_components,
     export_graph_json,
 )
-from .manifest import (RunManifest, atomic_write_bytes, atomic_write_chunks, atomic_write_text,
-                       sha256_file)
+from .manifest import RunManifest, atomic_write_bytes, atomic_write_chunks, sha256_file
 from .spectral import (
     Embedding,
     SpectralBasis,
@@ -71,63 +74,51 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _resolve_map(path: str) -> tuple[str, str, str]:
-    """Text, kind and input digest of a --map argument.
+@dataclass
+class Result:
+    """What a subcommand hands to the pipeline.
+
+    ``files`` maps each output name to its payload: ``str``, ``bytes``, a
+    ``dict`` or ``list`` (written as indented JSON), or an iterable of
+    byte chunks (streamed).  ``config`` and ``seeds`` go to the manifest.
+    """
+
+    stdout: str
+    files: dict = field(default_factory=dict)
+    config: dict = field(default_factory=dict)
+    seeds: list[int] = field(default_factory=list)
+    code: int = 0
+
+
+def _load_maze(path: str, resolution: int) -> tuple[MazeSpec, str]:
+    """Maze of a --map argument and the digest of its input.
 
     A path that does not exist and has no "/" names the bundled map of
     its stem; its digest is the SHA-256 of its text.  Any other path is
-    a file, of the kind its suffix gives, digested byte for byte.
+    a file, of the kind its suffix gives, digested byte for byte.  A
+    continuous layout is discretized at ``resolution`` cells per unit.
     """
     p = Path(path)
     bundled = layouts.bundled_files().get(p.stem)
     if bundled is not None and not p.exists() and "/" not in path:
-        text = bundled.read_text()
-        return text, layouts.kind_of(bundled.name), hashlib.sha256(text.encode()).hexdigest()
-    return p.read_text(), layouts.kind_of(path), sha256_file(p)
-
-
-def _load_maze(path: str, resolution: int) -> MazeSpec:
-    text, kind, _ = _resolve_map(path)
+        text, kind = bundled.read_text(), layouts.kind_of(bundled.name)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+    else:
+        text, kind, digest = p.read_text(), layouts.kind_of(path), sha256_file(p)
     maze = layouts.parse_map(text, kind)
     if kind == "continuous":
-        return discretize_continuous(maze, resolution)
-    return maze
+        maze = discretize_continuous(maze, resolution)
+    return maze, digest
 
 
-def _parse_cell(raw: str) -> tuple[int, int]:
+def _state(maze: MazeSpec, raw: str) -> int:
+    """State of the floor cell given as 'x,y'."""
     try:
         x, y = raw.split(",")
-        return int(x), int(y)
+        cell = int(x), int(y)
     except ValueError:
         raise SpectralReachError(f"expected a cell 'x,y', got {raw!r}") from None
-
-
-def _manifest(args, config: dict, seeds: list[int]) -> RunManifest:
-    m = RunManifest(
-        command=list(getattr(args, "argv", [])) or [args.cmd],
-        config=config,
-        seeds=seeds,
-        tool_version=__version__,
-    )
-    if getattr(args, "map", None):
-        m.input_digests[args.map] = _resolve_map(args.map)[2]
-    if getattr(args, "embedding_csv", None):
-        m.add_input(args.embedding_csv)
-    return m
-
-
-def _write_outputs(out_dir: str, manifest: RunManifest,
-                   files: dict[str, str | bytes | Iterable[bytes]]) -> None:
-    out = Path(out_dir)
-    for name, payload in files.items():
-        if isinstance(payload, str):
-            atomic_write_text(out / name, payload)
-        elif isinstance(payload, bytes):
-            atomic_write_bytes(out / name, payload)
-        else:
-            atomic_write_chunks(out / name, payload)
-        manifest.outputs.append(name)
-    atomic_write_text(out / "run_manifest.json", manifest.to_json())
+    return goal_state(maze, maze.state_index(), cell)
 
 
 def _spectral_embeddings(
@@ -147,37 +138,26 @@ def _spectral_embeddings(
 # subcommands: each imports the consumer module it runs, and no other
 # ---------------------------------------------------------------------------
 
-def cmd_env(args) -> int:
-    maze = _load_maze(args.map, args.resolution)
+def cmd_env(args, maze: MazeSpec) -> Result:
     g = build_graph(maze)
     payload = export_graph_json(g)
     n_comp = len(connected_components(g))
-    print(f"states={g.n_states} edges={len(payload['edges'])} "
-          f"volume={g.volume} components={n_comp}")
-    if args.out:
-        manifest = _manifest(args, {"resolution": args.resolution}, [])
-        _write_outputs(args.out, manifest, {
-            "graph.json": json.dumps(payload, indent=2) + "\n",
-            "map.txt": maze.render_text() + "\n",
-        })
-    return 0
+    return Result(f"states={g.n_states} edges={len(payload['edges'])} "
+                  f"volume={g.volume} components={n_comp}",
+                  {"graph.json": payload, "map.txt": maze.render_text() + "\n"})
 
 
-def cmd_embed(args) -> int:
-    maze = _load_maze(args.map, args.resolution)
+def cmd_embed(args, maze: MazeSpec) -> Result:
     g = build_graph(maze)
     d = args.d if args.d is not None else g.n_states
     kind = EMBED_KINDS[args.kind]
     basis, embs = _spectral_embeddings(g, d, [kind])
     # basis.json lists all n eigenvalues, even when only d pairs were solved for.
     spectrum = eigvals_banded(g.laplacian) if basis.is_partial else None
-    manifest = _manifest(args, {"kind": args.kind, "d": d, "resolution": args.resolution}, [])
-    _write_outputs(args.out, manifest, {
+    return Result(f"wrote {kind} embedding (d={d}) for {g.n_states} states to {args.out}", {
         "embedding.csv": embedding_to_csv(embs[kind], g.coords),
-        "basis.json": json.dumps(basis_to_json(basis, spectrum), indent=2) + "\n",
-    })
-    print(f"wrote {kind} embedding (d={d}) for {g.n_states} states to {args.out}")
-    return 0
+        "basis.json": basis_to_json(basis, spectrum),
+    }, {"kind": args.kind, "d": d})
 
 
 def _color(t: float) -> tuple[int, int, int]:
@@ -199,10 +179,9 @@ def _ppm(maze: MazeSpec, values: dict[tuple[int, int], float], scale: int) -> by
     return header + img.tobytes()
 
 
-def cmd_heatmap(args) -> int:
+def cmd_heatmap(args, maze: MazeSpec) -> Result:
     if args.scale < 1:
         raise SpectralReachError(f"--scale must be at least 1 pixel per cell, got {args.scale}")
-    maze = _load_maze(args.map, args.resolution)
     if maze.width * maze.height * args.scale ** 2 > MAX_HEATMAP_PIXELS:
         raise SpectralReachError(f"--scale {args.scale} makes a heatmap of more than "
                                  f"{MAX_HEATMAP_PIXELS} pixels")
@@ -212,46 +191,34 @@ def cmd_heatmap(args) -> int:
         raise SpectralReachError(
             f"embedding cells differ from the {len(index)} floor cells of the map"
         )
-    goal = goal_state(maze, index, _parse_cell(args.goal))
-    dist = goal_distances(emb.vectors, goal)
+    dist = goal_distances(emb.vectors, _state(maze, args.goal))
     values = {coords[s]: float(dist[s]) for s in range(len(coords))}
     grid_lines = [",".join(f"{values[(x, y)]:.17g}" if (x, y) in values else ""
                            for x in range(maze.width)) for y in range(maze.height)]
-    manifest = _manifest(args, {"goal": args.goal, "scale": args.scale,
-                                "resolution": args.resolution}, [])
-    _write_outputs(args.out, manifest, {
+    return Result(f"wrote distance grid and heatmap for goal {args.goal} to {args.out}", {
         "dist_grid.csv": "\n".join(grid_lines) + "\n",
         "heatmap.ppm": _ppm(maze, values, args.scale),
-    })
-    print(f"wrote distance grid and heatmap for goal {args.goal} to {args.out}")
-    return 0
+    }, {"goal": args.goal, "scale": args.scale})
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, _maze: None) -> Result:
     from .verify import run_suite
     try:
         results = run_suite(args.suite)
     except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 1
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        detail = f"  ({r.detail})" if r.detail else ""
-        print(f"{status} {r.suite}:{r.name}{detail}")
-    failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    if args.out:
-        manifest = _manifest(args, {"suite": args.suite}, [])
-        report = json.dumps([r.as_dict() for r in results], indent=2) + "\n"
-        _write_outputs(args.out, manifest, {"verify_report.json": report})
-    return 3 if failed else 0
+        raise SpectralReachError(exc.args[0]) from None
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.suite}:{r.name}"
+             + (f"  ({r.detail})" if r.detail else "") for r in results]
+    failed = sum(not r.passed for r in results)
+    lines.append(f"{len(results) - failed}/{len(results)} checks passed")
+    return Result("\n".join(lines), {"verify_report.json": [r.as_dict() for r in results]},
+                  {"suite": args.suite}, code=3 if failed else 0)
 
 
-def cmd_learn(args) -> int:
+def cmd_learn(args, maze: MazeSpec) -> Result:
     from .replearn import (TrainConfig, collect_dataset, estimate_eigenvalues,
                            learned_ra_laprep, rep_quality, train_graph_drawing,
                            training_log_csv)
-    maze = _load_maze(args.map, args.resolution)
     g = build_graph(maze)
     data = collect_dataset(
         maze,
@@ -280,31 +247,26 @@ def cmd_learn(args) -> int:
     geodesics = {goal: bfs_distances(g, goal) for goal in goals}
     quality = rep_quality(emb, truth, geodesics, goals, full_spectrum=basis.eigenvalues)
 
-    manifest = _manifest(args, {
+    return Result(f"trained d={d} table on {data.total_steps} transitions "
+                  f"(tau={args.tau}); outputs in {args.out}", {
+        "learned_embedding.csv": embedding_to_csv(emb, g.coords),
+        "eigenvalue_estimates.json": {
+            "estimates": [float(v) for v in lam],
+            "truth": [float(v) for v in basis.eigenvalues[1:d]],
+        },
+        "training_log.csv": training_log_csv(rep),
+        "quality.json": quality.as_dict(),
+    }, {
         "tau": args.tau, "d": d, "episodes": args.episodes,
         "episode_len": args.episode_len, "iterations": config.iterations,
         "batch": config.batch_size, "step_size": config.step_size,
         "sample_discount": config.discount, "penalty": config.penalty_weight,
-        "resolution": args.resolution,
     }, [args.seed])
-    _write_outputs(args.out, manifest, {
-        "learned_embedding.csv": embedding_to_csv(emb, g.coords),
-        "eigenvalue_estimates.json": json.dumps({
-            "estimates": [float(v) for v in lam],
-            "truth": [float(v) for v in basis.eigenvalues[1:d]],
-        }, indent=2) + "\n",
-        "training_log.csv": training_log_csv(rep),
-        "quality.json": json.dumps(quality.as_dict(), indent=2) + "\n",
-    })
-    print(f"trained d={d} table on {data.total_steps} transitions "
-          f"(tau={args.tau}); outputs in {args.out}")
-    return 0
 
 
-def cmd_shape(args) -> int:
+def cmd_shape(args, maze: MazeSpec) -> Result:
     from .shaping import (QLearningConfig, REWARD_KINDS, curves_csv, paired_auc_test,
                           run_experiment)
-    maze = _load_maze(args.map, args.resolution)
     g = build_graph(maze)
     index = maze.state_index()
     kinds = tuple(k.strip() for k in args.kind.split(","))
@@ -314,7 +276,7 @@ def cmd_shape(args) -> int:
                 f"unknown reward kind {k!r}, expected one of {REWARD_KINDS}"
             )
     if args.goal:
-        goals = (goal_state(maze, index, _parse_cell(args.goal)),)
+        goals = (_state(maze, args.goal),)
     else:
         if not maze.goal_cells:
             raise SpectralReachError(
@@ -326,14 +288,14 @@ def cmd_shape(args) -> int:
     embeddings = _spectral_embeddings(g, d, embedded)[1] if embedded else {}
     config = QLearningConfig(episodes=args.episodes)
     seeds = tuple(args.seed + i for i in range(args.seeds))
-    run = run_experiment(maze, kinds, goals, seeds, config, embeddings)
-    aggregate = run.aggregate()
+    experiment = run_experiment(maze, kinds, goals, seeds, config, embeddings)
+    aggregate = experiment.aggregate()
     report = {"aggregate": aggregate, "paired_tests": {}}
     if "ra_laprep" in kinds:
         for other in kinds:
             if other == "ra_laprep":
                 continue
-            diff, p = paired_auc_test(run, "ra_laprep", other)
+            diff, p = paired_auc_test(experiment, "ra_laprep", other)
             report["paired_tests"][f"ra_laprep>{other}"] = {
                 "mean_auc_diff": diff, "p_value": p,
             }
@@ -342,25 +304,20 @@ def cmd_shape(args) -> int:
         a = aggregate[kind]
         agg_lines.append(f"{kind},{a['auc']:.17g},{a['stderr']:.17g},"
                          f"{a['episodes_to_90pct']}")
-    manifest = _manifest(args, {
+    return Result("\n".join(f"{kind}: auc={aggregate[kind]['auc']:.4f} "
+                            f"episodes_to_90pct={aggregate[kind]['episodes_to_90pct']}"
+                            for kind in kinds), {
+        "curves.csv": curves_csv(experiment),
+        "aggregate.csv": "\n".join(agg_lines) + "\n",
+        "aggregate.json": report,
+    }, {
         "kinds": list(kinds), "goals": [list(index.coord(s)) for s in goals],
         "d": d, "episodes": args.episodes, "seeds": args.seeds,
-        "resolution": args.resolution,
     }, list(seeds))
-    _write_outputs(args.out, manifest, {
-        "curves.csv": curves_csv(run),
-        "aggregate.csv": "\n".join(agg_lines) + "\n",
-        "aggregate.json": json.dumps(report, indent=2) + "\n",
-    })
-    for kind in kinds:
-        a = aggregate[kind]
-        print(f"{kind}: auc={a['auc']:.4f} episodes_to_90pct={a['episodes_to_90pct']}")
-    return 0
 
 
-def cmd_bottleneck(args) -> int:
+def cmd_bottleneck(args, maze: MazeSpec) -> Result:
     from .bottleneck import make_report
-    maze = _load_maze(args.map, args.resolution)
     g = build_graph(maze)
     d = args.d if args.d is not None else g.n_states
     kind = EMBED_KINDS[args.kind]
@@ -370,50 +327,31 @@ def cmd_bottleneck(args) -> int:
     lines = ["state_index,x,y,cent,selected"] + [
         f"{s},{x},{y},{c:.17g},{int(s in selected)}"
         for s, ((x, y), c) in enumerate(zip(g.coords, report.cent.tolist()))]
-    manifest = _manifest(args, {
-        "kind": args.kind, "d": d, "frac": args.frac,
-        "invert": args.invert, "resolution": args.resolution,
-    }, [])
-    _write_outputs(args.out, manifest, {"bottlenecks.csv": "\n".join(lines) + "\n"})
-    coords = [g.coords[s] for s in report.selected]
-    print(f"selected {len(report.selected)} states: {coords}")
-    return 0
+    return Result(f"selected {len(report.selected)} states: "
+                  f"{[g.coords[s] for s in report.selected]}",
+                  {"bottlenecks.csv": "\n".join(lines) + "\n"},
+                  {"kind": args.kind, "d": d, "frac": args.frac, "invert": args.invert})
 
 
-def cmd_commute(args) -> int:
+def cmd_commute(args, maze: MazeSpec) -> Result:
     from .commute import commute, commute_mc, symmetric_csv
-    maze = _load_maze(args.map, args.resolution)
     g = build_graph(maze)
-    if args.method in ("solve", "pseudo-inverse"):
+    if args.method != "mc":
         mat = commute(g, args.method)
-        manifest = _manifest(args, {"method": args.method,
-                                    "resolution": args.resolution}, [])
-        _write_outputs(args.out, manifest, {"commute.csv": symmetric_csv(mat.values)})
-        print(f"wrote {g.n_states}x{g.n_states} commute matrix ({args.method})")
-        return 0
-    if args.method == "mc":
-        if args.seed is None:
-            raise SpectralReachError("--seed is required for --method mc")
-        if args.pair is None:
-            raise SpectralReachError("--pair is required for --method mc")
-        index = maze.state_index()
-        if args.pair.count(":") != 1:
-            raise SpectralReachError(f"expected --pair as cells 'x,y:x,y', got {args.pair!r}")
-        raw_a, raw_b = args.pair.split(":")
-        s = goal_state(maze, index, _parse_cell(raw_a))
-        s2 = goal_state(maze, index, _parse_cell(raw_b))
-        est = commute_mc(g, s, s2, walks=args.walks, seed=args.seed)
-        manifest = _manifest(args, {
-            "method": "mc", "pair": args.pair, "walks": args.walks,
-            "resolution": args.resolution,
-        }, [args.seed])
-        _write_outputs(args.out, manifest, {
-            "mc.json": json.dumps(est.as_dict(), indent=2) + "\n",
-        })
-        print(f"estimate {est.estimate:.4f} (stderr {est.stderr:.4f}, "
-              f"{est.capped} capped walks)")
-        return 0
-    raise SpectralReachError(f"unknown method {args.method!r}")
+        return Result(f"wrote {g.n_states}x{g.n_states} commute matrix ({args.method})",
+                      {"commute.csv": symmetric_csv(mat.values)}, {"method": args.method})
+    if args.seed is None:
+        raise SpectralReachError("--seed is required for --method mc")
+    if args.pair is None:
+        raise SpectralReachError("--pair is required for --method mc")
+    if args.pair.count(":") != 1:
+        raise SpectralReachError(f"expected --pair as cells 'x,y:x,y', got {args.pair!r}")
+    raw_a, raw_b = args.pair.split(":")
+    est = commute_mc(g, _state(maze, raw_a), _state(maze, raw_b),
+                     walks=args.walks, seed=args.seed)
+    return Result(f"estimate {est.estimate:.4f} (stderr {est.stderr:.4f}, "
+                  f"{est.capped} capped walks)", {"mc.json": est.as_dict()},
+                  {"method": "mc", "pair": args.pair, "walks": args.walks}, [args.seed])
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +450,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def run(args) -> int:
+    """Load the --map once, run the subcommand, write its files and
+    manifest under --out, print its stdout and return its exit code."""
+    maze, digests = None, {}
+    if hasattr(args, "map"):
+        maze, digests[args.map] = _load_maze(args.map, args.resolution)
+    result = args.func(args, maze)
+    if args.out is not None:
+        if maze is not None:
+            result.config["resolution"] = args.resolution
+        if hasattr(args, "embedding_csv"):
+            digests[args.embedding_csv] = sha256_file(args.embedding_csv)
+        manifest = RunManifest(args.argv, result.config, result.seeds, __version__,
+                               digests, list(result.files))
+        out = Path(args.out)
+        for name, payload in result.files.items():
+            if isinstance(payload, (dict, list)):
+                payload = json.dumps(payload, indent=2) + "\n"
+            if isinstance(payload, str):
+                payload = payload.encode()
+            if isinstance(payload, bytes):
+                atomic_write_bytes(out / name, payload)
+            else:
+                atomic_write_chunks(out / name, payload)
+        atomic_write_bytes(out / "run_manifest.json", manifest.to_json().encode())
+    print(result.stdout)
+    return result.code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     raw = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
@@ -521,11 +488,12 @@ def main(argv=None) -> int:
         # a warning is one stderr line, without the source location
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            return args.func(args)
+            return run(args)
         except SpectralReachError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return exc.exit_code
-        except (OSError, ValueError) as exc:       # JSONDecodeError is a ValueError
+        # JSONDecodeError is a ValueError; numpy's allocation failures are MemoryErrors
+        except (OSError, ValueError, MemoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .envgrid import MazeSpec, StateIndex, transition_table
+from .envgrid import MazeSpec, transition_table
 from .errors import DimensionMismatch, GraphDisconnected
 from .spectral import check_dense_size, check_state
 
@@ -119,11 +119,9 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[np.diff(keys, prepend=-1) != 0]
 
 
-def build_graph(maze: MazeSpec, index: StateIndex | None = None) -> StateGraph:
+def build_graph(maze: MazeSpec) -> StateGraph:
     """State graph of a maze: nodes are floor cells, edges are legal moves."""
-    if index is None:
-        index = maze.state_index()
-    return graph_from_table(transition_table(maze), tuple(index.coords))
+    return graph_from_table(transition_table(maze), maze.floor_cells)
 
 
 def graph_from_table(table: np.ndarray, coords: tuple[tuple[int, int], ...] = ()) -> StateGraph:

@@ -13,7 +13,7 @@ import json
 import os
 import tempfile
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 
@@ -26,19 +26,8 @@ class RunManifest:
     input_digests: dict[str, str] = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
 
-    def add_input(self, path: str | Path) -> None:
-        self.input_digests[str(path)] = sha256_file(path)
-
     def to_json(self) -> str:
-        body = {
-            "command": self.command,
-            "config": self.config,
-            "seeds": self.seeds,
-            "tool_version": self.tool_version,
-            "input_digests": self.input_digests,
-            "outputs": self.outputs,
-        }
-        return json.dumps(body, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def sha256_file(path: str | Path) -> str:
@@ -47,11 +36,6 @@ def sha256_file(path: str | Path) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text so the destination is never seen half-written."""
-    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:

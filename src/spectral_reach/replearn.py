@@ -443,23 +443,17 @@ def rep_quality(
         denom = np.linalg.norm(a) * np.linalg.norm(b)
         cosines[i] = abs(float(a @ b)) / denom if denom > 0 else np.nan
 
-    if full_spectrum is not None:
-        lam = np.asarray(full_spectrum, dtype=np.float64)
-        degenerate = np.zeros(cols, dtype=bool)
+    # column i holds eigen-index i + first of lam; it is degenerate when a
+    # neighboring eigenvalue is within 1e-9 * max(lam[-1], 1) of its own
+    degenerate = np.zeros(cols, dtype=bool)
+    lam, first = (full_spectrum, 1) if full_spectrum is not None else (truth.eigenvalues, 0)
+    if lam is not None:
+        lam = np.asarray(lam, dtype=np.float64)
         scale = max(float(lam[-1]), 1.0)
         for i in range(cols):
-            idx = i + 1           # column i holds eigen-index idx in 0-based terms
-            gaps = [abs(lam[j + 1] - lam[j]) for j in (idx - 1, idx) if j + 1 < len(lam)]
-            degenerate[i] = min(gaps) < 1e-9 * scale
-    elif truth.eigenvalues is not None:
-        lam = truth.eigenvalues
-        degenerate = np.zeros(cols, dtype=bool)
-        scale = max(float(lam[-1]), 1.0)
-        for i in range(cols):
-            near = [abs(lam[i] - lam[j]) for j in (i - 1, i + 1) if 0 <= j < cols]
+            k = i + first
+            near = [abs(lam[k] - lam[j]) for j in (k - 1, k + 1) if 0 <= j < len(lam)]
             degenerate[i] = bool(near) and min(near) < 1e-9 * scale
-    else:
-        degenerate = np.zeros(cols, dtype=bool)
 
     eig_rel_err = None
     if learned.eigenvalues is not None and truth.eigenvalues is not None:

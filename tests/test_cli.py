@@ -14,6 +14,7 @@ import spectral_reach
 from spectral_reach import cli, graph, layouts
 from spectral_reach.cli import main
 from spectral_reach.commute import CommuteMatrix, commute, first_passage
+from spectral_reach.envgrid import discretize_continuous
 from spectral_reach.errors import NotSymmetric
 from spectral_reach.manifest import atomic_write_chunks, sha256_file
 
@@ -431,7 +432,10 @@ class TestCommute:
         out = tmp_path / "c"
         assert main(["commute", "--map", map_name, "--method", method,
                      "--out", str(out)]) == 0
-        mat = commute(graph.build_graph(cli._load_maze(map_name, 1)), method)
+        maze = layouts.load_bundled(map_name)
+        if map_name == "continuous_a":
+            maze = discretize_continuous(maze, 1)
+        mat = commute(graph.build_graph(maze), method)
         expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in mat.values)
         assert (out / "commute.csv").read_bytes() == expected.encode()
 
@@ -576,6 +580,25 @@ def test_heatmap_scale_refused_before_allocating(tmp_path, scale):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: --scale {scale} makes a heatmap")
     assert not (tmp_path / "heat").exists()
+
+
+
+@pytest.mark.parametrize("argv", [
+    ["commute", "--map", "p3", "--method", "mc", "--pair", "1,1:3,1",
+     "--walks", "10000000000000", "--seed", "1"],
+    ["learn", "--map", "tworoom", "--seed", "0", "--episodes", "1000000000000"],
+], ids=["commute-mc-walks", "learn-episodes"])
+def test_out_of_memory_is_one_error_line(tmp_path, argv):
+    # numpy refuses the allocation inside the capped address space
+    argv = argv + ["--out", str(tmp_path / "out")]
+    proc = run_python("import resource, sys\n"
+                      "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+                      "from spectral_reach.cli import main\n"
+                      f"sys.exit(main({argv!r}))\n")
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv,code,needle", [
@@ -847,3 +870,44 @@ class TestManifests:
         assert main(["env", "--map", str(p), "--out", str(out)]) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["input_digests"][str(p)] == sha256_file(p)
+
+
+def _pipeline_argv(cmd, tmp):
+    csv = tmp / "embedding.csv"
+    csv.write_text(K2_EMBEDDING)
+    return {
+        "env": ["env", "--map", "k2"],
+        "embed": ["embed", "--map", "k2", "--d", "2"],
+        "heatmap": ["heatmap", str(csv), "--map", "k2", "--goal", "1,1", "--scale", "2"],
+        "verify": ["verify", "--suite", "env"],
+        "learn": _learn(tmp, "tworoom")[:-2],
+        "shape": ["shape", "--map", "tworoom", "--kind", "ra_laprep,none", "--goal", "5,2",
+                  "--episodes", "20", "--seed", "0", "--seeds", "2"],
+        "bottleneck": ["bottleneck", "--map", "tworoom"],
+        "commute": ["commute", "--map", "k2"],
+    }[cmd]
+
+
+@pytest.mark.parametrize("cmd", ["env", "embed", "heatmap", "verify", "learn", "shape",
+                                 "bottleneck", "commute"])
+def test_manifest_lists_every_output_and_input(tmp_path, cmd):
+    argv = _pipeline_argv(cmd, tmp_path)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) in (0, 3)
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    written = {p.name for p in out.iterdir()} - {"run_manifest.json"}
+    assert sorted(manifest["outputs"]) == sorted(written)
+    # every subcommand but verify requires --map
+    assert ("resolution" in manifest["config"]) == ("--map" in argv)
+    inputs = {argv[i + 1] for i, a in enumerate(argv) if a == "--map"}
+    if cmd == "heatmap":
+        inputs.add(argv[1])
+    assert set(manifest["input_digests"]) == inputs
+
+
+def test_file_map_digested_once(tmp_path, monkeypatch):
+    p = tmp_path / "rooms.txt"
+    p.write_text(layouts.bundled_text("tworoom"))
+    calls = count_calls(monkeypatch, sha256_file)
+    assert main(["env", "--map", str(p), "--out", str(tmp_path / "env")]) == 0
+    assert len(calls) == 1
