@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidState
+from .errors import InputError
 from .spectral import Embedding, sq_dists_rows
 
 #: distance-matrix rows ``centrality`` holds at once
@@ -40,7 +40,7 @@ def centrality(e: Embedding) -> np.ndarray:
     separation), naming the first such pair in row-major order.
     """
     if e.n_states < 2:
-        raise InvalidState("centrality needs at least two states")
+        raise InputError("centrality needs at least two states")
     x = e.vectors
     sq = np.sum(x * x, axis=1)
     sums = np.empty(e.n_states)

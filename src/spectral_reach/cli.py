@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from . import layouts
 from .envgrid import MAX_GRID_CELLS, MazeSpec, discretize_continuous, goal_state
-from .errors import SpectralReachError
+from .errors import InputError, SpectralReachError
 from .graph import (
     StateGraph,
     bfs_distances,
@@ -117,7 +117,7 @@ def _state(maze: MazeSpec, raw: str) -> int:
         x, y = raw.split(",")
         cell = int(x), int(y)
     except ValueError:
-        raise SpectralReachError(f"expected a cell 'x,y', got {raw!r}") from None
+        raise InputError(f"expected a cell 'x,y', got {raw!r}") from None
     return goal_state(maze, maze.state_index(), cell)
 
 
@@ -181,14 +181,14 @@ def _ppm(maze: MazeSpec, values: dict[tuple[int, int], float], scale: int) -> by
 
 def cmd_heatmap(args, maze: MazeSpec) -> Result:
     if args.scale < 1:
-        raise SpectralReachError(f"--scale must be at least 1 pixel per cell, got {args.scale}")
+        raise InputError(f"--scale must be at least 1 pixel per cell, got {args.scale}")
     if maze.width * maze.height * args.scale ** 2 > MAX_HEATMAP_PIXELS:
-        raise SpectralReachError(f"--scale {args.scale} makes a heatmap of more than "
-                                 f"{MAX_HEATMAP_PIXELS} pixels")
+        raise InputError(f"--scale {args.scale} makes a heatmap of more than "
+                         f"{MAX_HEATMAP_PIXELS} pixels")
     index = maze.state_index()
     emb, coords = embedding_from_csv(args.embedding_csv)
     if tuple(coords) != index.coords:
-        raise SpectralReachError(
+        raise InputError(
             f"embedding cells differ from the {len(index)} floor cells of the map"
         )
     dist = goal_distances(emb.vectors, _state(maze, args.goal))
@@ -206,7 +206,7 @@ def cmd_verify(args, _maze: None) -> Result:
     try:
         results = run_suite(args.suite)
     except KeyError as exc:
-        raise SpectralReachError(exc.args[0]) from None
+        raise InputError(exc.args[0]) from None
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.suite}:{r.name}"
              + (f"  ({r.detail})" if r.detail else "") for r in results]
     failed = sum(not r.passed for r in results)
@@ -270,16 +270,18 @@ def cmd_shape(args, maze: MazeSpec) -> Result:
     g = build_graph(maze)
     index = maze.state_index()
     kinds = tuple(k.strip() for k in args.kind.split(","))
-    for k in kinds:
+    for i, k in enumerate(kinds):
         if k not in REWARD_KINDS:
-            raise SpectralReachError(
+            raise InputError(
                 f"unknown reward kind {k!r}, expected one of {REWARD_KINDS}"
             )
+        if k in kinds[:i]:
+            raise InputError(f"reward kind {k!r} is given more than once")
     if args.goal:
         goals = (_state(maze, args.goal),)
     else:
         if not maze.goal_cells:
-            raise SpectralReachError(
+            raise InputError(
                 "no --goal given and the map has no 'G' cells"
             )
         goals = tuple(index.of(c) for c in maze.goal_cells)
@@ -341,11 +343,11 @@ def cmd_commute(args, maze: MazeSpec) -> Result:
         return Result(f"wrote {g.n_states}x{g.n_states} commute matrix ({args.method})",
                       {"commute.csv": symmetric_csv(mat.values)}, {"method": args.method})
     if args.seed is None:
-        raise SpectralReachError("--seed is required for --method mc")
+        raise InputError("--seed is required for --method mc")
     if args.pair is None:
-        raise SpectralReachError("--pair is required for --method mc")
+        raise InputError("--pair is required for --method mc")
     if args.pair.count(":") != 1:
-        raise SpectralReachError(f"expected --pair as cells 'x,y:x,y', got {args.pair!r}")
+        raise InputError(f"expected --pair as cells 'x,y:x,y', got {args.pair!r}")
     raw_a, raw_b = args.pair.split(":")
     est = commute_mc(g, _state(maze, raw_a), _state(maze, raw_b),
                      walks=args.walks, seed=args.seed)

@@ -33,7 +33,7 @@ import numpy as np
 # Loaded lazily, so traced core functions are read through their module when
 # called: a name bound at import would keep a wrapper the core held then.
 from . import spectral
-from .errors import InvalidState, NotSymmetric, SingularSystem
+from .errors import NumericalError, PreconditionError
 from .graph import PseudoInverse, StateGraph, pseudo_inverse, require_connected
 from .spectral import CSV_BLOCK
 
@@ -93,7 +93,7 @@ def first_passage(g: StateGraph) -> FirstPassageMatrix:
         try:
             m[keep, j] = np.linalg.solve(np.eye(n - 1) - p[np.ix_(keep, keep)], ones)
         except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"first-passage system for target state {j} "
+            raise NumericalError(f"first-passage system for target state {j} "
                                  f"is singular: {exc}") from exc
     return FirstPassageMatrix(values=m)
 
@@ -114,7 +114,7 @@ def commute(g: StateGraph, method: str = "solve") -> CommuteMatrix:
         try:
             gram[1:, 1:] = np.linalg.inv(g.dense_laplacian()[1:, 1:])
         except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"grounded Laplacian is singular: {exc}") from exc
+            raise NumericalError(f"grounded Laplacian is singular: {exc}") from exc
     else:
         gram = pseudo_inverse(g, spectral.eig_sym(g.dense_laplacian())).matrix
     diag = np.diag(gram)
@@ -132,7 +132,7 @@ def symmetric_csv(values: np.ndarray) -> Iterator[bytes]:
     strings, kept in compact fixed-width bytes arrays dropped once read (n^2 / 4 at most).
     """
     if not np.array_equal(values, values.T):
-        raise NotSymmetric("matrix is not exactly symmetric")
+        raise PreconditionError("matrix is not exactly symmetric")
     return _symmetric_rows(values)
 
 
@@ -245,7 +245,7 @@ def commute_mc(
             stacklevel=2,
         )
     if used.size == 0:
-        raise SingularSystem(
+        raise NumericalError(
             f"all {walks} walks hit the {cap}-step cap; no estimate available"
         )
     est = float(used.mean())

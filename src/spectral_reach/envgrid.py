@@ -22,15 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    GoalIsWall,
-    InvalidState,
-    MapError,
-    NoFloor,
-    OpenBorder,
-    RaggedRows,
-    UnknownCharacter,
-)
+from .errors import InputError, PreconditionError
 
 WALL = "#"
 FLOOR = "."
@@ -108,35 +100,35 @@ class StateIndex:
         try:
             return self._lookup[tuple(coord)]
         except KeyError:
-            raise InvalidState(f"{tuple(coord)} is not a floor cell") from None
+            raise InputError(f"{tuple(coord)} is not a floor cell") from None
 
     def coord(self, i: int) -> tuple[int, int]:
         if not 0 <= i < len(self.coords):
-            raise InvalidState(f"state index {i} out of range [0, {len(self.coords)})")
+            raise InputError(f"state index {i} out of range [0, {len(self.coords)})")
         return self.coords[i]
 
 
 def parse_maze(text: str) -> MazeSpec:
     """Parse an ASCII map into a validated MazeSpec.
 
-    Raises RaggedRows, UnknownCharacter, OpenBorder, or NoFloor with the
-    offending line/column in the message.  A single trailing newline is
-    tolerated so files round-trip.
+    Raises InputError for ragged rows, an unknown character, an open
+    border, or no floor, with the offending line/column in the message.
+    A single trailing newline is tolerated so files round-trip.
     """
     if text.endswith("\n"):
         text = text[:-1]
     rows = text.split("\n")
     if not rows or rows[0] == "":
-        raise NoFloor("map is empty")
+        raise InputError("map is empty")
     width = len(rows[0])
     for y, row in enumerate(rows):
         if len(row) != width:
-            raise RaggedRows(
+            raise InputError(
                 f"row {y} has length {len(row)}, expected {width} (like row 0)"
             )
         for x, ch in enumerate(row):
             if ch not in ALPHABET:
-                raise UnknownCharacter(
+                raise InputError(
                     f"character {ch!r} at line {y}, column {x} "
                     f"(alphabet: '#', '.', 'B', 'G')"
                 )
@@ -144,14 +136,14 @@ def parse_maze(text: str) -> MazeSpec:
     for x in range(width):
         for y in (0, height - 1):
             if rows[y][x] != WALL:
-                raise OpenBorder(f"border cell ({x}, {y}) is not a wall")
+                raise InputError(f"border cell ({x}, {y}) is not a wall")
     for y in range(height):
         for x in (0, width - 1):
             if rows[y][x] != WALL:
-                raise OpenBorder(f"border cell ({x}, {y}) is not a wall")
+                raise InputError(f"border cell ({x}, {y}) is not a wall")
     maze = MazeSpec(width=width, height=height, rows=tuple(rows))
     if not maze.floor_cells:
-        raise NoFloor("map has no floor cells")
+        raise InputError("map has no floor cells")
     return maze
 
 
@@ -159,7 +151,7 @@ def step(maze: MazeSpec, s: tuple[int, int], action: str) -> tuple[int, int]:
     """Deterministic move: the neighbor cell, or ``s`` itself on a wall bump."""
     x, y = s
     if not maze.is_floor(x, y):
-        raise InvalidState(f"({x}, {y}) is not a floor cell")
+        raise InputError(f"({x}, {y}) is not a floor cell")
     try:
         dx, dy = DELTAS[action]
     except KeyError:
@@ -191,7 +183,7 @@ def goal_state(maze: MazeSpec, index: StateIndex, goal: tuple[int, int]) -> int:
     """Resolve a goal coordinate to a state index, rejecting wall cells."""
     x, y = goal
     if not maze.is_floor(x, y):
-        raise GoalIsWall(f"goal cell ({x}, {y}) is not a floor cell")
+        raise PreconditionError(f"goal cell ({x}, {y}) is not a floor cell")
     return index.of((x, y))
 
 
@@ -244,7 +236,7 @@ class ContinuousMazeSpec:
     def from_json(cls, text: str) -> "ContinuousMazeSpec":
         obj = json.loads(text)
         if not isinstance(obj, dict):
-            raise MapError("a continuous layout must be a JSON object")
+            raise InputError("a continuous layout must be a JSON object")
         try:
             walls = tuple(
                 WallRect(float(r["x"]), float(r["y"]), float(r["w"]), float(r["h"]))
@@ -252,15 +244,15 @@ class ContinuousMazeSpec:
             )
             width, height, radius = (float(obj[k]) for k in ("width", "height", "radius"))
         except KeyError as exc:
-            raise MapError(f"continuous layout lacks the field {exc.args[0]!r}") from None
+            raise InputError(f"continuous layout lacks the field {exc.args[0]!r}") from None
         except TypeError as exc:
-            raise MapError(f"malformed continuous layout: {exc}") from None
+            raise InputError(f"malformed continuous layout: {exc}") from None
         fields = {"width": width, "height": height, "radius": radius}
         for i, r in enumerate(walls):
             fields.update({f"walls[{i}].{k}": getattr(r, k) for k in "xywh"})
         for name, value in fields.items():
             if not math.isfinite(value):
-                raise MapError(f"continuous layout field {name} is {value}, not a finite number")
+                raise InputError(f"continuous layout field {name} is {value}, not a finite number")
         return cls(width=width, height=height, radius=radius, walls=walls)
 
 
@@ -270,9 +262,9 @@ def discretize_continuous(cm: ContinuousMazeSpec, resolution: int) -> MazeSpec:
     A grid cell becomes Floor iff its center lies strictly inside no wall
     rectangle and the agent disk centered there keeps clearance >= radius
     from every one (so a wall blocks its inner cells at radius 0); the grid
-    is padded with a one-cell wall border.  Raises NoFloor when nothing
-    survives (resolution too coarse or walls fill the space), and
-    MapError when the grid would have more than MAX_GRID_CELLS cells.
+    is padded with a one-cell wall border.  Raises InputError when nothing
+    survives (resolution too coarse or walls fill the space) or when the
+    grid would have more than MAX_GRID_CELLS cells.
     """
     if resolution <= 0:
         raise ValueError("resolution must be a positive integer")
@@ -282,12 +274,12 @@ def discretize_continuous(cm: ContinuousMazeSpec, resolution: int) -> MazeSpec:
     except OverflowError:              # a side longer than any float
         nx = ny = MAX_GRID_CELLS + 1
     if nx * ny > MAX_GRID_CELLS:
-        raise MapError(
+        raise InputError(
             f"a {cm.width:g} x {cm.height:g} layout at resolution {resolution} "
             f"needs more than {MAX_GRID_CELLS} grid cells"
         )
     if nx <= 0 or ny <= 0:
-        raise NoFloor("bounding box smaller than one grid cell")
+        raise InputError("bounding box smaller than one grid cell")
     cx = (np.arange(nx) + 0.5) / resolution
     cy = (np.arange(ny) + 0.5) / resolution
     # 1e-12 absorbs float noise when the disk exactly touches a wall.
@@ -307,7 +299,7 @@ def discretize_continuous(cm: ContinuousMazeSpec, resolution: int) -> MazeSpec:
             keeps[j, i] = r.clears(float(cx[i]), float(cy[j]), need)
         clear &= keeps
     if not clear.any():
-        raise NoFloor("no cell gives the agent disk clearance from all walls")
+        raise InputError("no cell gives the agent disk clearance from all walls")
     grid = np.full((ny + 2, nx + 2), ord(WALL), dtype=np.uint8)
     grid[1:-1, 1:-1][clear] = ord(FLOOR)
     rows = tuple(row.tobytes().decode("ascii") for row in grid)

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .envgrid import MazeSpec, transition_table
-from .errors import DimensionMismatch, GraphDisconnected
+from .errors import InputError, PreconditionError
 from .spectral import check_dense_size, check_state
 
 _INT32_MAX = np.iinfo(np.int32).max
@@ -186,7 +186,7 @@ def require_connected(g: StateGraph) -> None:
     comps = connected_components(g)
     if len(comps) != 1:
         sizes = sorted((len(c) for c in comps), reverse=True)
-        raise GraphDisconnected(
+        raise PreconditionError(
             f"state graph has {len(comps)} components (sizes {sizes})"
         )
 
@@ -239,7 +239,7 @@ def pseudo_inverse(g: StateGraph, basis) -> PseudoInverse:
     lam = basis.eigenvalues
     vec = basis.eigenvectors
     if vec.shape[0] != g.n_states:
-        raise DimensionMismatch(
+        raise InputError(
             f"basis has {vec.shape[0]} states, graph has {g.n_states}"
         )
     basis.require_connected()

@@ -20,7 +20,7 @@ import numpy as np
 # Loaded lazily, so traced core functions are read through their module when
 # called: a name bound at import would keep a wrapper the core held then.
 from . import spectral
-from .errors import DimensionMismatch, NegativeEntry, NotSymmetric
+from .errors import InputError, PreconditionError
 from .spectral import SYMMETRY_TOL, Embedding
 
 #: eigenvalue cutoff = RELATIVE_CUTOFF * largest eigenvalue of B
@@ -41,16 +41,16 @@ def double_center(d2: np.ndarray) -> np.ndarray:
     """Gram matrix B = -1/2 J D2 J of a squared-distance matrix."""
     d2 = np.asarray(d2, dtype=np.float64)
     if d2.ndim != 2 or d2.shape[0] != d2.shape[1]:
-        raise NotSymmetric(f"expected a square matrix, got shape {d2.shape}")
+        raise PreconditionError(f"expected a square matrix, got shape {d2.shape}")
     skew = float(np.max(np.abs(d2 - d2.T))) if d2.size else 0.0
     if skew > SYMMETRY_TOL:
-        raise NotSymmetric(f"max |D2 - D2^T| = {skew:.3e} exceeds {SYMMETRY_TOL}")
+        raise PreconditionError(f"max |D2 - D2^T| = {skew:.3e} exceeds {SYMMETRY_TOL}")
     if float(np.min(d2)) < 0.0:
         i, j = np.unravel_index(int(np.argmin(d2)), d2.shape)
-        raise NegativeEntry(f"D2[{i}, {j}] = {d2[i, j]:.3e} is negative")
+        raise PreconditionError(f"D2[{i}, {j}] = {d2[i, j]:.3e} is negative")
     diag = float(np.max(np.abs(np.diag(d2)))) if d2.size else 0.0
     if diag > SYMMETRY_TOL:
-        raise NotSymmetric(
+        raise PreconditionError(
             f"a squared-dissimilarity matrix needs a zero diagonal; max |diag| = {diag:.3e}"
         )
     row_mean = d2.mean(axis=1, keepdims=True)
@@ -94,7 +94,7 @@ def equivalence_residual(x: MdsResult, phi: Embedding, volume: int) -> float:
     distances; both sides arrive through independent code paths.
     """
     if x.embedding.shape[0] != phi.n_states:
-        raise DimensionMismatch(
+        raise InputError(
             f"MDS embedding has {x.embedding.shape[0]} states, "
             f"spectral embedding has {phi.n_states}"
         )

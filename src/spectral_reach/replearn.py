@@ -37,13 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .envgrid import ACTIONS, MazeSpec, transition_table
-from .errors import (
-    DegenerateEigenvalue,
-    DimensionMismatch,
-    DivergedObjective,
-    EmptyDataset,
-    NoBiasCells,
-)
+from .errors import InputError, NumericalError, PreconditionError
 from .graph import (StateGraph, graph_from_table, graph_from_transitions, require_connected,
                     sorted_unique)
 from .spectral import Embedding, check_dimension, goal_distances
@@ -156,7 +150,7 @@ def start_distribution(maze: MazeSpec, temperature: float) -> np.ndarray:
     bias = np.zeros(n)
     if temperature > 0:
         if not maze.bias_cells:
-            raise NoBiasCells(
+            raise PreconditionError(
                 "temperature > 0 requires at least one 'B' cell in the map"
             )
         for coord in maze.bias_cells:
@@ -180,7 +174,7 @@ def collect_dataset(
     then step together, one table lookup per step.
     """
     if episodes <= 0 or episode_len <= 0:
-        raise EmptyDataset("episodes and episode_len must be positive")
+        raise InputError("episodes and episode_len must be positive")
     table = transition_table(maze)
     require_connected(graph_from_table(table))
     cum = np.cumsum(start_distribution(maze, temperature))
@@ -195,24 +189,6 @@ def collect_dataset(
     for t in range(episode_len):
         walks[:, t + 1] = table[walks[:, t], actions[:, t]]
     return TransitionDataset(episodes=walks, n_states=len(table))
-
-
-def exhaustive_dataset(maze: MazeSpec) -> TransitionDataset:
-    """Every (state, action) outcome exactly once, as length-1 episodes.
-
-    Wall bumps appear as self-transitions, mirroring what collected
-    walks record.  Every state starts exactly four episodes and, on a
-    grid, ends exactly four, so the state-visitation weights are
-    uniform and each directed move appears exactly once: the
-    uniform-sampling limit in both the pair and the state measure.
-    Eigenvalue estimates on it are exact for exact eigenvector tables.
-    """
-    table = transition_table(maze)
-    n, n_actions = table.shape
-    start = np.repeat(np.arange(n), n_actions)
-    if np.array_equal(table.ravel(), start):
-        raise EmptyDataset("map has no edges")
-    return TransitionDataset(episodes=np.stack([start, table.ravel()], axis=1), n_states=n)
 
 
 def induced_graph(data: TransitionDataset) -> StateGraph:
@@ -285,8 +261,8 @@ def train_graph_drawing(
 ) -> LearnedRep:
     """Train the tabular function table with Adam on minibatch gradients.
 
-    Raises GraphDisconnected when the dataset-induced graph does not
-    connect the full state space, and DivergedObjective when the
+    Raises PreconditionError when the dataset-induced graph does not
+    connect the full state space, and NumericalError when the
     smoothed objective exceeds 10x its initial level.
     """
     if config is None:
@@ -295,7 +271,7 @@ def train_graph_drawing(
     n = data.n_states
     check_dimension(d, n)
     if data.total_steps == 0:
-        raise EmptyDataset("dataset has no transitions")
+        raise InputError("dataset has no transitions")
     require_connected(induced_graph(data))
 
     visit = data.visitation / data.visitation.sum()
@@ -330,7 +306,7 @@ def train_graph_drawing(
         else:
             ema = 0.99 * ema + 0.01 * objective
         if ema > 10.0 * max(initial, 1e-12):
-            raise DivergedObjective(
+            raise NumericalError(
                 f"smoothed objective {ema:.3e} exceeds 10x its initial "
                 f"level {initial:.3e} at iteration {it}"
             )
@@ -348,13 +324,13 @@ def train_graph_drawing(
 def estimate_eigenvalues(rep: LearnedRep, data: TransitionDataset) -> np.ndarray:
     """Eigenvalue estimates for indices 2..d (length d - 1) from consecutive pairs."""
     if rep.n_states != data.n_states:
-        raise DimensionMismatch(
+        raise InputError(
             f"table has {rep.n_states} states, dataset has {data.n_states}"
         )
     s, s2 = data.pairs
     mask = s != s2
     if not mask.any():
-        raise EmptyDataset("dataset has no edge-traversing transitions")
+        raise InputError("dataset has no edge-traversing transitions")
     f = rep.params
     diff = f[s[mask]] - f[s2[mask]]
     raw = (diff * diff).sum(axis=0) / mask.sum() * data.observed_edges
@@ -365,12 +341,12 @@ def estimate_eigenvalues(rep: LearnedRep, data: TransitionDataset) -> np.ndarray
 def learned_ra_laprep(rep: LearnedRep, lam: np.ndarray) -> Embedding:
     """Rescaled embedding from the learned table and eigenvalue estimates 2..d."""
     if len(lam) != rep.d - 1:
-        raise DimensionMismatch(
+        raise InputError(
             f"{len(lam)} eigenvalue estimates for a d = {rep.d} table"
         )
     if np.any(lam <= DEGENERATE_EIG_TOL):
         worst = float(lam.min())
-        raise DegenerateEigenvalue(
+        raise NumericalError(
             f"eigenvalue estimate {worst:.3e} is at or below {DEGENERATE_EIG_TOL}"
         )
     return Embedding(
@@ -415,23 +391,23 @@ def rep_quality(
     truth: Embedding,
     geodesics: np.ndarray | dict[int, np.ndarray],
     goals: tuple[int, ...] = (),
-    full_spectrum: np.ndarray | None = None,
+    *,
+    full_spectrum: np.ndarray,
 ) -> QualityMetrics:
     """Per-dimension alignment and distance-profile agreement.
 
     ``geodesics[goal]`` is the geodesic distance of every state to goal:
     a row of the all-pairs matrix, or of a dict holding the goal rows.
 
-    ``full_spectrum`` (all Laplacian eigenvalues, ascending) sharpens the
-    degeneracy flags; otherwise only gaps inside the truth embedding's
-    own eigenvalue slice are visible.
+    ``full_spectrum`` holds all Laplacian eigenvalues, ascending; a column
+    is flagged degenerate when its eigenvalue is repeated in it.
     """
     if learned.n_states != truth.n_states:
-        raise DimensionMismatch(
+        raise InputError(
             f"learned has {learned.n_states} states, truth has {truth.n_states}"
         )
     if learned.vectors.shape[1] != truth.vectors.shape[1]:
-        raise DimensionMismatch(
+        raise InputError(
             f"learned stores {learned.vectors.shape[1]} columns, "
             f"truth stores {truth.vectors.shape[1]}"
         )
@@ -443,17 +419,15 @@ def rep_quality(
         denom = np.linalg.norm(a) * np.linalg.norm(b)
         cosines[i] = abs(float(a @ b)) / denom if denom > 0 else np.nan
 
-    # column i holds eigen-index i + first of lam; it is degenerate when a
+    # column i holds eigen-index i + 1 of lam; it is degenerate when a
     # neighboring eigenvalue is within 1e-9 * max(lam[-1], 1) of its own
     degenerate = np.zeros(cols, dtype=bool)
-    lam, first = (full_spectrum, 1) if full_spectrum is not None else (truth.eigenvalues, 0)
-    if lam is not None:
-        lam = np.asarray(lam, dtype=np.float64)
-        scale = max(float(lam[-1]), 1.0)
-        for i in range(cols):
-            k = i + first
-            near = [abs(lam[k] - lam[j]) for j in (k - 1, k + 1) if 0 <= j < len(lam)]
-            degenerate[i] = bool(near) and min(near) < 1e-9 * scale
+    lam = np.asarray(full_spectrum, dtype=np.float64)
+    scale = max(float(lam[-1]), 1.0)
+    for i in range(cols):
+        k = i + 1
+        near = [abs(lam[k] - lam[j]) for j in (k - 1, k + 1) if j < len(lam)]
+        degenerate[i] = min(near) < 1e-9 * scale
 
     eig_rel_err = None
     if learned.eigenvalues is not None and truth.eigenvalues is not None:

@@ -19,11 +19,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envgrid import MazeSpec, transition_table
-from .errors import DimensionMismatch, MissingEmbedding, UnreachableGoal
+from .errors import InputError, PreconditionError
 from .graph import graph_from_table, is_connected
 from .spectral import Embedding, goal_distances
 
 REWARD_KINDS = ("ra_laprep", "laprep", "l2", "none")
+#: reward weights of the environment and distance terms
+W_ENV = 0.5
+W_DIST = 0.5
+#: step cap per episode
+EPISODE_CAP = 150
+#: Q-learning step size and discount
+STEP_SIZE = 0.1
+DISCOUNT = 0.99
+#: epsilon anneals from EPSILON_START to EPSILON_END over EPSILON_FRACTION of the episodes
+EPSILON_START = 1.0
+EPSILON_END = 0.05
+EPSILON_FRACTION = 0.3
+#: smoothing window for threshold crossings
+SUCCESS_WINDOW = 25
 
 
 @dataclass(frozen=True)
@@ -34,8 +48,6 @@ class RewardSpec:
     goal: int
     embedding: Embedding | None = None
     positions: np.ndarray | None = None    # (n, 2) scaled grid positions
-    w_env: float = 0.5
-    w_dist: float = 0.5
 
     def validate(self, n_states: int) -> None:
         if self.kind not in REWARD_KINDS:
@@ -44,16 +56,16 @@ class RewardSpec:
             raise ValueError(f"goal state {self.goal} out of range [0, {n_states})")
         if self.kind in ("ra_laprep", "laprep"):
             if self.embedding is None:
-                raise MissingEmbedding(f"reward kind {self.kind!r} needs an embedding")
+                raise InputError(f"reward kind {self.kind!r} needs an embedding")
             if self.embedding.n_states != n_states:
-                raise DimensionMismatch(
+                raise InputError(
                     f"embedding has {self.embedding.n_states} states, maze has {n_states}"
                 )
         if self.kind == "l2":
             if self.positions is None:
-                raise MissingEmbedding("reward kind 'l2' needs scaled grid positions")
+                raise InputError("reward kind 'l2' needs scaled grid positions")
             if len(self.positions) != n_states:
-                raise DimensionMismatch(
+                raise InputError(
                     f"positions list has {len(self.positions)} states, maze has {n_states}"
                 )
 
@@ -61,27 +73,10 @@ class RewardSpec:
 @dataclass(frozen=True)
 class QLearningConfig:
     episodes: int = 500
-    episode_cap: int = 150
-    step_size: float = 0.1
-    discount: float = 0.99
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    epsilon_fraction: float = 0.3   # fraction of episodes spent annealing
-    success_window: int = 25        # smoothing window for threshold crossings
 
     def validate(self) -> None:
-        if not 0.0 <= self.discount < 1.0:
-            raise ValueError(f"discount must lie in [0, 1), got {self.discount}")
-        if self.episodes <= 0 or self.episode_cap <= 0:
-            raise ValueError("episodes and episode_cap must be positive")
-        for name in ("epsilon_start", "epsilon_end"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if not 0.0 < self.epsilon_fraction <= 1.0:
-            raise ValueError("epsilon_fraction must lie in (0, 1]")
-        if not 0.0 < self.step_size < np.inf:
-            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
+        if self.episodes <= 0:
+            raise ValueError(f"episodes must be positive, got {self.episodes}")
 
 
 @dataclass(frozen=True)
@@ -128,9 +123,8 @@ class ShapingRun:
         return {
             kind: {
                 **_auc_stats(self.per_run_auc(kind)),
-                "episodes_to_90pct": episodes_to_threshold(
-                    self.curve(kind), 0.9, self.config.success_window
-                ),
+                "episodes_to_90pct": episodes_to_threshold(self.curve(kind), 0.9,
+                                                           SUCCESS_WINDOW),
             }
             for kind in self.kinds
         }
@@ -154,13 +148,13 @@ def scaled_positions(maze: MazeSpec) -> np.ndarray:
 
 
 def reward_table(spec: RewardSpec, n: int) -> np.ndarray:
-    """Reward for entering each state: w_env * (0 at goal else -1) - w_dist * distance."""
+    """Reward for entering each state: W_ENV * (0 at goal else -1) - W_DIST * distance."""
     if spec.kind == "none":
         dist = np.zeros(n)
     else:
         x = spec.positions if spec.kind == "l2" else spec.embedding.vectors
         dist = goal_distances(x, spec.goal)
-    return spec.w_env * np.where(np.arange(n) == spec.goal, 0.0, -1.0) - spec.w_dist * dist
+    return W_ENV * np.where(np.arange(n) == spec.goal, 0.0, -1.0) - W_DIST * dist
 
 
 def q_learning(
@@ -181,8 +175,8 @@ def q_learning_batch(
 ) -> list[RunResult]:
     """Q-learning for every (spec, seed) pair, spec-major, in lockstep.
 
-    Epsilon anneals linearly from epsilon_start to epsilon_end over the
-    first epsilon_fraction of episodes.  Start states are uniform over
+    Epsilon anneals linearly from EPSILON_START to EPSILON_END over the
+    first EPSILON_FRACTION of episodes.  Start states are uniform over
     floor cells excluding the goal.  The goal is absorbing with value 0.
     Each step is one numpy operation over the runs still in an episode.
     Runs own disjoint rows of one flat Q-table and share the (seed, ep)
@@ -199,7 +193,7 @@ def q_learning_batch(
     for spec in specs:
         spec.validate(n)
         if not connected:
-            raise UnreachableGoal(
+            raise PreconditionError(
                 f"goal state {spec.goal} is not reachable from every floor cell"
             )
     if n < 2:
@@ -215,33 +209,32 @@ def q_learning_batch(
     q = np.zeros(len(pairs) * n * n_act)
     q_rows = q.reshape(-1, n_act)
     success = np.zeros((len(pairs), config.episodes), dtype=bool)
-    steps = np.full((len(pairs), config.episodes), config.episode_cap, dtype=np.int64)
-    anneal = max(int(round(config.episodes * config.epsilon_fraction)), 1)
-    alpha, gamma, cap = config.step_size, config.discount, config.episode_cap
+    steps = np.full((len(pairs), config.episodes), EPISODE_CAP, dtype=np.int64)
+    anneal = max(int(round(config.episodes * EPSILON_FRACTION)), 1)
 
     for ep in range(config.episodes):
-        eps = config.epsilon_end
+        eps = EPSILON_END
         if ep < anneal:
-            eps = config.epsilon_start + (eps - config.epsilon_start) * (ep / anneal)
+            eps = EPSILON_START + (eps - EPSILON_START) * (ep / anneal)
         u = np.array([
             np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, ep))))
-            .random(1 + 2 * cap)
+            .random(1 + 2 * EPISODE_CAP)
             for seed in unique_seeds
         ])
         k = (u[:, 0] * (n - 1)).astype(np.int64)[seed_of]   # index among non-goal states
-        noise = u[:, 1:].reshape(-1, cap, 2)
+        noise = u[:, 1:].reshape(-1, EPISODE_CAP, 2)
         # Random action where exploring, -1 where acting greedily.
         pick = np.where(noise[..., 0] < eps, (noise[..., 1] * n_act).astype(np.int64), -1)
         runs, run_seed, run_goal = np.arange(len(pairs)), seed_of, offset + goal
         row = offset + k + (k >= goal)
-        for t in range(cap):
+        for t in range(EPISODE_CAP):
             a = pick[run_seed, t]
             a = np.where(a >= 0, a, q_rows[row].argmax(axis=1))
             qi = row * n_act + a
             row = next_row[qi]
             # No run acts from its goal, so the goal's Q row stays 0 and
             # the target at the goal is the reward alone.
-            q[qi] += alpha * (reward[row] + gamma * q_rows[row].max(axis=1) - q[qi])
+            q[qi] += STEP_SIZE * (reward[row] + DISCOUNT * q_rows[row].max(axis=1) - q[qi])
             done = row == run_goal
             finished = runs[done]
             if len(finished):

@@ -27,15 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
-    DimensionOutOfRange,
-    GraphDisconnected,
-    InvalidState,
-    MalformedEmbedding,
-    NotSymmetric,
-)
+from .errors import InputError, NumericalError, PreconditionError
 
 #: largest |M - M^T| entry accepted for a matrix that must be symmetric
 SYMMETRY_TOL = 1e-12
@@ -75,7 +67,7 @@ class SpectralBasis:
 
     def require_full(self, what: str) -> None:
         if self.is_partial:
-            raise DimensionMismatch(
+            raise InputError(
                 f"{what} needs all {self.n_states} eigenpairs, "
                 f"the basis holds the {self.eigenvectors.shape[1]} smallest"
             )
@@ -84,7 +76,7 @@ class SpectralBasis:
         """Refuse a spectrum with more than one zero eigenvalue."""
         lam = self.eigenvalues
         if len(lam) > 1 and lam[1] <= ZERO_EIGENVALUE_TOL:
-            raise GraphDisconnected(
+            raise PreconditionError(
                 f"second-smallest eigenvalue {lam[1]:.3e} is numerically zero"
             )
 
@@ -127,7 +119,7 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 def _check_symmetric(skew: float) -> None:
     if skew > SYMMETRY_TOL:
-        raise NotSymmetric(f"max |L - L^T| = {skew:.3e} exceeds {SYMMETRY_TOL}")
+        raise PreconditionError(f"max |L - L^T| = {skew:.3e} exceeds {SYMMETRY_TOL}")
 
 
 def eig_sym(L, k: int | None = None) -> SpectralBasis:
@@ -147,10 +139,10 @@ def eig_sym(L, k: int | None = None) -> SpectralBasis:
     if not sparse_in:
         L = np.asarray(L, dtype=np.float64)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise NotSymmetric(f"expected a square matrix, got shape {L.shape}")
+        raise PreconditionError(f"expected a square matrix, got shape {L.shape}")
     n = L.shape[0]
     if k is not None and not 1 <= k <= n:
-        raise DimensionOutOfRange(f"k = {k} eigenpairs outside [1, {n}]")
+        raise InputError(f"k = {k} eigenpairs outside [1, {n}]")
     if k is not None and k < n:
         from scipy import sparse
 
@@ -164,7 +156,7 @@ def eig_sym(L, k: int | None = None) -> SpectralBasis:
     try:
         lam, vec = np.linalg.eigh(L)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     return SpectralBasis(eigenvalues=lam, eigenvectors=_fix_signs(vec))
 
 
@@ -182,7 +174,7 @@ def _eig_partial(a, k: int) -> SpectralBasis:
     try:
         lam, vec = eigsh(a, k, sigma=PARTIAL_SHIFT, which="LM", v0=v0, tol=0)
     except RuntimeError as exc:       # ArpackError, or a singular factorization
-        raise ConvergenceFailure(f"partial eigendecomposition failed: {exc}") from exc
+        raise NumericalError(f"partial eigendecomposition failed: {exc}") from exc
     order = np.argsort(lam, kind="stable")
     return SpectralBasis(eigenvalues=lam[order], eigenvectors=_fix_signs(vec[:, order]))
 
@@ -206,13 +198,13 @@ def eigvals_banded(L) -> np.ndarray:
     try:
         return eig_banded(band, eigvals_only=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"band eigenvalue solve failed: {exc}") from exc
+        raise NumericalError(f"band eigenvalue solve failed: {exc}") from exc
 
 
 def check_dense_size(n: int) -> None:
     """Refuse a dense n x n eigendecomposition above the size cap."""
     if n > SIZE_CAP:
-        raise DimensionOutOfRange(
+        raise InputError(
             f"matrix size {n} exceeds the dense solver cap {SIZE_CAP}"
         )
 
@@ -220,13 +212,13 @@ def check_dense_size(n: int) -> None:
 def check_dimension(d: int, n: int) -> None:
     """Refuse an embedding dimension outside [2, n]."""
     if not 2 <= d <= n:
-        raise DimensionOutOfRange(f"d = {d} outside [2, {n}]")
+        raise InputError(f"d = {d} outside [2, {n}]")
 
 
 def check_state(s: int, n: int) -> None:
     """Refuse a state index outside [0, n)."""
     if not 0 <= s < n:
-        raise InvalidState(f"state {s} out of range [0, {n})")
+        raise InputError(f"state {s} out of range [0, {n})")
 
 
 def laprep(basis: SpectralBasis, d: int) -> Embedding:
@@ -318,7 +310,7 @@ def embedding_to_csv(e: Embedding, coords: tuple[tuple[int, int], ...]) -> Itera
     """CSV with header state_index,x,y,e2,...,ed (one row per state), as
     chunks of ``CSV_BLOCK`` rows; the coordinate count is checked at the call."""
     if len(coords) != e.n_states:
-        raise InvalidState(
+        raise InputError(
             f"coordinate list has {len(coords)} entries, embedding has {e.n_states}"
         )
     header = ",".join(["state_index", "x", "y"] + [f"e{i}" for i in range(2, e.d + 1)])
@@ -329,23 +321,23 @@ def embedding_to_csv(e: Embedding, coords: tuple[tuple[int, int], ...]) -> Itera
     return itertools.chain([header.encode() + b"\n"], blocks)
 
 
-def embedding_from_csv(path: str | Path,
-                       kind: str = "") -> tuple[Embedding, list[tuple[int, int]]]:
+def embedding_from_csv(path: str | Path) -> tuple[Embedding, list[tuple[int, int]]]:
     """Parse an embedding CSV file back into vectors and cell coordinates.
 
     Rows may come in any order, but their state_index column must be a
     permutation of 0..n-1, and every state_index, x and y an integer.  The
     file is streamed twice: to count each row's fields, then by ``np.loadtxt``.
+    The file does not record the embedding's kind, which is left empty.
     """
     with open(path) as f:
         header = f.readline().rstrip("\n").split(",")
         if len(header) < 3:
-            raise MalformedEmbedding("embedding CSV lacks its state_index,x,y,... header")
+            raise InputError("embedding CSV lacks its state_index,x,y,... header")
         start, rows = f.tell(), 0
         for rows, line in enumerate(f, start=1):
             fields = line.count(",") + 1 if line != "\n" else 0
             if fields != len(header):
-                raise MalformedEmbedding(
+                raise InputError(
                     f"embedding CSV line {rows + 1} has {fields} fields, "
                     f"its header has {len(header)}"
                 )
@@ -356,14 +348,14 @@ def embedding_from_csv(path: str | Path,
             try:
                 table = np.loadtxt(f, dtype=table.dtype, delimiter=",", comments=None, ndmin=1)
             except ValueError as exc:
-                raise MalformedEmbedding(f"embedding CSV: {exc}") from None
+                raise InputError(f"embedding CSV: {exc}") from None
     order = np.argsort(table["index"][:, 0])
     if not np.array_equal(table["index"][order, 0], np.arange(len(table))):
-        raise MalformedEmbedding(
+        raise InputError(
             f"embedding CSV state_index column is not a permutation of 0..{len(table) - 1}"
         )
     coords = [tuple(c) for c in table["index"][order, 1:].tolist()]
-    return Embedding(kind=kind, d=k + 1, vectors=table["vector"][order]), coords
+    return Embedding(kind="", d=k + 1, vectors=table["vector"][order]), coords
 
 
 def basis_to_json(basis: SpectralBasis, eigenvalues: np.ndarray | None = None) -> dict:

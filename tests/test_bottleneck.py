@@ -15,7 +15,7 @@ from spectral_reach.bottleneck import (
     top_bottlenecks,
 )
 from spectral_reach.envgrid import discretize_continuous
-from spectral_reach.errors import InvalidState
+from spectral_reach.errors import InputError
 from spectral_reach.graph import build_graph
 from spectral_reach import layouts
 from spectral_reach.spectral import Embedding, eig_sym, laprep, ra_laprep
@@ -56,7 +56,7 @@ class TestCentrality:
         assert np.all(np.isfinite(cent))
 
     def test_single_state_rejected(self):
-        with pytest.raises(InvalidState):
+        with pytest.raises(InputError, match="at least two states"):
             centrality(embedding_from([[0.0]]))
 
 

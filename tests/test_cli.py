@@ -15,7 +15,7 @@ from spectral_reach import cli, graph, layouts
 from spectral_reach.cli import main
 from spectral_reach.commute import CommuteMatrix, commute, first_passage
 from spectral_reach.envgrid import discretize_continuous
-from spectral_reach.errors import NotSymmetric
+from spectral_reach.errors import PreconditionError
 from spectral_reach.manifest import atomic_write_chunks, sha256_file
 
 SPLIT = "#######\n#..#..#\n#..#..#\n#######\n"
@@ -654,6 +654,11 @@ def test_out_of_memory_is_one_error_line(tmp_path, argv):
     (lambda tmp: _learn(tmp, "tworoom", "--step-size", "inf"), 1, "step_size"),
     (lambda tmp: _learn(tmp, "tworoom", "--penalty", "nan"), 1, "penalty_weight"),
     (lambda tmp: _learn(tmp, "tworoom", "--penalty", "inf"), 1, "penalty_weight"),
+    (lambda tmp: ["shape", "--map", "fourroom", "--kind", "ra_laprep,ra_laprep", "--goal", "1,1",
+                  "--seed", "0", "--seeds", "1", "--episodes", "5", "--out", str(tmp / "s")], 1,
+     "'ra_laprep' is given more than once"),
+    (lambda tmp: ["shape", "--map", "fourroom", "--kind", "none", "--goal", "1,1", "--seed", "0",
+                  "--episodes", "0", "--out", str(tmp / "s")], 1, "episodes must be positive"),
 ], ids=["continuous_a", "continuous_b", "heatmap-empty-csv", "heatmap-short-row",
         "heatmap-duplicate-index", "heatmap-index-gap", "heatmap-fractional-x",
         "heatmap-non-numeric-value", "heatmap-scale-0", "heatmap-scale-negative", "commute-pair-without-colon",
@@ -664,7 +669,8 @@ def test_out_of_memory_is_one_error_line(tmp_path, argv):
         "layout-infinite-wall-y", "layout-nan-wall-w", "layout-wide-grid",
         "layout-fine-resolution", "layout-overflowing-resolution", "learn-nan-tau",
         "learn-infinite-tau", "learn-nan-step-size", "learn-infinite-step-size",
-        "learn-nan-penalty", "learn-infinite-penalty"])
+        "learn-nan-penalty", "learn-infinite-penalty", "shape-repeated-kind",
+        "shape-no-episodes"])
 def test_exit_code_and_at_most_one_stderr_line(tmp_path, capsys, argv, code, needle):
     assert main(argv(tmp_path)) == code
     err = capsys.readouterr().err
@@ -691,8 +697,9 @@ from spectral_reach.spectral import eig_sym, ra_laprep
 maze = layouts.zoo_maze("fourroom")
 g = build_graph(maze)
 goal = maze.state_index().of((11, 11))
-truth = ra_laprep(eig_sym(g.laplacian), 4)
-q = rep_quality(truth, truth, geodesic_matrix(g), goals=(goal,))
+basis = eig_sym(g.laplacian)
+truth = ra_laprep(basis, 4)
+q = rep_quality(truth, truth, geodesic_matrix(g), goals=(goal,), full_spectrum=basis.eigenvalues)
 run = run_experiment(maze, ("l2", "none"), (goal,), (0, 1), QLearningConfig(episodes=20), {})
 diff, p = paired_auc_test(run, "l2", "none")
 assert q.spearman[goal]["learned_vs_truth"] == 1.0 and 0 < p < 1, (q.spearman, p)
@@ -827,7 +834,7 @@ def test_every_public_name_resolves_lazily():
 
 class TestManifests:
     @pytest.mark.parametrize("error", [OSError(28, "No space left on device"),
-                                       NotSymmetric("formatting failed")])
+                                       PreconditionError("formatting failed")])
     def test_failed_chunk_stream_leaves_no_file(self, tmp_path, error):
         def chunks():
             yield b"0,1\n"

@@ -18,7 +18,7 @@ from spectral_reach.commute import (
     symmetric_csv,
 )
 from spectral_reach.envgrid import ContinuousMazeSpec, discretize_continuous, parse_maze
-from spectral_reach.errors import GraphDisconnected, NotSymmetric, SingularSystem
+from spectral_reach.errors import NumericalError, PreconditionError
 from spectral_reach.graph import build_graph, pseudo_inverse
 from spectral_reach.spectral import eig_sym
 
@@ -83,7 +83,7 @@ class TestFirstPassage:
 
     def test_disconnected(self):
         g = build_graph(parse_maze(DISCONNECTED))
-        with pytest.raises(GraphDisconnected):
+        with pytest.raises(PreconditionError, match="components"):
             first_passage(g)
 
     def test_one_state_is_zero_without_warning(self):
@@ -140,7 +140,7 @@ class TestCommute:
 
     def test_disconnected(self):
         g = build_graph(parse_maze(DISCONNECTED))
-        with pytest.raises(GraphDisconnected):
+        with pytest.raises(PreconditionError, match="components"):
             commute(g, method="solve")
 
 
@@ -226,7 +226,7 @@ class TestSymmetricCsv:
         values = np.zeros((3, 3))
         values[0, 2] = np.nextafter(0.0, 1.0)
         # at the call, before any chunk is formatted or written
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(PreconditionError, match="not exactly symmetric"):
             symmetric_csv(values)
 
 
@@ -303,7 +303,7 @@ class TestMonteCarlo:
 
     def test_disconnected(self):
         g = build_graph(parse_maze(DISCONNECTED))
-        with pytest.raises(GraphDisconnected):
+        with pytest.raises(PreconditionError, match="components"):
             commute_mc(g, 0, 1, walks=10, seed=0)
 
     @pytest.mark.parametrize("name,pair,expected", [
@@ -378,7 +378,8 @@ class TestMonteCarloMatchesReferenceLoop:
         # on k2 every round trip takes exactly 2 steps
         est = commute_mc(zoo_graphs["k2"], 0, 1, walks=50, cap=2, seed=1)
         assert (est.estimate, est.capped) == (2.0, 0)
-        with pytest.warns(RuntimeWarning, match="cap"), pytest.raises(SingularSystem):
+        with (pytest.warns(RuntimeWarning, match="cap"),
+              pytest.raises(NumericalError, match="step cap")):
             commute_mc(zoo_graphs["k2"], 0, 1, walks=50, cap=1, seed=1)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,15 +20,7 @@ from spectral_reach.envgrid import (
     step,
     transition_table,
 )
-from spectral_reach.errors import (
-    GoalIsWall,
-    MapError,
-    InvalidState,
-    NoFloor,
-    OpenBorder,
-    RaggedRows,
-    UnknownCharacter,
-)
+from spectral_reach.errors import InputError, PreconditionError
 
 TWOROOM = "#######\n#..#..#\n#.....#\n#######"
 
@@ -52,23 +45,23 @@ class TestParse:
         assert cells == tuple(sorted(cells, key=lambda c: (c[1], c[0])))
 
     def test_ragged_rows(self):
-        with pytest.raises(RaggedRows, match="row 2"):
+        with pytest.raises(InputError, match="row 2"):
             parse_maze("####\n#..#\n#..##\n####")
 
     def test_unknown_character(self):
-        with pytest.raises(UnknownCharacter, match="line 1, column 2"):
+        with pytest.raises(InputError, match="line 1, column 2"):
             parse_maze("####\n#.X#\n####")
 
     def test_open_border(self):
-        with pytest.raises(OpenBorder):
+        with pytest.raises(InputError, match="border cell"):
             parse_maze("####\n...#\n####")
 
     def test_no_floor(self):
-        with pytest.raises(NoFloor):
+        with pytest.raises(InputError, match="no floor cells"):
             parse_maze("###\n###\n###")
 
     def test_empty_text(self):
-        with pytest.raises(NoFloor):
+        with pytest.raises(InputError, match="map is empty"):
             parse_maze("")
 
     def test_tagged_cells_are_floor(self):
@@ -88,12 +81,12 @@ class TestStateIndex:
 
     def test_wall_rejected(self):
         index = parse_maze(TWOROOM).state_index()
-        with pytest.raises(InvalidState):
+        with pytest.raises(InputError, match="not a floor cell"):
             index.of((0, 0))
 
     def test_out_of_range(self):
         index = parse_maze(TWOROOM).state_index()
-        with pytest.raises(InvalidState):
+        with pytest.raises(InputError, match="out of range"):
             index.coord(9)
 
 
@@ -125,7 +118,7 @@ class TestStep:
 
     def test_non_floor_start(self):
         maze = parse_maze(TWOROOM)
-        with pytest.raises(InvalidState):
+        with pytest.raises(InputError, match="not a floor cell"):
             step(maze, (0, 0), "up")
 
     def test_action_order(self):
@@ -164,7 +157,7 @@ class TestGoal:
 
     def test_wall_goal_rejected(self):
         maze = parse_maze(TWOROOM)
-        with pytest.raises(GoalIsWall):
+        with pytest.raises(PreconditionError, match="goal cell"):
             goal_state(maze, maze.state_index(), (3, 1))
 
 
@@ -213,7 +206,7 @@ class TestContinuous:
         cm = ContinuousMazeSpec(
             width=2, height=2, radius=0.1, walls=(WallRect(0, 0, 2, 2),)
         )
-        with pytest.raises(NoFloor):
+        with pytest.raises(InputError, match="clearance"):
             discretize_continuous(cm, 2)
 
     def test_exact_touch_is_floor(self):
@@ -266,16 +259,16 @@ def _scalar_discretize(cm: ContinuousMazeSpec, resolution: int) -> MazeSpec:
         rows.append("".join(row))
     rows.append("#" * (nx + 2))
     if not found_floor:
-        raise NoFloor("no cell gives the agent disk clearance from all walls")
+        raise InputError("no cell gives the agent disk clearance from all walls")
     return MazeSpec(width=nx + 2, height=ny + 2, rows=tuple(rows))
 
 
 def _same_as_oracle(cm: ContinuousMazeSpec, resolution: int) -> bool:
-    """Whether both discretizations give the same maze, or both raise NoFloor."""
+    """Whether both discretizations give the same maze, or both raise InputError."""
     try:
         expected = _scalar_discretize(cm, resolution)
-    except NoFloor:
-        with pytest.raises(NoFloor):
+    except InputError as exc:
+        with pytest.raises(InputError, match=re.escape(str(exc))):
             discretize_continuous(cm, resolution)
         return True
     return discretize_continuous(cm, resolution) == expected
@@ -350,14 +343,14 @@ class TestDiscretizationOracle:
 
     def test_no_floor_still_raised(self):
         cm = ContinuousMazeSpec(width=3, height=2, radius=0.1, walls=(WallRect(0, 0, 3, 2),))
-        with pytest.raises(NoFloor):
+        with pytest.raises(InputError, match="clearance"):
             _scalar_discretize(cm, 3)
         assert _same_as_oracle(cm, 3)
 
     def test_wall_filling_the_box_leaves_no_floor_at_radius_zero(self):
         cm = ContinuousMazeSpec(width=3, height=2, radius=0.0, walls=(WallRect(0, 0, 3, 2),))
         for resolution in (1, 2, 3):
-            with pytest.raises(NoFloor):
+            with pytest.raises(InputError, match="clearance"):
                 discretize_continuous(cm, resolution)
             assert _same_as_oracle(cm, resolution)
 
@@ -372,7 +365,7 @@ class TestDiscretizationOracle:
 
     def test_grid_cap_still_refused(self):
         cm = ContinuousMazeSpec(width=1001, height=1000, radius=0.0, walls=())
-        with pytest.raises(MapError, match="more than"):
+        with pytest.raises(InputError, match="more than"):
             discretize_continuous(cm, 1)
 
     def test_last_ulp_hypot_difference_decided_by_scalar_rule(self):

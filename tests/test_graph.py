@@ -16,7 +16,7 @@ from spectral_reach.envgrid import (
     parse_maze,
     transition_table,
 )
-from spectral_reach.errors import DimensionMismatch, GraphDisconnected, InvalidState
+from spectral_reach.errors import InputError, PreconditionError
 from spectral_reach.graph import (
     bfs_distances,
     build_graph,
@@ -92,9 +92,9 @@ class TestBuild:
 
     def test_check_state(self):
         g = build_graph(parse_maze(TWOROOM))
-        with pytest.raises(InvalidState):
+        with pytest.raises(InputError, match="out of range"):
             g.check_state(9)
-        with pytest.raises(InvalidState):
+        with pytest.raises(InputError, match="out of range"):
             g.check_state(-1)
 
     def test_adjacency_and_laplacian_are_canonical_csr(self, zoo_graphs):
@@ -354,7 +354,7 @@ class TestConnectivity:
 
     def test_require_connected_raises(self):
         g = build_graph(parse_maze(self.SEALED))
-        with pytest.raises(GraphDisconnected):
+        with pytest.raises(PreconditionError, match="components"):
             require_connected(g)
 
     def test_components_sorted_by_smallest_member(self):
@@ -407,11 +407,11 @@ class TestPseudoInverse:
     def test_disconnected_rejected(self):
         g = build_graph(parse_maze(TestConnectivity.SEALED))
         basis = eig_sym(g.laplacian)
-        with pytest.raises(GraphDisconnected):
+        with pytest.raises(PreconditionError, match="numerically zero"):
             pseudo_inverse(g, basis)
 
     def test_dimension_mismatch(self, p3_graph, zoo_bases):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="basis has"):
             pseudo_inverse(p3_graph, zoo_bases["c4"])
 
 

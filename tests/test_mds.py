@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spectral_reach.commute import commute
-from spectral_reach.errors import DimensionMismatch, NegativeEntry, NotSymmetric
+from spectral_reach.errors import InputError, PreconditionError
 from spectral_reach.graph import pseudo_inverse
 from spectral_reach.mds import classic_mds, double_center, equivalence_residual
 from spectral_reach.spectral import ra_laprep
@@ -35,19 +35,19 @@ class TestDoubleCenter:
         assert np.abs(b - 4.0 * lp).max() <= 1e-9
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(PreconditionError, match="exceeds"):
             double_center(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
     def test_rejects_nonzero_diagonal(self):
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(PreconditionError, match="zero diagonal"):
             double_center(np.array([[1.0, 1.0], [1.0, 0.0]]))
 
     def test_rejects_negative(self):
-        with pytest.raises(NegativeEntry):
+        with pytest.raises(PreconditionError, match="is negative"):
             double_center(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(PreconditionError, match="square matrix"):
             double_center(np.zeros((2, 3)))
 
 
@@ -134,5 +134,5 @@ class TestEquivalence:
         g = zoo_graphs["p3"]
         res = classic_mds(commute(g, method="solve").values)
         phi = ra_laprep(zoo_bases["tworoom"], 9)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="MDS embedding has"):
             equivalence_residual(res, phi, g.volume)

@@ -10,14 +10,7 @@ import pytest
 
 from spectral_reach import layouts
 from spectral_reach.envgrid import ContinuousMazeSpec, discretize_continuous, parse_maze
-from spectral_reach.errors import (
-    DimensionMismatch,
-    DimensionOutOfRange,
-    GraphDisconnected,
-    InvalidState,
-    MalformedEmbedding,
-    NotSymmetric,
-)
+from spectral_reach.errors import InputError, PreconditionError
 from spectral_reach.graph import build_graph, pseudo_inverse
 from spectral_reach.spectral import (
     CSV_BLOCK,
@@ -118,11 +111,11 @@ class TestEigSym:
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
     def test_not_symmetric(self):
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(PreconditionError, match="exceeds"):
             eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_not_square(self):
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(PreconditionError, match="square matrix"):
             eig_sym(np.zeros((2, 3)))
 
     def test_volume_from_trace(self, zoo_graphs, zoo_bases):
@@ -188,7 +181,7 @@ class TestEigSymPartial:
             lambda: tail_bound(part, 5),
             lambda: pseudo_inverse(g, part),
         ):
-            with pytest.raises(DimensionMismatch) as exc:
+            with pytest.raises(InputError, match="needs all") as exc:
                 call()
             assert "the 10 smallest" in str(exc.value) and "\n" not in str(exc.value)
 
@@ -198,12 +191,12 @@ class TestEigSymPartial:
         assert ra_laprep(part, 6).vectors.shape == (104, 5)
         assert laprep(part, 2).eigenvalues == pytest.approx(
             zoo_bases["fourroom"].eigenvalues[1:2], abs=1e-12)
-        with pytest.raises(DimensionOutOfRange):
+        with pytest.raises(InputError, match="outside"):
             laprep(part, 7)
 
     def test_k_outside_range(self):
         for k in (0, 3):
-            with pytest.raises(DimensionOutOfRange):
+            with pytest.raises(InputError, match="eigenpairs outside"):
                 eig_sym(K2_L, k)
 
     def test_k_equal_to_n_is_the_dense_path(self, zoo_graphs, zoo_bases):
@@ -223,7 +216,7 @@ class TestEigSymPartial:
     def test_not_symmetric(self):
         lap = np.diag([1.0, 2.0, 3.0])
         lap[0, 2] = 1e-6
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(PreconditionError, match="exceeds"):
             eig_sym(lap, 2)
 
     @pytest.mark.parametrize("name", PARTIAL_MAPS)
@@ -256,7 +249,7 @@ class TestLaprep:
 
     def test_dimension_out_of_range(self, zoo_bases):
         for d in (0, 1, 10):
-            with pytest.raises(DimensionOutOfRange):
+            with pytest.raises(InputError, match="outside"):
                 laprep(zoo_bases["tworoom"], d)
 
 
@@ -288,7 +281,7 @@ class TestRaLaprep:
     def test_disconnected_rejected(self):
         g = build_graph(parse_maze("#######\n#..#..#\n#..#..#\n#######"))
         basis = eig_sym(g.laplacian)
-        with pytest.raises(GraphDisconnected):
+        with pytest.raises(PreconditionError, match="numerically zero"):
             ra_laprep(basis, 3)
 
     def test_dist_identity_and_symmetry(self, zoo_bases):
@@ -299,7 +292,7 @@ class TestRaLaprep:
     def test_dist_invalid_state(self, zoo_bases):
         e = ra_laprep(zoo_bases["p3"], 3)
         for goal in (3, -1):
-            with pytest.raises(InvalidState):
+            with pytest.raises(InputError, match="out of range"):
                 goal_distances(e.vectors, goal)
 
     def test_pairwise_matches_scalar(self, zoo_bases):
@@ -368,11 +361,11 @@ def csv_text(e, coords):
     return b"".join(embedding_to_csv(e, coords)).decode()
 
 
-def parse_text(text, tmp_path, kind=""):
+def parse_text(text, tmp_path):
     """embedding_from_csv of text written to a file."""
     path = tmp_path / "embedding.csv"
     path.write_text(text)
-    return embedding_from_csv(path, kind=kind)
+    return embedding_from_csv(path)
 
 
 def assert_parses_like_the_csv_module(text, tmp_path):
@@ -397,7 +390,7 @@ class TestSerialization:
         text = csv_text(e, coords)
         header = text.splitlines()[0]
         assert header == "state_index,x,y,e2,e3,e4"
-        back, coords_back = parse_text(text, tmp_path, kind=e.kind)
+        back, coords_back = parse_text(text, tmp_path)
         assert np.array_equal(back.vectors, e.vectors)
         assert tuple(coords_back) == coords
 
@@ -435,7 +428,7 @@ class TestSerialization:
 
     def test_coordinate_count_refused_before_the_first_chunk(self):
         e = Embedding(kind="ra_laprep", d=2, vectors=np.zeros((3, 1)))
-        with pytest.raises(InvalidState, match="coordinate list has 2 entries"):
+        with pytest.raises(InputError, match="coordinate list has 2 entries"):
             embedding_to_csv(e, ((1, 1), (2, 1)))
 
     def test_csv_rows_in_any_order(self, zoo_bases, zoo_graphs, tmp_path):
@@ -458,7 +451,7 @@ class TestSerialization:
         ("0,1,1,0.7\n1,2,1,-0.7,3\n", "line 3 has 5 fields"),
     ])
     def test_malformed_csv_rejected(self, body, needle, tmp_path):
-        with pytest.raises(MalformedEmbedding, match=re.escape(needle)):
+        with pytest.raises(InputError, match=re.escape(needle)):
             parse_text("state_index,x,y,e2\n" + body, tmp_path)
 
     @pytest.mark.parametrize("row,bad,message", [
@@ -476,14 +469,14 @@ class TestSerialization:
         rows[at] = bad.format(s=at)
         text = "state_index,x,y,e2\n" + "\n".join(rows) + "\n"
         assert len(text) > 4 * io.DEFAULT_BUFFER_SIZE
-        with pytest.raises(MalformedEmbedding) as info:
+        with pytest.raises(InputError, match="embedding CSV") as info:
             parse_text(text, tmp_path)
         assert str(info.value) == message.format(line=at + 2, row=at)
 
     def test_header_only_and_empty_files(self, tmp_path):
         back, coords = parse_text("state_index,x,y,e2,e3\n", tmp_path)
         assert back.vectors.shape == (0, 2) and coords == []
-        with pytest.raises(MalformedEmbedding, match="lacks its state_index"):
+        with pytest.raises(InputError, match="lacks its state_index"):
             parse_text("", tmp_path)
 
     def test_basis_json(self, zoo_bases):
