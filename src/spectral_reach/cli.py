@@ -35,6 +35,7 @@ from .graph import (
     build_graph,
     connected_components,
     export_graph_json,
+    require_connected,
 )
 from .manifest import RunManifest, atomic_write_bytes, atomic_write_chunks, sha256_file
 from .spectral import (
@@ -127,9 +128,12 @@ def _spectral_embeddings(
     """Embeddings of dimension d, one per kind, from one eigensolve.
 
     Only the d smallest eigenpairs are computed: for d < n by the sparse
-    partial solver, for d = n by the dense full decomposition.
+    partial solver, for d = n by the dense full decomposition.  The
+    rescaled kind needs a connected graph, which is checked first.
     """
     check_dimension(d, g.n_states)
+    if "ra_laprep" in kinds:
+        require_connected(g)
     basis = eig_sym(g.laplacian if d < g.n_states else g.dense_laplacian(), d)
     return basis, {kind: EMBEDDERS[kind](basis, d) for kind in kinds}
 
@@ -216,9 +220,9 @@ def cmd_verify(args, _maze: None) -> Result:
 
 
 def cmd_learn(args, maze: MazeSpec) -> Result:
-    from .replearn import (TrainConfig, collect_dataset, estimate_eigenvalues,
-                           learned_ra_laprep, rep_quality, train_graph_drawing,
-                           training_log_csv)
+    from .replearn import (PAIR_DISCOUNT, PENALTY_WEIGHT, TrainConfig, collect_dataset,
+                           estimate_eigenvalues, learned_ra_laprep, rep_quality,
+                           train_graph_drawing, training_log_csv)
     g = build_graph(maze)
     data = collect_dataset(
         maze,
@@ -232,8 +236,6 @@ def cmd_learn(args, maze: MazeSpec) -> Result:
         iterations=args.iterations,
         batch_size=args.batch,
         step_size=args.step_size,
-        discount=args.sample_discount,
-        penalty_weight=args.penalty,
         seed=args.seed,
     )
     rep = train_graph_drawing(data, d, config)
@@ -260,7 +262,7 @@ def cmd_learn(args, maze: MazeSpec) -> Result:
         "tau": args.tau, "d": d, "episodes": args.episodes,
         "episode_len": args.episode_len, "iterations": config.iterations,
         "batch": config.batch_size, "step_size": config.step_size,
-        "sample_discount": config.discount, "penalty": config.penalty_weight,
+        "sample_discount": PAIR_DISCOUNT, "penalty": PENALTY_WEIGHT,
     }, [args.seed])
 
 
@@ -286,6 +288,7 @@ def cmd_shape(args, maze: MazeSpec) -> Result:
             )
         goals = tuple(index.of(c) for c in maze.goal_cells)
     d = args.d if args.d is not None else min(10, g.n_states)
+    check_dimension(d, g.n_states)
     embedded = [k for k in kinds if k in EMBEDDERS]
     embeddings = _spectral_embeddings(g, d, embedded)[1] if embedded else {}
     config = QLearningConfig(episodes=args.episodes)
@@ -410,8 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=20000)
     p.add_argument("--batch", type=int, default=1024)
     p.add_argument("--step-size", type=float, default=1e-3)
-    p.add_argument("--sample-discount", type=float, default=0.9)
-    p.add_argument("--penalty", type=float, default=5.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_learn)
 

@@ -54,10 +54,9 @@ class FirstPassageMatrix:
 
 @dataclass(frozen=True)
 class CommuteMatrix:
-    """Symmetric average commute times with the method that produced them."""
+    """Symmetric average commute times."""
 
     values: np.ndarray
-    method: str
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ def commute(g: StateGraph, method: str = "solve") -> CommuteMatrix:
     diag = np.diag(gram)
     values = g.volume * (diag[:, None] + diag[None, :] - (gram + gram.T))
     np.fill_diagonal(values, 0.0)
-    return CommuteMatrix(values=values, method=method)
+    return CommuteMatrix(values=values)
 
 
 def symmetric_csv(values: np.ndarray) -> Iterator[bytes]:

@@ -182,13 +182,12 @@ def is_connected(g: StateGraph) -> bool:
     return len(connected_components(g)) == 1
 
 
-def require_connected(g: StateGraph) -> None:
+def require_connected(g: StateGraph, what: str = "state graph") -> None:
+    """Refuse a disconnected graph; ``what`` names it in the message."""
     comps = connected_components(g)
     if len(comps) != 1:
         sizes = sorted((len(c) for c in comps), reverse=True)
-        raise PreconditionError(
-            f"state graph has {len(comps)} components (sizes {sizes})"
-        )
+        raise PreconditionError(f"{what} has {len(comps)} components (sizes {sizes})")
 
 
 def _bfs(g: StateGraph, sources: np.ndarray) -> np.ndarray:

@@ -45,22 +45,12 @@ def bundled_files() -> dict:
     }
 
 
-def _file(name: str):
+def load_bundled(name: str) -> MazeSpec | ContinuousMazeSpec:
+    """Parse a bundled map by name."""
     files = bundled_files()
     if name not in files:
         raise KeyError(f"unknown bundled map {name!r}; available: {tuple(sorted(files))}")
-    return files[name]
-
-
-def bundled_text(name: str) -> str:
-    """Raw text of a bundled map file."""
-    return _file(name).read_text()
-
-
-def load_bundled(name: str) -> MazeSpec | ContinuousMazeSpec:
-    """Parse a bundled map by name."""
-    f = _file(name)
-    return parse_map(f.read_text(), kind_of(f.name))
+    return parse_map(files[name].read_text(), kind_of(files[name].name))
 
 
 #: the zoo layouts are bundled maps

@@ -5,15 +5,16 @@ transition data with a generalized graph-drawing objective: dimension i
 carries weight c_i = d - i + 1 on the attraction term
 E[(f_i(s) - f_i(s'))^2] over sampled state pairs, and every (i, j) pair
 pays min(c_i, c_j) times the squared deviation of E_s[f_i(s) f_j(s)]
-from the identity, weighted by a penalty factor.  The decreasing
+from the identity, weighted by ``PENALTY_WEIGHT``.  The decreasing
 weights make the minimizer the ordered eigenvector basis rather than an
 arbitrary rotation of it.
 
 Pairs are sampled from episodes at geometric offsets: offset k is drawn
-with P(k) = (1 - g) g^(k-1) for discount g, then a start position is
-drawn uniformly among the positions that admit offset k (offsets beyond
-the episode length are redrawn).  Orthonormality expectations use the
-empirical state-visitation distribution of the dataset.
+with P(k) = (1 - g) g^(k-1) for g = ``PAIR_DISCOUNT``, then a start
+position is drawn uniformly among the positions that admit offset k
+(offsets beyond the episode length are redrawn).  Orthonormality
+expectations use the empirical state-visitation distribution of the
+dataset.
 
 Eigenvalue estimates use consecutive transition pairs only:
 
@@ -38,12 +39,15 @@ import numpy as np
 
 from .envgrid import ACTIONS, MazeSpec, transition_table
 from .errors import InputError, NumericalError, PreconditionError
-from .graph import (StateGraph, graph_from_table, graph_from_transitions, require_connected,
-                    sorted_unique)
+from .graph import StateGraph, graph_from_table, graph_from_transitions, require_connected
 from .spectral import Embedding, check_dimension, goal_distances
 
 #: eigenvalue estimates at or below this are too degenerate to rescale by
 DEGENERATE_EIG_TOL = 1e-8
+#: geometric pair-offset parameter g of the pair sampler
+PAIR_DISCOUNT = 0.9
+#: weight of the orthonormality penalty in the objective
+PENALTY_WEIGHT = 5.0
 #: the training log keeps iteration 1, every LOG_EVERY-th, and the last
 LOG_EVERY = 500
 
@@ -53,21 +57,13 @@ class TrainConfig:
     iterations: int = 20000
     batch_size: int = 1024
     step_size: float = 1e-3
-    discount: float = 0.9          # geometric pair-offset parameter
-    penalty_weight: float = 5.0
     seed: int = 0
 
     def validate(self) -> None:
         if self.iterations <= 0 or self.batch_size <= 0:
             raise ValueError("iterations and batch_size must be positive")
-        if not 0.0 <= self.discount < 1.0:
-            raise ValueError(f"discount must lie in [0, 1), got {self.discount}")
         if not 0.0 < self.step_size < np.inf:
             raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
-        if not 0.0 <= self.penalty_weight < np.inf:
-            raise ValueError(
-                f"penalty_weight must be nonnegative and finite, got {self.penalty_weight}"
-            )
 
 
 @dataclass(frozen=True)
@@ -91,22 +87,12 @@ class TransitionDataset:
         """All consecutive (s, s') pairs, episode by episode."""
         return self.episodes[:, :-1].ravel(), self.episodes[:, 1:].ravel()
 
-    @cached_property
-    def observed_edges(self) -> int:
-        """Distinct undirected non-self edges appearing in the data."""
-        s, s2 = self.pairs
-        mask = s != s2
-        lo = np.minimum(s[mask], s2[mask])
-        hi = np.maximum(s[mask], s2[mask])
-        return len(sorted_unique(lo * self.n_states + hi))
-
 
 @dataclass(frozen=True)
 class LearnedRep:
     """Trained function table plus its training trace."""
 
     params: np.ndarray             # (n_states, d)
-    d: int
     config: TrainConfig
     objective_log: np.ndarray      # rows (iteration, objective, penalty)
 
@@ -205,21 +191,17 @@ def induced_graph(data: TransitionDataset) -> StateGraph:
 # ---------------------------------------------------------------------------
 
 def sample_pair_batch(
-    matrix: np.ndarray, batch_size: int, discount: float, rng: np.random.Generator
+    matrix: np.ndarray, batch_size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch of (s, s') pairs at geometric offsets from stacked episodes."""
     n_eps, length = matrix.shape
     max_offset = length - 1
-    if discount == 0.0:
-        k = np.ones(batch_size, dtype=np.int64)
-    else:
-        k = np.empty(batch_size, dtype=np.int64)
-        need = np.ones(batch_size, dtype=bool)
-        while need.any():
-            u = rng.random(int(need.sum()))
-            draw = 1 + np.floor(np.log1p(-u) / np.log(discount)).astype(np.int64)
-            k[need] = draw
-            need = k > max_offset   # redraw offsets the episodes cannot hold
+    k = np.empty(batch_size, dtype=np.int64)
+    need = np.ones(batch_size, dtype=bool)
+    while need.any():
+        u = rng.random(int(need.sum()))
+        k[need] = 1 + np.floor(np.log1p(-u) / np.log(PAIR_DISCOUNT)).astype(np.int64)
+        need = k > max_offset   # redraw offsets the episodes cannot hold
     e = rng.integers(0, n_eps, size=batch_size)
     t = np.floor(rng.random(batch_size) * (length - k)).astype(np.int64)
     return matrix[e, t], matrix[e, t + k]
@@ -272,7 +254,7 @@ def train_graph_drawing(
     check_dimension(d, n)
     if data.total_steps == 0:
         raise InputError("dataset has no transitions")
-    require_connected(induced_graph(data))
+    require_connected(induced_graph(data), "graph of the sampled transitions")
 
     visit = data.visitation / data.visitation.sum()
     dim_weights = np.arange(d, 0, -1, dtype=np.float64)      # c_i = d - i + 1
@@ -288,9 +270,9 @@ def train_graph_drawing(
     ema = None
     initial = None
     for it in range(1, config.iterations + 1):
-        s, s2 = sample_pair_batch(data.episodes, config.batch_size, config.discount, rng)
+        s, s2 = sample_pair_batch(data.episodes, config.batch_size, rng)
         a_val, a_grad = attraction_value_grad(f, dim_weights, s, s2)
-        p_val, p_grad = penalty_value_grad(f, pair_weights, visit, config.penalty_weight)
+        p_val, p_grad = penalty_value_grad(f, pair_weights, visit, PENALTY_WEIGHT)
         objective = a_val + p_val
         grad = a_grad + p_grad
 
@@ -315,7 +297,6 @@ def train_graph_drawing(
 
     return LearnedRep(
         params=f,
-        d=d,
         config=config,
         objective_log=np.array(log_rows, dtype=np.float64),
     )
@@ -333,17 +314,17 @@ def estimate_eigenvalues(rep: LearnedRep, data: TransitionDataset) -> np.ndarray
         raise InputError("dataset has no edge-traversing transitions")
     f = rep.params
     diff = f[s[mask]] - f[s2[mask]]
-    raw = (diff * diff).sum(axis=0) / mask.sum() * data.observed_edges
+    edges = induced_graph(data).volume // 2
+    raw = (diff * diff).sum(axis=0) / mask.sum() * edges
     norms = (f * f).sum(axis=0)
     return (raw / norms)[1:]
 
 
 def learned_ra_laprep(rep: LearnedRep, lam: np.ndarray) -> Embedding:
     """Rescaled embedding from the learned table and eigenvalue estimates 2..d."""
-    if len(lam) != rep.d - 1:
-        raise InputError(
-            f"{len(lam)} eigenvalue estimates for a d = {rep.d} table"
-        )
+    d = rep.params.shape[1]
+    if len(lam) != d - 1:
+        raise InputError(f"{len(lam)} eigenvalue estimates for a d = {d} table")
     if np.any(lam <= DEGENERATE_EIG_TOL):
         worst = float(lam.min())
         raise NumericalError(
@@ -351,7 +332,6 @@ def learned_ra_laprep(rep: LearnedRep, lam: np.ndarray) -> Embedding:
         )
     return Embedding(
         kind="learned",
-        d=rep.d,
         vectors=rep.params[:, 1:] / np.sqrt(lam),
         eigenvalues=lam.copy(),
     )

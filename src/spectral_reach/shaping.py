@@ -103,7 +103,6 @@ class ShapingRun:
     kinds: tuple[str, ...]
     goals: tuple[int, ...]
     seeds: tuple[int, ...]
-    config: QLearningConfig
     runs: dict[tuple[str, int, int], RunResult]
 
     def curve(self, kind: str) -> np.ndarray:
@@ -287,7 +286,7 @@ def run_experiment(
     ]
     batch = q_learning_batch(maze, specs, seeds, config)
     runs = {(r.kind, r.goal, r.seed): r for r in batch}
-    return ShapingRun(tuple(kinds), tuple(goals), tuple(seeds), config, runs)
+    return ShapingRun(tuple(kinds), tuple(goals), tuple(seeds), runs)
 
 
 def paired_t_pvalue(a: np.ndarray, b: np.ndarray) -> float:

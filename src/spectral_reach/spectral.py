@@ -97,13 +97,17 @@ class Embedding:
     """
 
     kind: str                     # "laprep" | "ra_laprep" | "learned"
-    d: int
     vectors: np.ndarray           # (n, d - 1)
     eigenvalues: np.ndarray | None = None
 
     @property
     def n_states(self) -> int:
         return self.vectors.shape[0]
+
+    @property
+    def d(self) -> int:
+        """Embedding dimension: the stored columns plus the dropped constant one."""
+        return self.vectors.shape[1] + 1
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -226,7 +230,6 @@ def laprep(basis: SpectralBasis, d: int) -> Embedding:
     check_dimension(d, basis.eigenvectors.shape[1])
     return Embedding(
         kind="laprep",
-        d=d,
         vectors=basis.eigenvectors[:, 1:d].copy(),
         eigenvalues=basis.eigenvalues[1:d].copy(),
     )
@@ -239,7 +242,6 @@ def ra_laprep(basis: SpectralBasis, d: int) -> Embedding:
     lam = basis.eigenvalues[1:d]
     return Embedding(
         kind="ra_laprep",
-        d=d,
         vectors=basis.eigenvectors[:, 1:d] / np.sqrt(lam),
         eigenvalues=lam.copy(),
     )
@@ -355,7 +357,7 @@ def embedding_from_csv(path: str | Path) -> tuple[Embedding, list[tuple[int, int
             f"embedding CSV state_index column is not a permutation of 0..{len(table) - 1}"
         )
     coords = [tuple(c) for c in table["index"][order, 1:].tolist()]
-    return Embedding(kind="", d=k + 1, vectors=table["vector"][order]), coords
+    return Embedding(kind="", vectors=table["vector"][order]), coords
 
 
 def basis_to_json(basis: SpectralBasis, eigenvalues: np.ndarray | None = None) -> dict:

@@ -275,7 +275,7 @@ def suite_bottleneck() -> list[CheckResult]:
         # embedding; asserted at the selection level, since exactly
         # symmetric cells tie within rounding error and their relative
         # order inside the tie is not meaningful.
-        scaled = Embedding(kind=phi.kind, d=phi.d, vectors=phi.vectors * 3.0)
+        scaled = Embedding(kind=phi.kind, vectors=phi.vectors * 3.0)
         same = top_bottlenecks(centrality(scaled), 0.2) == top_bottlenecks(cent, 0.2)
         out.append(CheckResult(
             "bottleneck", f"{name}:scale-invariant-selection", bool(same), "",

@@ -23,8 +23,7 @@ from spectral_reach.spectral import Embedding, eig_sym, laprep, ra_laprep
 
 def embedding_from(vectors):
     v = np.asarray(vectors, dtype=np.float64)
-    return Embedding(kind="ra_laprep", d=v.shape[1] + 1, vectors=v,
-                     eigenvalues=np.ones(v.shape[1]))
+    return Embedding(kind="ra_laprep", vectors=v, eigenvalues=np.ones(v.shape[1]))
 
 
 class TestCentrality:
@@ -44,8 +43,7 @@ class TestCentrality:
 
     def test_uniform_scaling_homogeneity(self, zoo_bases):
         e = ra_laprep(zoo_bases["tworoom"], 9)
-        scaled = Embedding(kind=e.kind, d=e.d, vectors=3.0 * e.vectors,
-                           eigenvalues=e.eigenvalues)
+        scaled = Embedding(kind=e.kind, vectors=3.0 * e.vectors, eigenvalues=e.eigenvalues)
         assert centrality(scaled) == pytest.approx(centrality(e) / 3.0)
         assert top_bottlenecks(centrality(scaled), 0.2) == top_bottlenecks(centrality(e), 0.2)
 

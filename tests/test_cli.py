@@ -91,7 +91,7 @@ class TestEnv:
 
     def test_map_from_file_path(self, tmp_path, capsys):
         p = tmp_path / "rooms.txt"
-        p.write_text(layouts.bundled_text("tworoom"))
+        p.write_text(layouts.bundled_files()["tworoom"].read_text())
         assert main(["env", "--map", str(p)]) == 0
         assert "states=9" in capsys.readouterr().out
 
@@ -323,6 +323,14 @@ class TestLearn:
         assert main(_learn(tmp_path, "tworoom")) == 0
         assert len(calls) == 1
 
+    def test_manifest_records_fixed_sampler_settings(self, tmp_path):
+        assert main(_learn(tmp_path, "tworoom")) == 0
+        config = json.loads((tmp_path / "learn" / "run_manifest.json").read_text())["config"]
+        assert config["sample_discount"] == 0.9 and config["penalty"] == 5.0
+        with pytest.raises(SystemExit) as exc:
+            main(_learn(tmp_path, "tworoom", "--penalty", "5"))
+        assert exc.value.code == 1
+
 
 # ---------------------------------------------------------------------------
 # shape
@@ -501,7 +509,7 @@ class TestCommute:
         def skewed(g, method):
             values = np.zeros((g.n_states, g.n_states))
             values[0, 1] = 1.0
-            return CommuteMatrix(values=values, method=method)
+            return CommuteMatrix(values=values)
 
         monkeypatch.setattr(sys.modules["spectral_reach.commute"], "commute", skewed)
         out = tmp_path / "c"
@@ -558,6 +566,13 @@ def _env_on_layout(tmp, text):
     p = tmp / "layout.json"
     p.write_text(text)
     return ["env", "--map", str(p)]
+
+
+def _two_islands(tmp):
+    """Map file of two 2 x 2 rooms with no door between them."""
+    p = tmp / "islands.txt"
+    p.write_text("#######\n#..#..#\n#..#..#\n#######\n")
+    return str(p)
 
 
 def _learn(tmp, map_name, *flags):
@@ -652,13 +667,32 @@ def test_out_of_memory_is_one_error_line(tmp_path, argv):
     (lambda tmp: _learn(tmp, "biased", "--tau", "inf"), 1, "temperature"),
     (lambda tmp: _learn(tmp, "tworoom", "--step-size", "nan"), 1, "step_size"),
     (lambda tmp: _learn(tmp, "tworoom", "--step-size", "inf"), 1, "step_size"),
-    (lambda tmp: _learn(tmp, "tworoom", "--penalty", "nan"), 1, "penalty_weight"),
-    (lambda tmp: _learn(tmp, "tworoom", "--penalty", "inf"), 1, "penalty_weight"),
+    (lambda tmp: _learn(tmp, "biased", "--tau", "10", "--episodes", "200", "--episode-len",
+                        "50", "--iterations", "100", "--batch", "64"), 2,
+     "error: graph of the sampled transitions has 41 components "
+     "(sizes [25" + ", 1" * 40 + "])\n"),
+    (lambda tmp: ["embed", "--map", _two_islands(tmp), "--out", str(tmp / "e")], 2,
+     "error: state graph has 2 components (sizes [4, 4])\n"),
+    (lambda tmp: ["embed", "--map", _two_islands(tmp), "--d", "3", "--out", str(tmp / "e")], 2,
+     "error: state graph has 2 components (sizes [4, 4])\n"),
+    (lambda tmp: ["embed", "--map", _two_islands(tmp), "--kind", "lap", "--out", str(tmp / "e")],
+     0, ""),
+    (lambda tmp: ["bottleneck", "--map", _two_islands(tmp), "--out", str(tmp / "b")], 2,
+     "error: state graph has 2 components (sizes [4, 4])\n"),
+    (lambda tmp: ["shape", "--map", _two_islands(tmp), "--goal", "1,1", "--seed", "0",
+                  "--seeds", "1", "--episodes", "5", "--out", str(tmp / "s")], 2,
+     "error: state graph has 2 components (sizes [4, 4])\n"),
     (lambda tmp: ["shape", "--map", "fourroom", "--kind", "ra_laprep,ra_laprep", "--goal", "1,1",
                   "--seed", "0", "--seeds", "1", "--episodes", "5", "--out", str(tmp / "s")], 1,
      "'ra_laprep' is given more than once"),
     (lambda tmp: ["shape", "--map", "fourroom", "--kind", "none", "--goal", "1,1", "--seed", "0",
                   "--episodes", "0", "--out", str(tmp / "s")], 1, "episodes must be positive"),
+    (lambda tmp: ["shape", "--map", "fourroom", "--kind", "none", "--goal", "1,1", "--d", "200",
+                  "--seed", "0", "--seeds", "1", "--episodes", "5", "--out", str(tmp / "s")], 1,
+     "error: d = 200 outside [2, 104]\n"),
+    (lambda tmp: ["shape", "--map", "fourroom", "--kind", "none", "--goal", "1,1", "--d", "1",
+                  "--seed", "0", "--seeds", "1", "--episodes", "5", "--out", str(tmp / "s")], 1,
+     "error: d = 1 outside [2, 104]\n"),
 ], ids=["continuous_a", "continuous_b", "heatmap-empty-csv", "heatmap-short-row",
         "heatmap-duplicate-index", "heatmap-index-gap", "heatmap-fractional-x",
         "heatmap-non-numeric-value", "heatmap-scale-0", "heatmap-scale-negative", "commute-pair-without-colon",
@@ -669,8 +703,10 @@ def test_out_of_memory_is_one_error_line(tmp_path, argv):
         "layout-infinite-wall-y", "layout-nan-wall-w", "layout-wide-grid",
         "layout-fine-resolution", "layout-overflowing-resolution", "learn-nan-tau",
         "learn-infinite-tau", "learn-nan-step-size", "learn-infinite-step-size",
-        "learn-nan-penalty", "learn-infinite-penalty", "shape-repeated-kind",
-        "shape-no-episodes"])
+        "learn-biased-sampled-graph-disconnected", "embed-two-islands",
+        "embed-two-islands-low-d", "embed-lap-two-islands", "bottleneck-two-islands",
+        "shape-two-islands", "shape-repeated-kind", "shape-no-episodes",
+        "shape-none-d-above-n", "shape-none-d-below-two"])
 def test_exit_code_and_at_most_one_stderr_line(tmp_path, capsys, argv, code, needle):
     assert main(argv(tmp_path)) == code
     err = capsys.readouterr().err
@@ -867,12 +903,12 @@ class TestManifests:
         assert main(argv) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["command"] == argv
-        expected = hashlib.sha256(layouts.bundled_text("tworoom").encode()).hexdigest()
+        expected = hashlib.sha256(layouts.bundled_files()["tworoom"].read_text().encode()).hexdigest()
         assert manifest["input_digests"]["tworoom"] == expected
 
     def test_file_inputs_digested(self, tmp_path):
         p = tmp_path / "rooms.txt"
-        p.write_text(layouts.bundled_text("tworoom"))
+        p.write_text(layouts.bundled_files()["tworoom"].read_text())
         out = tmp_path / "env"
         assert main(["env", "--map", str(p), "--out", str(out)]) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
@@ -914,7 +950,7 @@ def test_manifest_lists_every_output_and_input(tmp_path, cmd):
 
 def test_file_map_digested_once(tmp_path, monkeypatch):
     p = tmp_path / "rooms.txt"
-    p.write_text(layouts.bundled_text("tworoom"))
+    p.write_text(layouts.bundled_files()["tworoom"].read_text())
     calls = count_calls(monkeypatch, sha256_file)
     assert main(["env", "--map", str(p), "--out", str(tmp_path / "env")]) == 0
     assert len(calls) == 1

@@ -178,7 +178,7 @@ class TestContinuous:
             assert rect.clearance(px, py) == pytest.approx(best, abs=1e-2)
 
     def test_discretization_matches_pointwise_oracle(self):
-        cm = ContinuousMazeSpec.from_json(layouts.bundled_text("continuous_a"))
+        cm = ContinuousMazeSpec.from_json(layouts.bundled_files()["continuous_a"].read_text())
         res = 1
         maze = discretize_continuous(cm, res)
         nx = int(round(cm.width * res))
@@ -414,7 +414,7 @@ class TestBundledMaps:
     ])
     def test_tiny_zoo_files_hold_exact_bytes(self, name, text):
         # No trailing newline: a manifest digests a bundled map's text.
-        assert layouts.bundled_text(name) == text
+        assert layouts.bundled_files()[name].read_text() == text
 
     def test_zoo_and_doorway_maps_are_bundled_files(self):
         assert set(layouts.ZOO_NAMES) | set(layouts.DOORWAYS) <= set(layouts.bundled_files())

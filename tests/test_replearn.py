@@ -17,6 +17,7 @@ from spectral_reach.envgrid import (
 from spectral_reach.errors import InputError, NumericalError, PreconditionError
 from spectral_reach.graph import build_graph, geodesic_matrix, require_connected
 from spectral_reach.replearn import (
+    PAIR_DISCOUNT,
     LearnedRep,
     TrainConfig,
     TransitionDataset,
@@ -175,7 +176,7 @@ class TestCollectDataset:
         s, s2 = data.pairs
         move = s != s2
         keys = np.minimum(s, s2)[move] * data.n_states + np.maximum(s, s2)[move]
-        assert data.observed_edges == len(np.unique(keys))
+        assert induced_graph(data).volume // 2 == len(np.unique(keys))
 
     def test_tworoom_walks_pinned(self, tworoom_data):
         # SHA-256 of the (2000, 51) int64 episode matrix, recorded with
@@ -244,9 +245,9 @@ class TestSamplePairBatch:
         return np.tile(np.arange(length, dtype=np.int64), (rows, 1))
 
     def test_offsets_follow_truncated_geometric(self):
-        length, discount, n = 6, 0.9, 20_000
+        length, discount, n = 6, PAIR_DISCOUNT, 20_000
         rng = np.random.Generator(np.random.PCG64(1))
-        s, s2 = sample_pair_batch(self.identity_matrix(length), n, discount, rng)
+        s, s2 = sample_pair_batch(self.identity_matrix(length), n, rng)
         offsets = s2 - s
         top = length - 1
         assert offsets.min() >= 1 and offsets.max() <= top
@@ -257,20 +258,15 @@ class TestSamplePairBatch:
         test = stats.chisquare(counts, expected * n)
         assert test.pvalue > 1e-3
 
-    def test_zero_discount_always_adjacent(self):
-        rng = np.random.Generator(np.random.PCG64(2))
-        s, s2 = sample_pair_batch(self.identity_matrix(6), 1000, 0.0, rng)
-        assert np.all(s2 - s == 1)
-
     def test_offsets_beyond_episode_redrawn(self):
         rng = np.random.Generator(np.random.PCG64(3))
-        s, s2 = sample_pair_batch(self.identity_matrix(2), 1000, 0.9, rng)
+        s, s2 = sample_pair_batch(self.identity_matrix(2), 1000, rng)
         assert np.all(s2 - s == 1)
 
     def test_positions_stay_in_bounds(self):
         length = 5
         rng = np.random.Generator(np.random.PCG64(4))
-        s, s2 = sample_pair_batch(self.identity_matrix(length), 5000, 0.8, rng)
+        s, s2 = sample_pair_batch(self.identity_matrix(length), 5000, rng)
         assert s.min() >= 0
         assert s2.max() <= length - 1
         assert np.all(s2 > s)
@@ -401,8 +397,6 @@ class TestTrainGraphDrawing:
             train_graph_drawing(tworoom_data, 10)
 
     def test_config_validation(self, tworoom_data):
-        with pytest.raises(ValueError, match="discount"):
-            train_graph_drawing(tworoom_data, 2, TrainConfig(discount=1.0))
         with pytest.raises(ValueError, match="positive"):
             train_graph_drawing(tworoom_data, 2, TrainConfig(iterations=0))
         with pytest.raises(ValueError, match="step_size"):
@@ -416,7 +410,6 @@ class TestTrainGraphDrawing:
 def exact_rep(basis, d):
     return LearnedRep(
         params=basis.eigenvectors[:, :d].copy(),
-        d=d,
         config=TrainConfig(),
         objective_log=np.zeros((1, 3)),
     )
@@ -432,7 +425,6 @@ class TestEstimateEigenvalues:
     def test_constant_column_gives_zero(self, zoo_bases):
         rep = LearnedRep(
             params=np.ones((2, 2)),
-            d=2,
             config=TrainConfig(),
             objective_log=np.zeros((1, 3)),
         )

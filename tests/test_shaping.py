@@ -40,8 +40,7 @@ SPLIT = """\
 
 def embedding_from(vectors):
     v = np.asarray(vectors, dtype=np.float64)
-    return Embedding(kind="ra_laprep", d=v.shape[1] + 1, vectors=v,
-                     eigenvalues=np.ones(v.shape[1]))
+    return Embedding(kind="ra_laprep", vectors=v, eigenvalues=np.ones(v.shape[1]))
 
 
 @pytest.fixture(scope="module")
@@ -369,8 +368,7 @@ def _run_of(aucs_by_kind, episodes=4):
             runs[(kind, 0, seed)] = RunResult(kind, 0, seed, success,
                                               np.zeros(episodes, dtype=np.int64),
                                               np.zeros((1, 4)))
-    return ShapingRun(tuple(aucs_by_kind), (0,), seeds,
-                      QLearningConfig(episodes=episodes), runs)
+    return ShapingRun(tuple(aucs_by_kind), (0,), seeds, runs)
 
 
 class TestPairedTest:

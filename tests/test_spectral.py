@@ -408,7 +408,7 @@ class TestSerialization:
 
     def test_csv_of_extreme_values(self, tmp_path):
         v = np.array([[-0.0, 5e-324], [1e308, -1e-300], [0.1, -2.5e-310], [np.pi, -0.0]])
-        e = Embedding(kind="ra_laprep", d=3, vectors=v)
+        e = Embedding(kind="ra_laprep", vectors=v)
         coords = ((1, 1), (2, 1), (1, 2), (12, 30))
         text = csv_text(e, coords)
         assert text == csv_module_writer(e, coords)
@@ -418,7 +418,7 @@ class TestSerialization:
     def test_streamed_rows_for_every_size_around_the_block(self):
         v = np.random.default_rng(5).standard_normal((2 * CSV_BLOCK + 1, 3)) * 1e5
         for n in range(1, len(v) + 1):
-            e = Embedding(kind="ra_laprep", d=4, vectors=v[:n])
+            e = Embedding(kind="ra_laprep", vectors=v[:n])
             coords = tuple((s % 7, s // 7) for s in range(n))
             chunks = list(embedding_to_csv(e, coords))
             assert b"".join(chunks).decode() == csv_module_writer(e, coords), n
@@ -427,7 +427,7 @@ class TestSerialization:
                 min(CSV_BLOCK, n - a) for a in range(0, n, CSV_BLOCK)], n
 
     def test_coordinate_count_refused_before_the_first_chunk(self):
-        e = Embedding(kind="ra_laprep", d=2, vectors=np.zeros((3, 1)))
+        e = Embedding(kind="ra_laprep", vectors=np.zeros((3, 1)))
         with pytest.raises(InputError, match="coordinate list has 2 entries"):
             embedding_to_csv(e, ((1, 1), (2, 1)))
 
