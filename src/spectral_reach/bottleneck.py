@@ -17,10 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .spectral import Embedding, sq_dists_rows
-
-#: distance-matrix rows ``centrality`` holds at once
-ROW_BLOCK = 128
+from .spectral import ROW_BLOCK, Embedding, sq_dists_rows
 
 
 @dataclass(frozen=True)

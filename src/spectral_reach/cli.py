@@ -127,14 +127,14 @@ def _spectral_embeddings(
 ) -> tuple[SpectralBasis, dict[str, Embedding]]:
     """Embeddings of dimension d, one per kind, from one eigensolve.
 
-    Only the d smallest eigenpairs are computed: for d < n by the sparse
+    Only the d smallest eigenpairs are computed: for d < n by the banded
     partial solver, for d = n by the dense full decomposition.  The
     rescaled kind needs a connected graph, which is checked first.
     """
     check_dimension(d, g.n_states)
     if "ra_laprep" in kinds:
         require_connected(g)
-    basis = eig_sym(g.laplacian if d < g.n_states else g.dense_laplacian(), d)
+    basis = eig_sym(g.laplacian_band() if d < g.n_states else g.dense_laplacian(), d)
     return basis, {kind: EMBEDDERS[kind](basis, d) for kind in kinds}
 
 
@@ -157,7 +157,7 @@ def cmd_embed(args, maze: MazeSpec) -> Result:
     kind = EMBED_KINDS[args.kind]
     basis, embs = _spectral_embeddings(g, d, [kind])
     # basis.json lists all n eigenvalues, even when only d pairs were solved for.
-    spectrum = eigvals_banded(g.laplacian) if basis.is_partial else None
+    spectrum = eigvals_banded(g.laplacian_band()) if basis.is_partial else None
     return Result(f"wrote {kind} embedding (d={d}) for {g.n_states} states to {args.out}", {
         "embedding.csv": embedding_to_csv(embs[kind], g.coords),
         "basis.json": basis_to_json(basis, spectrum),
@@ -192,9 +192,7 @@ def cmd_heatmap(args, maze: MazeSpec) -> Result:
     index = maze.state_index()
     emb, coords = embedding_from_csv(args.embedding_csv)
     if tuple(coords) != index.coords:
-        raise InputError(
-            f"embedding cells differ from the {len(index)} floor cells of the map"
-        )
+        raise InputError(f"embedding cells differ from the {len(index)} floor cells of the map")
     dist = goal_distances(emb.vectors, _state(maze, args.goal))
     values = {coords[s]: float(dist[s]) for s in range(len(coords))}
     grid_lines = [",".join(f"{values[(x, y)]:.17g}" if (x, y) in values else ""
@@ -274,18 +272,14 @@ def cmd_shape(args, maze: MazeSpec) -> Result:
     kinds = tuple(k.strip() for k in args.kind.split(","))
     for i, k in enumerate(kinds):
         if k not in REWARD_KINDS:
-            raise InputError(
-                f"unknown reward kind {k!r}, expected one of {REWARD_KINDS}"
-            )
+            raise InputError(f"unknown reward kind {k!r}, expected one of {REWARD_KINDS}")
         if k in kinds[:i]:
             raise InputError(f"reward kind {k!r} is given more than once")
     if args.goal:
         goals = (_state(maze, args.goal),)
     else:
         if not maze.goal_cells:
-            raise InputError(
-                "no --goal given and the map has no 'G' cells"
-            )
+            raise InputError("no --goal given and the map has no 'G' cells")
         goals = tuple(index.of(c) for c in maze.goal_cells)
     d = args.d if args.d is not None else min(10, g.n_states)
     check_dimension(d, g.n_states)

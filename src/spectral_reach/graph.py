@@ -11,13 +11,12 @@ and A).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .envgrid import MazeSpec, transition_table
 from .errors import InputError, PreconditionError
-from .spectral import check_dense_size, check_state
+from .spectral import Band, check_dense_size, check_state
 
 _INT32_MAX = np.iinfo(np.int32).max
 
@@ -28,11 +27,9 @@ class StateGraph:
 
     Row s lists the neighbors of s in ascending order,
     ``indices[indptr[s]:indptr[s + 1]]``, with no duplicates and no self
-    loops; ``degrees[s]`` is their count.  ``adjacency`` (int64 ones) and
-    ``laplacian`` (float64 D - A) are scipy ``csr_array`` views of this
-    CSR for the sparse solvers, built on first access, so scipy is loaded
-    only by the code that reads them.  ``dense_laplacian()`` gives L to
-    the dense solvers.
+    loops; ``degrees[s]`` is their count.  The solvers get L = D - A from
+    it: ``laplacian_band()`` for the partial and banded ones,
+    ``dense_laplacian()`` for the dense ones.
     """
 
     n_states: int
@@ -45,21 +42,14 @@ class StateGraph:
     def check_state(self, s: int) -> None:
         check_state(s, self.n_states)
 
-    @cached_property
-    def adjacency(self):
-        """(n, n) 0/1 int64 ``scipy.sparse.csr_array`` sharing indptr and indices."""
-        from scipy import sparse
-
-        ones = np.ones(self.indices.size, dtype=np.int64)
-        n = self.n_states
-        return sparse.csr_array((ones, self.indices, self.indptr), shape=(n, n))
-
-    @cached_property
-    def laplacian(self):
-        """(n, n) float64 ``scipy.sparse.csr_array`` L = D - A."""
-        from scipy import sparse
-
-        return sparse.diags_array(self.degrees.astype(np.float64)) - self.adjacency
+    def laplacian_band(self) -> Band:
+        """L = D - A as a ``Band``, as wide as the largest index step of an edge."""
+        i, j = _entry_rows(self), self.indices
+        b = int((j - i).max(initial=0))
+        band = np.zeros((b + 1, self.n_states))
+        band[b] = self.degrees
+        band[(b + i - j)[j > i], j[j > i]] = -1.0
+        return Band(band)
 
     def dense_laplacian(self) -> np.ndarray:
         """L = D - A as a dense (n, n) float64 array, for the dense solvers.
@@ -67,10 +57,7 @@ class StateGraph:
         Refused, like the dense eigensolver, above its size cap.
         """
         check_dense_size(self.n_states)
-        lap = np.zeros((self.n_states, self.n_states))
-        lap[_entry_rows(self), self.indices] = -1.0
-        np.fill_diagonal(lap, self.degrees)
-        return lap
+        return self.laplacian_band().dense()
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edge list, each pair (i, j) with i < j, sorted."""
@@ -92,8 +79,8 @@ def graph_from_transitions(
     """Undirected graph on n states with an edge per transition s -> s2.
 
     Self transitions (wall bumps) are dropped; L = D - A.  The CSR index
-    dtype is the one scipy gives the same transitions (int32 unless the
-    states or the entry count need int64), so its views share the arrays.
+    dtype is int32 unless the states or the entry count need int64, the
+    dtype scipy gives the same transitions.
     """
     move = s != s2
     src = np.concatenate([s[move], s2[move]])
@@ -238,9 +225,7 @@ def pseudo_inverse(g: StateGraph, basis) -> PseudoInverse:
     lam = basis.eigenvalues
     vec = basis.eigenvectors
     if vec.shape[0] != g.n_states:
-        raise InputError(
-            f"basis has {vec.shape[0]} states, graph has {g.n_states}"
-        )
+        raise InputError(f"basis has {vec.shape[0]} states, graph has {g.n_states}")
     basis.require_connected()
     phi = vec[:, 1:] / np.sqrt(lam[1:])
     return PseudoInverse(matrix=phi @ phi.T)

@@ -12,16 +12,16 @@ The constant eigenvector (eigenvalue zero) carries no distance
 information and is always dropped: an embedding of dimension ``d``
 stores ``d - 1`` coordinates per state, taken from eigen-indices
 2 through d in ascending eigenvalue order.  Such an embedding needs only
-the d smallest eigenpairs, which ``eig_sym(L, d)`` computes by sparse
-shift-invert Lanczos when d < n.  Only the sparse and banded solvers
-need scipy, and they import it when called.
+the d smallest eigenpairs, which ``eig_sym(L, d)`` computes when d < n
+by shift-invert block Lanczos on the band of L, in numpy alone.  Only
+``eigvals_banded`` needs scipy (``scipy.linalg``), and it imports it
+when called.
 """
 
 from __future__ import annotations
 
 import itertools
-import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,14 +35,65 @@ SYMMETRY_TOL = 1e-12
 ZERO_EIGENVALUE_TOL = 1e-9
 #: refuse dense eigendecompositions beyond this size
 SIZE_CAP = 4096
-#: shift of the partial solver, below the spectrum of a Laplacian (which
-#: is positive semidefinite), so L - sigma I is positive definite
-PARTIAL_SHIFT = -1e-3
-#: seed of the partial solver's fixed Lanczos start vector
+#: shift of the partial solver: below a Laplacian's spectrum, so L - sigma I is
+#: positive definite, and near enough to 0 to part a long corridor's eigenvalues
+PARTIAL_SHIFT = -1e-5
+#: seed of the partial solver's fixed Lanczos start block
 PARTIAL_START_SEED = 0
+#: residual ||L v - lambda v|| at which the partial solver stops, relative
+#: to a bound on ||L||: about 45 units of rounding
+PARTIAL_TOL = 1e-14
+#: block Lanczos steps the partial solver takes before it gives up
+PARTIAL_MAX_STEPS = 50
 SIGN_CONVENTION = "max-abs-positive"
 #: rows per chunk of the streamed CSV writers
 CSV_BLOCK = 8
+#: rows per block of the row-blocked distance computations
+ROW_BLOCK = 128
+
+
+@dataclass(frozen=True)
+class Band:
+    """A symmetric matrix by its upper band, in LAPACK's layout: ``upper[b + i - j, j]``
+    holds entry (i, j) for 0 <= j - i <= b, the bandwidth; farther entries are zero.
+    A row-major Laplacian's b is about one maze row, so its band takes O(n b) memory."""
+
+    upper: np.ndarray             # (b + 1, n)
+
+    @property
+    def n(self) -> int:
+        return self.upper.shape[1]
+
+    @property
+    def width(self) -> int:
+        return self.upper.shape[0] - 1
+
+    @classmethod
+    def of_dense(cls, a: np.ndarray) -> Band:
+        """The band of a dense symmetric matrix, as wide as its farthest nonzero."""
+        i, j = np.nonzero(a)
+        b = int(np.abs(j - i).max()) if i.size else 0
+        return cls(np.array([np.pad(np.diagonal(a, d), (d, 0)) for d in range(b, -1, -1)]))
+
+    def dense(self) -> np.ndarray:
+        """The dense matrix.  Of the band's columns lo:hi alone, this is the
+        diagonal block M[lo:hi, lo:hi]."""
+        r, j = np.nonzero(self.upper)
+        i = j - self.width + r
+        r, i, j = r[i >= 0], i[i >= 0], j[i >= 0]
+        a = np.zeros((self.n, self.n))
+        a[i, j] = a[j, i] = self.upper[r, j]
+        return a
+
+    def rmatmul(self, x: np.ndarray) -> np.ndarray:
+        """x @ M for an (m, n) array x, one nonzero diagonal at a time."""
+        b = self.width
+        y = x * self.upper[b]
+        for d in np.flatnonzero(self.upper[-2::-1].any(axis=1)) + 1:   # row b - d, diagonal d
+            v = self.upper[b - d, d:]
+            y[:, :-d] += x[:, d:] * v
+            y[:, d:] += x[:, :-d] * v
+        return y
 
 
 @dataclass(frozen=True)
@@ -76,9 +127,7 @@ class SpectralBasis:
         """Refuse a spectrum with more than one zero eigenvalue."""
         lam = self.eigenvalues
         if len(lam) > 1 and lam[1] <= ZERO_EIGENVALUE_TOL:
-            raise PreconditionError(
-                f"second-smallest eigenvalue {lam[1]:.3e} is numerically zero"
-            )
+            raise PreconditionError(f"second-smallest eigenvalue {lam[1]:.3e} is numerically zero")
 
     @property
     def volume(self) -> int:
@@ -112,13 +161,8 @@ class Embedding:
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Make each column's largest-magnitude entry positive (ties: lowest index)."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        k = int(np.argmax(np.abs(col)))  # argmax takes the lowest index on ties
-        if col[k] < 0:
-            out[:, j] = -col
-    return out
+    top = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return vectors * np.where(top < 0, -1.0, 1.0)   # argmax takes the lowest index on ties
 
 
 def _check_symmetric(skew: float) -> None:
@@ -129,78 +173,118 @@ def _check_symmetric(skew: float) -> None:
 def eig_sym(L, k: int | None = None) -> SpectralBasis:
     """Eigendecomposition of a symmetric Laplacian, eigenvalues ascending.
 
-    L is dense (say, ``StateGraph.dense_laplacian()``) or scipy sparse
-    (``StateGraph.laplacian``).  Without k, or with k = n, this is the
-    full dense decomposition by numpy, which refuses matrices above the
-    dense size cap.  For k < n only the k smallest eigenpairs are
-    computed (``_eig_partial``, on a sparse copy of L), with no cap.
-    Both validate L symmetric to 1e-12 and apply the same deterministic
-    sign convention to the eigenvectors.
+    L is a dense array (``StateGraph.dense_laplacian()``) or a ``Band``
+    (``StateGraph.laplacian_band()``).  Without k, or with k = n, this is
+    the full dense decomposition by numpy, refused above the dense size
+    cap.  For k < n only the k smallest eigenpairs are computed, by
+    ``_eig_partial`` on the band, with no cap.  A dense L is checked
+    symmetric to 1e-12 (a band is symmetric by construction).  Both paths
+    apply the same deterministic sign convention to the eigenvectors.
     """
-    # a scipy sparse L can exist only once scipy.sparse is loaded
-    sparse = sys.modules.get("scipy.sparse")
-    sparse_in = sparse is not None and sparse.issparse(L)
-    if not sparse_in:
+    if not isinstance(L, Band):
         L = np.asarray(L, dtype=np.float64)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise PreconditionError(f"expected a square matrix, got shape {L.shape}")
-    n = L.shape[0]
+        if L.ndim != 2 or L.shape[0] != L.shape[1]:
+            raise PreconditionError(f"expected a square matrix, got shape {L.shape}")
+        _check_symmetric(float(np.abs(L - L.T).max()) if L.size else 0.0)
+    n = L.n if isinstance(L, Band) else L.shape[0]
     if k is not None and not 1 <= k <= n:
         raise InputError(f"k = {k} eigenpairs outside [1, {n}]")
     if k is not None and k < n:
-        from scipy import sparse
-
-        a = sparse.csc_array(L, dtype=np.float64)
-        _check_symmetric(float(abs(a - a.T).max()))
-        return _eig_partial(a, k)
+        return _eig_partial(L if isinstance(L, Band) else Band.of_dense(L), k)
     check_dense_size(n)
-    if sparse_in:
-        L = L.astype(np.float64).toarray()
-    _check_symmetric(float(np.abs(L - L.T).max()) if n else 0.0)
     try:
-        lam, vec = np.linalg.eigh(L)
+        lam, vec = np.linalg.eigh(L.dense() if isinstance(L, Band) else L)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     return SpectralBasis(eigenvalues=lam, eigenvectors=_fix_signs(vec))
 
 
-def _eig_partial(a, k: int) -> SpectralBasis:
-    """The k < n smallest eigenpairs of a symmetric sparse a by shift-invert Lanczos (ARPACK).
+def _shifted_solver(band: Band, sigma: float) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> (M - sigma I)^-1 x for a banded M, factored once.
 
-    a - sigma I is factored once, sparse, with sigma just below zero;
-    Lanczos runs to machine precision from a fixed seeded start vector
-    (never the constant one, which is the zero mode of a Laplacian), so
-    repeated calls give identical bytes.
+    In blocks of b rows, M - sigma I is block tridiagonal, with diagonal
+    blocks A_i and blocks B_i below them.  Block elimination factors it as
+    L D L^T, with D = diag(S_i), S_0 = A_0, S_i+1 = A_i+1 - F_i B_i^T, and
+    F_i = B_i S_i^-1 below the unit diagonal of L.  The inverses S_i^-1
+    are formed once, so both sweeps of a solve are matmuls.
     """
-    from scipy.sparse.linalg import eigsh
+    cuts = [*range(0, band.n, max(band.width, 1)), band.n]
+    spans = [slice(a, z) for a, z in zip(cuts, cuts[1:])]
+    inv, low = [], []
+    schur = Band(band.upper[:, spans[0]]).dense()
+    for lo, mid, hi in zip(cuts, cuts[1:], [*cuts[2:], None]):
+        schur[np.diag_indices_from(schur)] -= sigma
+        try:
+            inv.append(np.linalg.inv(schur))
+        except np.linalg.LinAlgError:
+            raise NumericalError(f"L - ({sigma}) I is singular") from None
+        if hi is not None:
+            window = Band(band.upper[:, lo:hi]).dense()          # M[lo:hi, lo:hi]
+            below = window[mid - lo:, :mid - lo]
+            low.append(below @ inv[-1])
+            schur = window[mid - lo:, mid - lo:] - low[-1] @ below.T
 
-    v0 = np.random.default_rng(PARTIAL_START_SEED).standard_normal(a.shape[0])
-    try:
-        lam, vec = eigsh(a, k, sigma=PARTIAL_SHIFT, which="LM", v0=v0, tol=0)
-    except RuntimeError as exc:       # ArpackError, or a singular factorization
-        raise NumericalError(f"partial eigendecomposition failed: {exc}") from exc
-    order = np.argsort(lam, kind="stable")
-    return SpectralBasis(eigenvalues=lam[order], eigenvectors=_fix_signs(vec[:, order]))
+    def solve(x: np.ndarray) -> np.ndarray:
+        y = np.array(x)
+        for i in range(1, len(spans)):
+            y[spans[i]] -= low[i - 1] @ y[spans[i - 1]]
+        for i, span in reversed(list(enumerate(spans))):
+            z = inv[i] @ y[span]
+            if i < len(low):
+                z -= low[i].T @ y[spans[i + 1]]
+            y[span] = z
+        return y
+
+    return solve
 
 
-def eigvals_banded(L) -> np.ndarray:
-    """All eigenvalues of a symmetric banded matrix, ascending, no vectors.
+def _eig_partial(band: Band, k: int) -> SpectralBasis:
+    """The k < n smallest eigenpairs of a banded L by shift-invert block Lanczos.
 
-    L is sparse or dense.  LAPACK reduces the band
-    (``scipy.linalg.eig_banded``), which takes O(n b) memory for
-    bandwidth b instead of the n x n of a dense solve.  A Laplacian with
-    states in row-major order is banded: b is the largest index step of
-    an edge, about one maze row.
+    Block Lanczos on (L - sigma I)^-1, sigma just below zero, grows an
+    orthonormal basis Q from a seeded random start block of k columns, so a
+    cluster of eigenvalues inside the k smallest is found whole; each new
+    block is orthogonalized twice against all of Q.  After each step the
+    eigenpairs of Q^T L Q (Rayleigh-Ritz) are the candidates, accepted once
+    every residual ||L y - theta y|| is at most PARTIAL_TOL times a
+    Gershgorin bound on ||L||, or once Q spans everything.
     """
-    from scipy import sparse
+    n = band.n
+    solve = _shifted_solver(band, PARTIAL_SHIFT)
+    norm = max(float(Band(np.abs(band.upper)).rmatmul(np.ones((1, n))).max()), 1.0)
+    cap = min(n, k * PARTIAL_MAX_STEPS)
+    qt, lqt, h = np.empty((cap, n)), np.empty((cap, n)), np.empty((cap, cap))
+    block = np.random.default_rng(PARTIAL_START_SEED).standard_normal((n, k))
+    size = 0
+    for _ in range(PARTIAL_MAX_STEPS):
+        q = qt[:size].T
+        for _ in range(2):
+            block -= q @ (q.T @ block)
+            block = np.linalg.qr(block)[0]
+        new = slice(size, min(size + k, n))    # the block that reaches n may be narrower
+        qt[new] = block.T[:new.stop - size]
+        lqt[new] = band.rmatmul(qt[new])
+        size = new.stop
+        q, lq = qt[:size].T, lqt[:size].T
+        h[:size, new] = q.T @ lq[:, new]
+        h[new, :size] = h[:size, new].T
+        theta, s = np.linalg.eigh(h[:size, :size])
+        vec = q @ s[:, :k]
+        resid = lq @ s[:, :k] - vec * theta[:k]
+        if size == n or np.sqrt(np.einsum("ij,ij->j", resid, resid)).max() <= PARTIAL_TOL * norm:
+            return SpectralBasis(eigenvalues=theta[:k], eigenvectors=_fix_signs(vec))
+        block = solve(qt[new].T)
+    raise NumericalError(f"partial eigendecomposition did not converge in "
+                         f"{PARTIAL_MAX_STEPS} block Lanczos steps")
+
+
+def eigvals_banded(band: Band) -> np.ndarray:
+    """All eigenvalues of a symmetric band, ascending, by LAPACK's band
+    reduction (``scipy.linalg.eig_banded``) in O(n b) memory."""
     from scipy.linalg import eig_banded
 
-    upper = sparse.triu(L)
-    b = int((upper.col - upper.row).max()) if upper.nnz else 0
-    band = np.zeros((b + 1, upper.shape[0]))
-    band[b + upper.row - upper.col, upper.col] = upper.data
     try:
-        return eig_banded(band, eigvals_only=True, check_finite=False)
+        return eig_banded(band.upper, eigvals_only=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"band eigenvalue solve failed: {exc}") from exc
 
@@ -208,9 +292,7 @@ def eigvals_banded(L) -> np.ndarray:
 def check_dense_size(n: int) -> None:
     """Refuse a dense n x n eigendecomposition above the size cap."""
     if n > SIZE_CAP:
-        raise InputError(
-            f"matrix size {n} exceeds the dense solver cap {SIZE_CAP}"
-        )
+        raise InputError(f"matrix size {n} exceeds the dense solver cap {SIZE_CAP}")
 
 
 def check_dimension(d: int, n: int) -> None:
@@ -248,11 +330,15 @@ def ra_laprep(basis: SpectralBasis, d: int) -> Embedding:
 
 
 def goal_distances(x: np.ndarray, goal: int) -> np.ndarray:
-    """Euclidean distance of every row of an (n, k) array to row ``goal``."""
+    """Euclidean distance of every row of an (n, k) array to row ``goal``,
+    ROW_BLOCK rows at a time."""
     check_state(goal, len(x))
-    diff = x - x[goal]
-    diff *= diff          # np.linalg.norm's sum of squares, without its two n x k temporaries
-    return np.sqrt(np.add.reduce(diff, axis=1))
+    out = np.empty(len(x))
+    for lo in range(0, len(x), ROW_BLOCK):
+        diff = x[lo:lo + ROW_BLOCK] - x[goal]
+        diff *= diff      # np.linalg.norm's sum of squares, without its two temporaries
+        out[lo:lo + ROW_BLOCK] = np.sqrt(np.add.reduce(diff, axis=1))
+    return out
 
 
 def pairwise_sq_dists(e: Embedding) -> np.ndarray:
@@ -312,9 +398,7 @@ def embedding_to_csv(e: Embedding, coords: tuple[tuple[int, int], ...]) -> Itera
     """CSV with header state_index,x,y,e2,...,ed (one row per state), as
     chunks of ``CSV_BLOCK`` rows; the coordinate count is checked at the call."""
     if len(coords) != e.n_states:
-        raise InputError(
-            f"coordinate list has {len(coords)} entries, embedding has {e.n_states}"
-        )
+        raise InputError(f"coordinate list has {len(coords)} entries, embedding has {e.n_states}")
     header = ",".join(["state_index", "x", "y"] + [f"e{i}" for i in range(2, e.d + 1)])
     row = b"%d,%d,%d" + b",%.17g" * e.vectors.shape[1] + b"\n"
     blocks = (b"".join([row % (s, *coords[s], *v) for s, v in
@@ -329,7 +413,9 @@ def embedding_from_csv(path: str | Path) -> tuple[Embedding, list[tuple[int, int
     Rows may come in any order, but their state_index column must be a
     permutation of 0..n-1, and every state_index, x and y an integer.  The
     file is streamed twice: to count each row's fields, then by ``np.loadtxt``.
-    The file does not record the embedding's kind, which is left empty.
+    Rows already in state order, as ``embed`` writes them, are returned as
+    a view of the parsed table, not a copy.  The file does not record the
+    embedding's kind, which is left empty.
     """
     with open(path) as f:
         header = f.readline().rstrip("\n").split(",")
@@ -356,6 +442,8 @@ def embedding_from_csv(path: str | Path) -> tuple[Embedding, list[tuple[int, int
         raise InputError(
             f"embedding CSV state_index column is not a permutation of 0..{len(table) - 1}"
         )
+    if np.array_equal(order, np.arange(len(table))):
+        order = slice(None)
     coords = [tuple(c) for c in table["index"][order, 1:].tolist()]
     return Embedding(kind="", vectors=table["vector"][order]), coords
 

@@ -36,6 +36,21 @@ _threads = openblas_threads()
 assert _threads in (1, None), f"BLAS runs {_threads} threads: numpy loaded before the pin"
 
 
+def scipy_adjacency(g: StateGraph):
+    """Oracle: the graph's 0/1 adjacency as a scipy ``csr_array`` on its CSR."""
+    from scipy import sparse
+
+    ones = np.ones(g.indices.size, dtype=np.int64)
+    return sparse.csr_array((ones, g.indices, g.indptr), shape=(g.n_states, g.n_states))
+
+
+def scipy_laplacian(g: StateGraph):
+    """Oracle: L = D - A as a float64 scipy ``csr_array``, built from the CSR."""
+    from scipy import sparse
+
+    return sparse.diags_array(g.degrees.astype(np.float64)) - scipy_adjacency(g)
+
+
 @pytest.fixture(scope="session")
 def zoo_mazes():
     return {name: layouts.zoo_maze(name) for name in layouts.ZOO_NAMES}
@@ -48,7 +63,7 @@ def zoo_graphs(zoo_mazes) -> dict[str, StateGraph]:
 
 @pytest.fixture(scope="session")
 def zoo_bases(zoo_graphs) -> dict[str, SpectralBasis]:
-    return {name: eig_sym(g.laplacian) for name, g in zoo_graphs.items()}
+    return {name: eig_sym(g.dense_laplacian()) for name, g in zoo_graphs.items()}
 
 
 @pytest.fixture(scope="session")

@@ -70,7 +70,7 @@ def test_criterion_1_commute_identity_and_cross_validation():
         n_mat = commute(g, "solve").values
         scale = np.maximum(n_mat, 1.0)
 
-        phi = ra_laprep(eig_sym(g.laplacian), g.n_states)
+        phi = ra_laprep(eig_sym(g.dense_laplacian()), g.n_states)
         identity_rel = np.abs(g.volume * pairwise_sq_dists(phi) - n_mat) / scale
         assert identity_rel.max() <= 1e-8, name
 
@@ -94,7 +94,7 @@ def test_criterion_2_mds_equivalence():
     budget = Budget(10)
     for name in ZOO:
         g = zoo_graph(name)
-        basis = eig_sym(g.laplacian)
+        basis = eig_sym(g.dense_laplacian())
         n_mat = commute(g, "solve").values
 
         gram = double_center(n_mat)
@@ -113,7 +113,7 @@ def test_criterion_3_truncation_tail():
     upper bound, for every state pair."""
     budget = Budget(10)
     g = zoo_graph("fourroom")
-    basis = eig_sym(g.laplacian)
+    basis = eig_sym(g.dense_laplacian())
     n = g.n_states
     n_mat = commute(g, "solve").values
     scale = float(n_mat.max())
@@ -147,7 +147,7 @@ def test_criterion_4_reachability_ordering():
     index = maze.state_index()
     goals = [index.of(c) for c in maze.goal_cells]
     assert len(goals) == 4
-    basis = eig_sym(g.laplacian)
+    basis = eig_sym(g.dense_laplacian())
     ra, lap = ra_laprep(basis, 10), laprep(basis, 10)
     geo = geodesic_matrix(g)
     for goal in goals:
@@ -166,7 +166,7 @@ def test_criterion_5_learned_representation_fidelity():
     budget = Budget(300)
     maze = layouts.load_bundled("tworoom")
     g = build_graph(maze)
-    basis = eig_sym(g.laplacian)
+    basis = eig_sym(g.dense_laplacian())
     truth = ra_laprep(basis, 5)
 
     data = collect_dataset(maze, episodes=2000, episode_len=50,
@@ -203,7 +203,7 @@ def test_criterion_6_reward_shaping_ordering():
     g = build_graph(maze)
     index = maze.state_index()
     goals = tuple(index.of(c) for c in maze.goal_cells)
-    basis = eig_sym(g.laplacian)
+    basis = eig_sym(g.dense_laplacian())
     embeddings = {"ra_laprep": ra_laprep(basis, 10), "laprep": laprep(basis, 10)}
     kinds = ("ra_laprep", "laprep", "l2", "none")
 
@@ -231,7 +231,7 @@ def test_criterion_7_dimension_sweep():
     g = build_graph(maze)
     index = maze.state_index()
     goals = tuple(index.of(c) for c in maze.goal_cells)
-    basis = eig_sym(g.laplacian)
+    basis = eig_sym(g.dense_laplacian())
 
     report = dimension_sweep(maze, (10, g.n_states), goals, tuple(range(10)),
                              QLearningConfig(episodes=2000),
@@ -256,7 +256,7 @@ def test_criterion_8_bottleneck_discovery():
         g = build_graph(maze)
         index = maze.state_index()
         doors = {index.of(c) for c in layouts.DOORWAYS[name]}
-        emb = ra_laprep(eig_sym(g.laplacian), d if d else g.n_states)
+        emb = ra_laprep(eig_sym(g.dense_laplacian()), d if d else g.n_states)
         selected = set(make_report(emb, frac).selected)
         assert doors.issubset(selected), (name, sorted(doors), sorted(selected))
     budget.check()
@@ -271,7 +271,7 @@ def test_criterion_9_coverage_ablation(tmp_path):
     g = build_graph(maze)
     index = maze.state_index()
     goals = tuple(index.of(c) for c in maze.goal_cells)
-    basis = eig_sym(g.laplacian)
+    basis = eig_sym(g.dense_laplacian())
     truth = ra_laprep(basis, 10)
     geo = geodesic_matrix(g)
     cfg = TrainConfig(iterations=4000, batch_size=256, step_size=1e-2, seed=1)

@@ -165,7 +165,7 @@ def full_basis(name, resolution):
     maze = layouts.load_bundled(name)
     if name.startswith("continuous"):
         maze = discretize_continuous(maze, resolution)
-    return eig_sym(build_graph(maze).laplacian)
+    return eig_sym(build_graph(maze).dense_laplacian())
 
 
 class TestBlockedCentrality:

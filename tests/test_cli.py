@@ -250,7 +250,7 @@ class TestStreamedCsvPeakRss:
         peak = peak_rss_bytes(["heatmap", csv_path, "--map", map_path, "--goal", "32,32",
                                "--out", tmp_path / "heat"])
         assert len((tmp_path / "heat" / "dist_grid.csv").read_text().splitlines()) == 34
-        assert peak <= 60e6
+        assert peak <= 50e6
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +417,17 @@ class TestBottleneck:
                                "--out", str(tmp_path / "bn")])
         rows = (tmp_path / "bn" / "bottlenecks.csv").read_text().splitlines()
         assert len(rows) == 10_001
-        assert peak < 200e6
+        assert peak < 111e6
+
+    def test_peak_rss_on_twenty_thousand_states(self, tmp_path):
+        # a 141 x 141 open room: the band of L, its factor and the Krylov basis
+        # take O(n b) and O(n d) memory, for bandwidth b = 141
+        (tmp_path / "open.txt").write_text(open_room_text(141))
+        peak = peak_rss_bytes(["bottleneck", "--map", str(tmp_path / "open.txt"), "--d", "10",
+                               "--out", str(tmp_path / "bn")])
+        rows = (tmp_path / "bn" / "bottlenecks.csv").read_text().splitlines()
+        assert len(rows) == 19_882
+        assert peak < 178e6
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +743,7 @@ from spectral_reach.spectral import eig_sym, ra_laprep
 maze = layouts.zoo_maze("fourroom")
 g = build_graph(maze)
 goal = maze.state_index().of((11, 11))
-basis = eig_sym(g.laplacian)
+basis = eig_sym(g.dense_laplacian())
 truth = ra_laprep(basis, 4)
 q = rep_quality(truth, truth, geodesic_matrix(g), goals=(goal,), full_spectrum=basis.eigenvalues)
 run = run_experiment(maze, ("l2", "none"), (goal,), (0, 1), QLearningConfig(episodes=20), {})
@@ -782,6 +792,7 @@ SCIPY_FREE = {
     "embed-full": ["embed", "--map", "fourroom"],
     "heatmap": ["heatmap", "{emb}", "--map", "fourroom", "--goal", "11,11"],
     "bottleneck-full": ["bottleneck", "--map", "fourroom"],
+    "bottleneck-partial": ["bottleneck", "--map", "fourroom", "--d", "10"],
     "commute-pinv": ["commute", "--map", "fourroom", "--method", "pseudo-inverse"],
     "commute-solve": ["commute", "--map", "fourroom", "--method", "solve"],
     "commute-mc": ["commute", "--map", "fourroom", "--method", "mc", "--pair", "1,1:11,11",
@@ -790,9 +801,13 @@ SCIPY_FREE = {
               "--iterations", "50", "--batch", "32"],
     "verify": ["verify", "--suite", "all"],
 }
+#: the commands that still load scipy, each no more of it than the import of one
+#: module loads: ``embed --d`` lists every eigenvalue by ``scipy.linalg.eig_banded``,
+#: ``shape`` runs the paired t-test with ``scipy.special.stdtr``
 SCIPY_SOLVERS = {
-    "embed-partial": ["embed", "--map", "fourroom", "--d", "10"],
-    "shape": ["shape", "--map", "fourroom", "--seed", "0", "--seeds", "2", "--episodes", "20"],
+    "embed-partial": ("scipy.linalg", ["embed", "--map", "fourroom", "--d", "10"]),
+    "shape": ("scipy.special", ["shape", "--map", "fourroom", "--seed", "0", "--seeds", "2",
+                                "--episodes", "20"]),
 }
 
 
@@ -833,8 +848,13 @@ def test_streamed_csv_jobs_load_no_module_beyond_the_cli_import(job, tmp_path,
 
 @pytest.mark.parametrize("job", sorted(SCIPY_SOLVERS))
 def test_scipy_solver_commands_still_run(job, tmp_path):
-    code, _ = modules_after(SCIPY_SOLVERS[job] + ["--out", tmp_path / "o"])
+    solver, argv = SCIPY_SOLVERS[job]
+    code, modules = modules_after(argv + ["--out", tmp_path / "o"])
     assert code == 0
+    assert not [m for m in modules if m.startswith("scipy.sparse")]
+    closure = run_python(f"import sys, {solver}\nprint(*sorted(sys.modules))\n")
+    assert closure.returncode == 0, closure.stderr
+    assert set(scipy_of(modules)) <= set(closure.stdout.split())
 
 
 PUBLIC_NAMES = """ACTIONS ContinuousMazeSpec Embedding MazeSpec QLearningConfig RewardSpec

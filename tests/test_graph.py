@@ -16,6 +16,7 @@ from spectral_reach.envgrid import (
     parse_maze,
     transition_table,
 )
+from conftest import scipy_adjacency, scipy_laplacian
 from spectral_reach.errors import InputError, PreconditionError
 from spectral_reach.graph import (
     bfs_distances,
@@ -67,23 +68,24 @@ class TestBuild:
 
     def test_no_self_loops(self):
         g = build_graph(parse_maze(TWOROOM))
-        assert np.all(g.adjacency.diagonal() == 0)
+        assert np.all(scipy_adjacency(g).diagonal() == 0)
 
     def test_adjacency_symmetric_01(self):
-        adj = build_graph(parse_maze(TWOROOM)).adjacency.toarray()
+        adj = scipy_adjacency(build_graph(parse_maze(TWOROOM))).toarray()
         assert np.array_equal(adj, adj.T)
         assert set(np.unique(adj)) <= {0.0, 1.0}
 
     def test_degrees_and_volume(self):
         g = build_graph(parse_maze(TWOROOM))
-        assert np.array_equal(g.degrees, g.adjacency.toarray().sum(axis=1))
+        assert np.array_equal(g.degrees, scipy_adjacency(g).toarray().sum(axis=1))
         assert g.volume == int(g.degrees.sum()) == 2 * len(g.edges())
 
     def test_laplacian_identity(self):
         g = build_graph(parse_maze(TWOROOM))
-        lap = np.diag(g.degrees) - g.adjacency.toarray()
-        assert np.array_equal(g.laplacian.toarray(), lap)
-        assert np.allclose(g.laplacian.toarray().sum(axis=1), 0.0)
+        lap = np.diag(g.degrees) - scipy_adjacency(g).toarray()
+        assert np.array_equal(g.dense_laplacian(), lap)
+        assert np.array_equal(g.laplacian_band().dense(), lap)
+        assert np.allclose(g.dense_laplacian().sum(axis=1), 0.0)
 
     def test_coords_row_major(self):
         maze = parse_maze(TWOROOM)
@@ -98,15 +100,16 @@ class TestBuild:
             g.check_state(-1)
 
     def test_adjacency_and_laplacian_are_canonical_csr(self, zoo_graphs):
+        # scipy matrices on the graph's CSR are canonical: sorted, no duplicates, no zeros
         for g in [build_graph(parse_maze(TWOROOM)), *zoo_graphs.values()]:
-            for m, dtype in ((g.adjacency, np.int64), (g.laplacian, np.float64)):
+            adj = scipy_adjacency(g)
+            for m, dtype in ((adj, np.int64), (scipy_laplacian(g), np.float64)):
                 assert isinstance(m, sparse.csr_array) and m.dtype == dtype
                 assert m.has_canonical_format and np.all(m.data != 0)
-            assert np.all(g.adjacency.data == 1)
-            dense = g.adjacency.toarray()
+            dense = adj.toarray()
             for s in range(g.n_states):
                 # commute_mc picks the k-th neighbor: the order is part of its output
-                row = g.adjacency.indices[g.adjacency.indptr[s]:g.adjacency.indptr[s + 1]]
+                row = g.indices[g.indptr[s]:g.indptr[s + 1]]
                 assert row.tolist() == np.flatnonzero(dense[s]).tolist()
 
     def test_build_memory_is_linear(self):
@@ -124,7 +127,7 @@ class TestBuild:
     def test_centrality_memory_is_linear(self):
         # n = 5,004 states: the dense distance matrix alone would take 200 MB
         g = build_graph(discretize_continuous(layouts.load_bundled("continuous_a"), 5))
-        e = ra_laprep(eig_sym(g.laplacian, 10), 10)
+        e = ra_laprep(eig_sym(g.laplacian_band(), 10), 10)
         tracemalloc.start()
         try:
             cent = centrality(e)
@@ -156,6 +159,15 @@ def oracle_csr(n, s, s2):
     adj.data[:] = 1
     deg = np.diff(adj.indptr).astype(np.int64)
     return adj, sparse.diags_array(deg.astype(np.float64)) - adj
+
+
+def oracle_band(lap):
+    """The upper band of a scipy matrix in LAPACK's layout, from its COO triangle."""
+    upper = sparse.triu(lap)
+    b = int((upper.col - upper.row).max()) if upper.nnz else 0
+    band = np.zeros((b + 1, lap.shape[0]))
+    band[b + upper.row - upper.col, upper.col] = upper.data
+    return band
 
 
 def assert_same_bytes(dense, lap, rows=256):
@@ -208,19 +220,14 @@ class TestNumpyCoreMatchesScipy:
         assert np.array_equal(g.degrees, np.diff(adj.indptr)) and g.degrees.dtype == np.int64
         upper = sparse.triu(adj, k=1)
         assert g.edges() == list(zip(upper.row.tolist(), upper.col.tolist()))
-        # the lazy scipy views equal the old construction and share the one CSR
-        for view, want in ((g.adjacency, adj), (g.laplacian, lap)):
-            assert type(view) is type(want) and view.has_canonical_format
-            for part in ("data", "indices", "indptr"):
-                got, ref = getattr(view, part), getattr(want, part)
-                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), part
-        assert np.shares_memory(g.adjacency.indices, g.indices)
+        # the band and the dense L equal the old construction, byte for byte
         assert_same_bytes(g.dense_laplacian(), lap)
+        assert g.laplacian_band().upper.tobytes() == oracle_band(lap).tobytes()
 
     @pytest.mark.parametrize("name", sorted(CORE_MAZES))
     def test_components_and_bfs_from_every_state(self, name):
         g = build_graph(CORE_MAZES[name])
-        adj = g.adjacency
+        adj = scipy_adjacency(g)
         assert connected_components(g) == oracle_components(adj)
         want = oracle_hops(adj) if g.n_states < 1000 else None
         for s in range(g.n_states):
@@ -278,7 +285,6 @@ class TestNumpyCoreMatchesScipy:
         g = graph_from_transitions(n, s, table.ravel())
         adj, _ = oracle_csr(n, s, table.ravel())
         assert g.indices.dtype == adj.indices.dtype and g.indptr.dtype == adj.indptr.dtype
-        assert np.shares_memory(g.adjacency.indptr, g.indptr)
 
 
 def unique_csr(n, s, s2):
@@ -324,7 +330,7 @@ class TestSortedDedupeMatchesUnique:
         got = graph._component_labels(g)
         want = np.unique(graph._component_roots(g), return_inverse=True)[1]
         assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert connected_components(g) == oracle_components(g.adjacency)
+        assert connected_components(g) == oracle_components(scipy_adjacency(g))
 
     def test_one_state_without_moves(self):
         none = np.zeros(0, np.int64)
@@ -386,7 +392,7 @@ class TestPseudoInverse:
     def test_recovers_laplacian(self, zoo_graphs, zoo_bases):
         for name, g in zoo_graphs.items():
             lp = pseudo_inverse(g, zoo_bases[name]).matrix
-            lap = g.laplacian.toarray()
+            lap = g.dense_laplacian()
             resid = np.abs(lap @ lp @ lap - lap).max()
             assert resid <= 1e-8, name
 
@@ -401,12 +407,12 @@ class TestPseudoInverse:
         # L⁺ = (L + J/3)⁻¹ − J/3 with J the all-ones matrix.
         lp = pseudo_inverse(p3_graph, zoo_bases["p3"]).matrix
         j = np.full((3, 3), 1 / 3)
-        oracle = np.linalg.inv(p3_graph.laplacian.toarray() + j) - j
+        oracle = np.linalg.inv(p3_graph.dense_laplacian() + j) - j
         assert np.allclose(lp, oracle, atol=1e-12)
 
     def test_disconnected_rejected(self):
         g = build_graph(parse_maze(TestConnectivity.SEALED))
-        basis = eig_sym(g.laplacian)
+        basis = eig_sym(g.dense_laplacian())
         with pytest.raises(PreconditionError, match="numerically zero"):
             pseudo_inverse(g, basis)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import scipy_adjacency
 from spectral_reach.envgrid import (
     ACTIONS,
     ContinuousMazeSpec,
@@ -230,8 +231,8 @@ class TestExhaustiveDataset:
     def test_induces_the_exact_graph(self, zoo_mazes, zoo_graphs):
         for name, maze in zoo_mazes.items():
             induced = induced_graph(exhaustive_dataset(maze))
-            want = zoo_graphs[name].adjacency.toarray()
-            assert np.array_equal(induced.adjacency.toarray(), want)
+            want = scipy_adjacency(zoo_graphs[name]).toarray()
+            assert np.array_equal(scipy_adjacency(induced).toarray(), want)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@ import re
 import numpy as np
 import pytest
 
-from spectral_reach import layouts
+from conftest import scipy_laplacian
+from spectral_reach import layouts, spectral
+from spectral_reach.cli import main
 from spectral_reach.envgrid import ContinuousMazeSpec, discretize_continuous, parse_maze
-from spectral_reach.errors import InputError, PreconditionError
+from spectral_reach.errors import InputError, NumericalError, PreconditionError
 from spectral_reach.graph import build_graph, pseudo_inverse
 from spectral_reach.spectral import (
     CSV_BLOCK,
+    Band,
     Embedding,
     basis_to_json,
     eig_sym,
@@ -72,15 +75,15 @@ class TestEigSym:
     def test_p3_characteristic_polynomial_oracle(self, p3_graph):
         # Independent oracle: roots of det(L - t I) computed from the
         # polynomial coefficients, not from an eigensolver.
-        lam = eig_sym(p3_graph.laplacian).eigenvalues
-        coeffs = np.poly(p3_graph.laplacian.toarray())
+        lam = eig_sym(p3_graph.dense_laplacian()).eigenvalues
+        coeffs = np.poly(p3_graph.dense_laplacian())
         roots = np.sort(np.real(np.roots(coeffs)))
         assert lam == pytest.approx(roots, abs=1e-9)
         assert lam == pytest.approx([0.0, 1.0, 3.0], abs=1e-9)
 
     def test_c4_cycle_spectrum(self, zoo_graphs):
         # Cycle graph eigenvalues are 2 - 2 cos(2 pi k / n).
-        lam = eig_sym(zoo_graphs["c4"].laplacian).eigenvalues
+        lam = eig_sym(zoo_graphs["c4"].dense_laplacian()).eigenvalues
         oracle = sorted(2 - 2 * math.cos(2 * math.pi * k / 4) for k in range(4))
         assert lam == pytest.approx(oracle, abs=1e-9)
 
@@ -92,7 +95,7 @@ class TestEigSym:
             assert np.all(np.diff(lam) >= -1e-12), name
             gram = vec.T @ vec - np.eye(n)
             assert np.abs(gram).max() <= 1e-9, name
-            lap = zoo_graphs[name].laplacian
+            lap = scipy_laplacian(zoo_graphs[name])
             resid = np.linalg.norm(lap @ vec - vec * lam[None, :], axis=0)
             assert resid.max() <= 1e-8, name
             assert vec[:, 0] == pytest.approx(np.full(n, 1 / math.sqrt(n)))
@@ -104,7 +107,7 @@ class TestEigSym:
                 assert col[np.argmax(np.abs(col))] > 0, (name, i)
 
     def test_deterministic_bit_identical(self, zoo_graphs):
-        lap = zoo_graphs["fourroom"].laplacian
+        lap = zoo_graphs["fourroom"].dense_laplacian()
         a = eig_sym(lap)
         b = eig_sym(lap)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
@@ -137,13 +140,13 @@ class TestEigSym:
 
 
 class TestEigSymPartial:
-    """eig_sym(L, k) for k < n: the k smallest pairs from the sparse solver."""
+    """eig_sym(L, k) for k < n: the k smallest pairs from the banded block Lanczos solver."""
 
     @pytest.mark.parametrize("name", PARTIAL_MAPS)
     def test_matches_dense_at_every_uncut_dimension(self, name, partial_graphs):
-        lap = partial_graphs[name].laplacian
-        n = lap.shape[0]
-        dense = eig_sym(lap)
+        g = partial_graphs[name]
+        lap, n = g.laplacian_band(), g.n_states
+        dense = eig_sym(g.dense_laplacian())
         lam, vec = dense.eigenvalues, dense.eigenvectors
         scale = max(float(lam[-1]), 1.0)
         gaps = np.diff(lam)
@@ -166,15 +169,15 @@ class TestEigSymPartial:
 
     @pytest.mark.parametrize("name", [n for n in PARTIAL_MAPS if n != "k2"])
     def test_repeated_calls_give_identical_bytes(self, name, partial_graphs):
-        lap = partial_graphs[name].laplacian
-        d = min(10, lap.shape[0] - 1)
+        lap = partial_graphs[name].laplacian_band()
+        d = min(10, lap.n - 1)
         a, b = eig_sym(lap, d), eig_sym(lap, d)
         assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
         assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
 
     def test_full_spectrum_consumers_refuse_a_partial_basis(self, zoo_graphs):
         g = zoo_graphs["fourroom"]
-        part = eig_sym(g.laplacian, 10)
+        part = eig_sym(g.laplacian_band(), 10)
         for call in (
             lambda: part.volume,
             lambda: truncation_tail(part, 5, 0, 1),
@@ -186,7 +189,7 @@ class TestEigSymPartial:
             assert "the 10 smallest" in str(exc.value) and "\n" not in str(exc.value)
 
     def test_embeddings_up_to_the_solved_dimension(self, zoo_graphs, zoo_bases):
-        lap = zoo_graphs["fourroom"].laplacian
+        lap = zoo_graphs["fourroom"].laplacian_band()
         part = eig_sym(lap, 6)
         assert ra_laprep(part, 6).vectors.shape == (104, 5)
         assert laprep(part, 2).eigenvalues == pytest.approx(
@@ -200,16 +203,17 @@ class TestEigSymPartial:
                 eig_sym(K2_L, k)
 
     def test_k_equal_to_n_is_the_dense_path(self, zoo_graphs, zoo_bases):
-        lap = zoo_graphs["tworoom"].laplacian
+        lap = zoo_graphs["tworoom"].laplacian_band()
         full = eig_sym(lap, 9)
         assert not full.is_partial
         assert full.eigenvectors.tobytes() == zoo_bases["tworoom"].eigenvectors.tobytes()
 
     def test_sparse_and_dense_input_give_identical_bytes(self, zoo_graphs):
+        # the two input forms: the graph's band and the dense L
         for name, g in zoo_graphs.items():
             n = g.n_states
             for k in (n, min(10, n - 1)):
-                a, b = eig_sym(g.laplacian, k), eig_sym(g.laplacian.toarray(), k)
+                a, b = eig_sym(g.laplacian_band(), k), eig_sym(g.dense_laplacian(), k)
                 assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes(), (name, k)
                 assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes(), (name, k)
 
@@ -221,10 +225,61 @@ class TestEigSymPartial:
 
     @pytest.mark.parametrize("name", PARTIAL_MAPS)
     def test_banded_eigenvalues_match_dense(self, name, partial_graphs):
-        lap = partial_graphs[name].laplacian
-        lam = eig_sym(lap).eigenvalues
-        got = eigvals_banded(lap)
+        g = partial_graphs[name]
+        lam = eig_sym(g.dense_laplacian()).eigenvalues
+        got = eigvals_banded(g.laplacian_band())
         assert np.abs(got - lam).max() <= 1e-12 * max(float(lam[-1]), 1.0)
+
+    @pytest.mark.parametrize("name", PARTIAL_MAPS)
+    def test_agrees_with_eigsh_at_dimension_ten(self, name, partial_graphs):
+        # ARPACK's shift-invert Lanczos, run only here, as an independent oracle
+        from scipy.sparse.linalg import eigsh
+
+        g = partial_graphs[name]
+        d = min(10, g.n_states - 1)
+        part = eig_sym(g.laplacian_band(), d)
+        v0 = np.random.default_rng(0).standard_normal(g.n_states)
+        lam, vec = eigsh(scipy_laplacian(g).tocsc(), d, sigma=spectral.PARTIAL_SHIFT,
+                         which="LM", v0=v0, tol=0)
+        order = np.argsort(lam)
+        lam, vec = lam[order], vec[:, order]
+        spectrum = eigvals_banded(g.laplacian_band())
+        scale = max(float(spectrum[-1]), 1.0)
+        assert np.abs(part.eigenvalues - lam).max() <= 1e-12 * scale
+        # compare eigenspaces cluster by cluster, but for a cluster that d cuts
+        ends = np.flatnonzero(np.diff(spectrum[:d + 1]) > CLUSTER_GAP * scale) + 1
+        for lo, hi in zip([0, *ends[:-1]], ends):
+            got, want = part.eigenvectors[:, lo:hi], vec[:, lo:hi]
+            assert np.abs(got @ got.T - want @ want.T).max() <= 1e-9, (name, lo, hi)
+
+    def test_cluster_inside_k_is_found_whole(self, zoo_graphs):
+        g = zoo_graphs["fourroom"]
+        dense = eig_sym(g.dense_laplacian())
+        lam = dense.eigenvalues
+        assert lam[2] - lam[1] <= 1e-12 and lam[3] - lam[2] > 1e-2   # lambda_1 = lambda_2
+        part = eig_sym(g.laplacian_band(), 4)
+        got, want = part.eigenvectors[:, 1:3], dense.eigenvectors[:, 1:3]
+        assert np.abs(got @ got.T - want @ want.T).max() <= 1e-9
+
+    def test_step_budget_failure_is_one_line_exit_three(self, zoo_graphs, monkeypatch,
+                                                         tmp_path, capsys):
+        monkeypatch.setattr(spectral, "PARTIAL_MAX_STEPS", 1)
+        with pytest.raises(NumericalError, match="did not converge in 1 block Lanczos steps"):
+            eig_sym(zoo_graphs["fourroom"].laplacian_band(), 10)
+        assert main(["embed", "--map", "fourroom", "--d", "10",
+                     "--out", str(tmp_path / "emb")]) == 3
+        err = capsys.readouterr().err
+        assert err == ("error: partial eigendecomposition did not converge "
+                       "in 1 block Lanczos steps\n")
+        assert not (tmp_path / "emb").exists()
+
+    def test_band_round_trips_a_dense_matrix(self, zoo_graphs):
+        for name, g in zoo_graphs.items():
+            band = g.laplacian_band()
+            assert np.array_equal(band.dense(), scipy_laplacian(g).toarray()), name
+            assert band.upper.tobytes() == Band.of_dense(band.dense()).upper.tobytes(), name
+            x = np.random.default_rng(1).standard_normal((3, g.n_states))
+            assert np.abs(band.rmatmul(x) - x @ band.dense()).max() <= 1e-12, name
 
 
 class TestLaprep:
@@ -280,7 +335,7 @@ class TestRaLaprep:
 
     def test_disconnected_rejected(self):
         g = build_graph(parse_maze("#######\n#..#..#\n#..#..#\n#######"))
-        basis = eig_sym(g.laplacian)
+        basis = eig_sym(g.dense_laplacian())
         with pytest.raises(PreconditionError, match="numerically zero"):
             ra_laprep(basis, 3)
 
@@ -400,7 +455,7 @@ class TestSerialization:
         if name.startswith("continuous"):
             maze = discretize_continuous(maze, 1)
         g = build_graph(maze)
-        basis = eig_sym(g.laplacian)
+        basis = eig_sym(g.dense_laplacian())
         for e in (ra_laprep(basis, g.n_states), laprep(basis, min(10, g.n_states))):
             text = csv_text(e, g.coords)
             assert text == csv_module_writer(e, g.coords)
@@ -485,8 +540,8 @@ class TestSerialization:
         assert payload["eigenvalues"] == pytest.approx([0.0, 1.0, 3.0], abs=1e-9)
 
     def test_basis_json_of_a_partial_basis_lists_the_given_spectrum(self, p3_graph):
-        part = eig_sym(p3_graph.laplacian, 2)
+        part = eig_sym(p3_graph.laplacian_band(), 2)
         assert basis_to_json(part)["eigenvalues"] == pytest.approx([0.0, 1.0], abs=1e-12)
-        spectrum = eigvals_banded(p3_graph.laplacian)
+        spectrum = eigvals_banded(p3_graph.laplacian_band())
         payload = basis_to_json(part, spectrum)
         assert payload["eigenvalues"] == pytest.approx([0.0, 1.0, 3.0], abs=1e-12)
