@@ -144,7 +144,7 @@ def _spectral_embeddings(
 
 def cmd_env(args, maze: MazeSpec) -> Result:
     g = build_graph(maze)
-    payload = export_graph_json(g)
+    payload = export_graph_json(g, maze.floor_cells)
     n_comp = len(connected_components(g))
     return Result(f"states={g.n_states} edges={len(payload['edges'])} "
                   f"volume={g.volume} components={n_comp}",
@@ -159,7 +159,7 @@ def cmd_embed(args, maze: MazeSpec) -> Result:
     # basis.json lists all n eigenvalues, even when only d pairs were solved for.
     spectrum = eigvals_banded(g.laplacian_band()) if basis.is_partial else None
     return Result(f"wrote {kind} embedding (d={d}) for {g.n_states} states to {args.out}", {
-        "embedding.csv": embedding_to_csv(embs[kind], g.coords),
+        "embedding.csv": embedding_to_csv(embs[kind], maze.floor_cells),
         "basis.json": basis_to_json(basis, spectrum),
     }, {"kind": args.kind, "d": d})
 
@@ -249,7 +249,7 @@ def cmd_learn(args, maze: MazeSpec) -> Result:
 
     return Result(f"trained d={d} table on {data.total_steps} transitions "
                   f"(tau={args.tau}); outputs in {args.out}", {
-        "learned_embedding.csv": embedding_to_csv(emb, g.coords),
+        "learned_embedding.csv": embedding_to_csv(emb, maze.floor_cells),
         "eigenvalue_estimates.json": {
             "estimates": [float(v) for v in lam],
             "truth": [float(v) for v in basis.eigenvalues[1:d]],
@@ -325,9 +325,9 @@ def cmd_bottleneck(args, maze: MazeSpec) -> Result:
     selected = set(report.selected)
     lines = ["state_index,x,y,cent,selected"] + [
         f"{s},{x},{y},{c:.17g},{int(s in selected)}"
-        for s, ((x, y), c) in enumerate(zip(g.coords, report.cent.tolist()))]
+        for s, ((x, y), c) in enumerate(zip(maze.floor_cells, report.cent.tolist()))]
     return Result(f"selected {len(report.selected)} states: "
-                  f"{[g.coords[s] for s in report.selected]}",
+                  f"{[maze.floor_cells[s] for s in report.selected]}",
                   {"bottlenecks.csv": "\n".join(lines) + "\n"},
                   {"kind": args.kind, "d": d, "frac": args.frac, "invert": args.invert})
 

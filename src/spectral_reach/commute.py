@@ -149,8 +149,8 @@ def _symmetric_rows(values: np.ndarray) -> Iterator[bytes]:
 
 def effective_resistance(g: StateGraph, plus: PseudoInverse, s: int, s2: int) -> float:
     """R_eff(s, s') = (e_s - e_s')^T L+ (e_s - e_s')."""
-    g.check_state(s)
-    g.check_state(s2)
+    spectral.check_state(s, g.n_states)
+    spectral.check_state(s2, g.n_states)
     if s == s2:
         return 0.0
     m = plus.matrix
@@ -199,8 +199,8 @@ def commute_mc(
     functions of (graph, s, s', walks, cap, seed).
     """
     require_connected(g)
-    g.check_state(s)
-    g.check_state(s2)
+    spectral.check_state(s, g.n_states)
+    spectral.check_state(s2, g.n_states)
     if walks <= 0:
         raise ValueError("walks must be positive")
     if cap <= 0:

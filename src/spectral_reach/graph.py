@@ -10,37 +10,31 @@ and A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .envgrid import MazeSpec, transition_table
 from .errors import InputError, PreconditionError
-from .spectral import Band, check_dense_size, check_state
-
-_INT32_MAX = np.iinfo(np.int32).max
+from .spectral import Band, check_dense_size, check_state, ra_laprep
 
 
 @dataclass(frozen=True)
 class StateGraph:
-    """Undirected state graph, stored once as a canonical CSR.  Immutable.
+    """Undirected state graph as one int64 CSR; a maze's ``floor_cells`` are its cells.
 
     Row s lists the neighbors of s in ascending order,
     ``indices[indptr[s]:indptr[s + 1]]``, with no duplicates and no self
     loops; ``degrees[s]`` is their count.  The solvers get L = D - A from
     it: ``laplacian_band()`` for the partial and banded ones,
-    ``dense_laplacian()`` for the dense ones.
+    ``dense_laplacian()`` for the dense ones.  Immutable.
     """
 
     n_states: int
     indptr: np.ndarray           # (n + 1,) row starts
     indices: np.ndarray          # (volume,) neighbor lists, row after row
-    degrees: np.ndarray          # (n,) int64
+    degrees: np.ndarray          # (n,)
     volume: int                  # sum of degrees = 2 * edge count
-    coords: tuple[tuple[int, int], ...] = field(default=())
-
-    def check_state(self, s: int) -> None:
-        check_state(s, self.n_states)
 
     def laplacian_band(self) -> Band:
         """L = D - A as a ``Band``, as wide as the largest index step of an edge."""
@@ -73,30 +67,24 @@ class PseudoInverse:
     matrix: np.ndarray
 
 
-def graph_from_transitions(
-    n: int, s: np.ndarray, s2: np.ndarray, coords: tuple[tuple[int, int], ...] = ()
-) -> StateGraph:
+def graph_from_transitions(n: int, s: np.ndarray, s2: np.ndarray) -> StateGraph:
     """Undirected graph on n states with an edge per transition s -> s2.
 
-    Self transitions (wall bumps) are dropped; L = D - A.  The CSR index
-    dtype is int32 unless the states or the entry count need int64, the
-    dtype scipy gives the same transitions.
+    s and s2 may hold any integer dtype; the CSR is int64 whatever they
+    hold.  Self transitions (wall bumps) are dropped; L = D - A.
     """
     move = s != s2
     src = np.concatenate([s[move], s2[move]])
     dst = np.concatenate([s2[move], s[move]])
-    fits = np.can_cast(src.dtype, np.int32) and max(src.size, n) <= _INT32_MAX
-    idx_dtype = np.int32 if fits else np.int64
     # one sorted key per distinct directed edge: row-major, duplicates merged
     rows, cols = np.divmod(sorted_unique(src.astype(np.int64) * n + dst), n)
     deg = np.bincount(rows, minlength=n).astype(np.int64)
     return StateGraph(
         n_states=n,
-        indptr=np.concatenate(([0], np.cumsum(deg))).astype(idx_dtype),
-        indices=cols.astype(idx_dtype),
+        indptr=np.concatenate(([0], np.cumsum(deg))),
+        indices=cols,
         degrees=deg,
         volume=int(deg.sum()),
-        coords=coords,
     )
 
 
@@ -108,13 +96,13 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
 
 def build_graph(maze: MazeSpec) -> StateGraph:
     """State graph of a maze: nodes are floor cells, edges are legal moves."""
-    return graph_from_table(transition_table(maze), maze.floor_cells)
+    return graph_from_table(transition_table(maze))
 
 
-def graph_from_table(table: np.ndarray, coords: tuple[tuple[int, int], ...] = ()) -> StateGraph:
+def graph_from_table(table: np.ndarray) -> StateGraph:
     """Graph of an (n, actions) transition table: an edge per move it lists."""
     n, n_actions = table.shape
-    return graph_from_transitions(n, np.repeat(np.arange(n), n_actions), table.ravel(), coords)
+    return graph_from_transitions(n, np.repeat(np.arange(n), n_actions), table.ravel())
 
 
 def _entry_rows(g: StateGraph) -> np.ndarray:
@@ -205,7 +193,7 @@ def _bfs(g: StateGraph, sources: np.ndarray) -> np.ndarray:
 
 def bfs_distances(g: StateGraph, source: int) -> np.ndarray:
     """Geodesic (shortest-path) distances from one state; -1 if unreachable."""
-    g.check_state(source)
+    check_state(source, g.n_states)
     return _bfs(g, np.array([source]))[0]
 
 
@@ -215,26 +203,24 @@ def geodesic_matrix(g: StateGraph) -> np.ndarray:
 
 
 def pseudo_inverse(g: StateGraph, basis) -> PseudoInverse:
-    """L+ = Phi Phi^T, Phi_i = v_i / sqrt(lambda_i) for i >= 2: the RA-LapRep columns.
+    """L+ = Phi Phi^T, with Phi the full-dimension RA-LapRep: ``ra_laprep(basis, n)``.
 
     numpy forms a product with its own transpose from one triangle and
     mirrors it, so L+ is exactly symmetric.  Requires a full basis and a
     connected graph (exactly one zero eigenvalue).
     """
     basis.require_full("pseudo_inverse")
-    lam = basis.eigenvalues
-    vec = basis.eigenvectors
-    if vec.shape[0] != g.n_states:
-        raise InputError(f"basis has {vec.shape[0]} states, graph has {g.n_states}")
-    basis.require_connected()
-    phi = vec[:, 1:] / np.sqrt(lam[1:])
+    if basis.n_states != g.n_states:
+        raise InputError(f"basis has {basis.n_states} states, graph has {g.n_states}")
+    # one state has no RA-LapRep column, and its L+ is [[0]]
+    phi = ra_laprep(basis, g.n_states).vectors if g.n_states > 1 else np.zeros((1, 0))
     return PseudoInverse(matrix=phi @ phi.T)
 
 
-def export_graph_json(g: StateGraph) -> dict:
-    """Plain-data form: node count, undirected edge list, cell coordinates."""
+def export_graph_json(g: StateGraph, coords: tuple[tuple[int, int], ...]) -> dict:
+    """Plain-data form: node count, undirected edge list, and each state's cell, ``coords``."""
     return {
         "n": g.n_states,
         "edges": [[int(i), int(j)] for i, j in g.edges()],
-        "coords": [[int(x), int(y)] for x, y in g.coords],
+        "coords": [[int(x), int(y)] for x, y in coords],
     }

@@ -41,7 +41,8 @@ PARTIAL_SHIFT = -1e-5
 #: seed of the partial solver's fixed Lanczos start block
 PARTIAL_START_SEED = 0
 #: residual ||L v - lambda v|| at which the partial solver stops, relative
-#: to a bound on ||L||: about 45 units of rounding
+#: to a bound on ||L||: about 45 units of rounding.  That is near the floor of
+#: the computed residual, so at the step budget 10 times it is accepted
 PARTIAL_TOL = 1e-14
 #: block Lanczos steps the partial solver takes before it gives up
 PARTIAL_MAX_STEPS = 50
@@ -67,13 +68,6 @@ class Band:
     @property
     def width(self) -> int:
         return self.upper.shape[0] - 1
-
-    @classmethod
-    def of_dense(cls, a: np.ndarray) -> Band:
-        """The band of a dense symmetric matrix, as wide as its farthest nonzero."""
-        i, j = np.nonzero(a)
-        b = int(np.abs(j - i).max()) if i.size else 0
-        return cls(np.array([np.pad(np.diagonal(a, d), (d, 0)) for d in range(b, -1, -1)]))
 
     def dense(self) -> np.ndarray:
         """The dense matrix.  Of the band's columns lo:hi alone, this is the
@@ -165,35 +159,32 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.where(top < 0, -1.0, 1.0)   # argmax takes the lowest index on ties
 
 
-def _check_symmetric(skew: float) -> None:
-    if skew > SYMMETRY_TOL:
-        raise PreconditionError(f"max |L - L^T| = {skew:.3e} exceeds {SYMMETRY_TOL}")
-
-
 def eig_sym(L, k: int | None = None) -> SpectralBasis:
     """Eigendecomposition of a symmetric Laplacian, eigenvalues ascending.
 
-    L is a dense array (``StateGraph.dense_laplacian()``) or a ``Band``
-    (``StateGraph.laplacian_band()``).  Without k, or with k = n, this is
-    the full dense decomposition by numpy, refused above the dense size
-    cap.  For k < n only the k smallest eigenpairs are computed, by
-    ``_eig_partial`` on the band, with no cap.  A dense L is checked
-    symmetric to 1e-12 (a band is symmetric by construction).  Both paths
-    apply the same deterministic sign convention to the eigenvectors.
+    Each input form has one path.  A ``Band`` (``StateGraph.laplacian_band()``)
+    gives its k < n smallest eigenpairs, by ``_eig_partial``, with no size
+    cap.  A dense L (``StateGraph.dense_laplacian()``) gives all n, by
+    numpy, refused above the dense size cap; k may be left out or be n.  A
+    dense L is checked symmetric to 1e-12 (a band is symmetric by
+    construction).  Both paths apply the same deterministic sign
+    convention to the eigenvectors.
     """
-    if not isinstance(L, Band):
-        L = np.asarray(L, dtype=np.float64)
-        if L.ndim != 2 or L.shape[0] != L.shape[1]:
-            raise PreconditionError(f"expected a square matrix, got shape {L.shape}")
-        _check_symmetric(float(np.abs(L - L.T).max()) if L.size else 0.0)
-    n = L.n if isinstance(L, Band) else L.shape[0]
-    if k is not None and not 1 <= k <= n:
-        raise InputError(f"k = {k} eigenpairs outside [1, {n}]")
-    if k is not None and k < n:
-        return _eig_partial(L if isinstance(L, Band) else Band.of_dense(L), k)
-    check_dense_size(n)
+    if isinstance(L, Band):
+        if k is None or not 1 <= k < L.n:
+            raise InputError(f"a band gives k in [1, {L.n - 1}] eigenpairs, not k = {k}")
+        return _eig_partial(L, k)
+    L = np.asarray(L, dtype=np.float64)
+    if L.ndim != 2 or L.shape[0] != L.shape[1]:
+        raise PreconditionError(f"expected a square matrix, got shape {L.shape}")
+    skew = float(np.abs(L - L.T).max()) if L.size else 0.0
+    if skew > SYMMETRY_TOL:
+        raise PreconditionError(f"max |L - L^T| = {skew:.3e} exceeds {SYMMETRY_TOL}")
+    if k not in (None, len(L)):
+        raise InputError(f"a dense L gives all {len(L)} eigenpairs, not k = {k}")
+    check_dense_size(len(L))
     try:
-        lam, vec = np.linalg.eigh(L.dense() if isinstance(L, Band) else L)
+        lam, vec = np.linalg.eigh(L)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     return SpectralBasis(eigenvalues=lam, eigenvectors=_fix_signs(vec))
@@ -244,34 +235,35 @@ def _eig_partial(band: Band, k: int) -> SpectralBasis:
     Block Lanczos on (L - sigma I)^-1, sigma just below zero, grows an
     orthonormal basis Q from a seeded random start block of k columns, so a
     cluster of eigenvalues inside the k smallest is found whole; each new
-    block is orthogonalized twice against all of Q.  After each step the
-    eigenpairs of Q^T L Q (Rayleigh-Ritz) are the candidates, accepted once
-    every residual ||L y - theta y|| is at most PARTIAL_TOL times a
-    Gershgorin bound on ||L||, or once Q spans everything.
+    block is orthogonalized twice against all of Q, and L times it fills
+    its columns of H = Q^T L Q.  The eigenpairs of H (Rayleigh-Ritz) are
+    accepted once every residual ||L y - theta y|| is at most PARTIAL_TOL
+    times a Gershgorin bound on ||L|| (10 times, at the step budget), or
+    once Q spans everything.
     """
     n = band.n
     solve = _shifted_solver(band, PARTIAL_SHIFT)
     norm = max(float(Band(np.abs(band.upper)).rmatmul(np.ones((1, n))).max()), 1.0)
     cap = min(n, k * PARTIAL_MAX_STEPS)
-    qt, lqt, h = np.empty((cap, n)), np.empty((cap, n)), np.empty((cap, cap))
+    qt, h = np.empty((cap, n)), np.empty((cap, cap))
     block = np.random.default_rng(PARTIAL_START_SEED).standard_normal((n, k))
     size = 0
-    for _ in range(PARTIAL_MAX_STEPS):
+    for step in range(1, PARTIAL_MAX_STEPS + 1):
         q = qt[:size].T
         for _ in range(2):
             block -= q @ (q.T @ block)
             block = np.linalg.qr(block)[0]
         new = slice(size, min(size + k, n))    # the block that reaches n may be narrower
         qt[new] = block.T[:new.stop - size]
-        lqt[new] = band.rmatmul(qt[new])
         size = new.stop
-        q, lq = qt[:size].T, lqt[:size].T
-        h[:size, new] = q.T @ lq[:, new]
+        q = qt[:size].T
+        h[:size, new] = q.T @ band.rmatmul(qt[new]).T
         h[new, :size] = h[:size, new].T
         theta, s = np.linalg.eigh(h[:size, :size])
         vec = q @ s[:, :k]
-        resid = lq @ s[:, :k] - vec * theta[:k]
-        if size == n or np.sqrt(np.einsum("ij,ij->j", resid, resid)).max() <= PARTIAL_TOL * norm:
+        resid = band.rmatmul(vec.T.copy()).T - vec * theta[:k]    # rmatmul runs along rows
+        worst = np.sqrt(np.einsum("ij,ij->j", resid, resid)).max()
+        if size == n or worst <= PARTIAL_TOL * norm * (10 if step == PARTIAL_MAX_STEPS else 1):
             return SpectralBasis(eigenvalues=theta[:k], eigenvectors=_fix_signs(vec))
         block = solve(qt[new].T)
     raise NumericalError(f"partial eigendecomposition did not converge in "

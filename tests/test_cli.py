@@ -417,7 +417,7 @@ class TestBottleneck:
                                "--out", str(tmp_path / "bn")])
         rows = (tmp_path / "bn" / "bottlenecks.csv").read_text().splitlines()
         assert len(rows) == 10_001
-        assert peak < 111e6
+        assert peak < 102e6
 
     def test_peak_rss_on_twenty_thousand_states(self, tmp_path):
         # a 141 x 141 open room: the band of L, its factor and the Krylov basis
@@ -427,7 +427,7 @@ class TestBottleneck:
                                "--out", str(tmp_path / "bn")])
         rows = (tmp_path / "bn" / "bottlenecks.csv").read_text().splitlines()
         assert len(rows) == 19_882
-        assert peak < 178e6
+        assert peak < 158e6
 
 
 # ---------------------------------------------------------------------------

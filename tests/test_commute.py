@@ -92,6 +92,12 @@ class TestFirstPassage:
             warnings.simplefilter("error")
             assert first_passage(g).values.tolist() == [[0.0]]
 
+    def test_one_state_commute_is_zero_by_both_routes(self):
+        # one state has no RA-LapRep column, and L+ = [[0]]
+        g = build_graph(parse_maze(ONE_CELL))
+        for method in ("solve", "pseudo-inverse"):
+            assert commute(g, method).values.tolist() == [[0.0]], method
+
 
 class TestCommute:
     def test_k2(self, zoo_graphs):

@@ -30,7 +30,7 @@ from spectral_reach.graph import (
     pseudo_inverse,
     require_connected,
 )
-from spectral_reach.spectral import eig_sym, ra_laprep
+from spectral_reach.spectral import check_state, eig_sym, ra_laprep
 
 TWOROOM = "#######\n#..#..#\n#.....#\n#######"
 
@@ -88,16 +88,23 @@ class TestBuild:
         assert np.allclose(g.dense_laplacian().sum(axis=1), 0.0)
 
     def test_coords_row_major(self):
+        # the maze's floor_cells name the graph's states: row-major, each edge one move long
         maze = parse_maze(TWOROOM)
-        g = build_graph(maze)
-        assert tuple(map(tuple, g.coords)) == maze.floor_cells
+        cells, g = maze.floor_cells, build_graph(maze)
+        assert list(cells) == sorted(cells, key=lambda c: (c[1], c[0]))
+        assert len(cells) == g.n_states
+        for i, j in g.edges():
+            (x, y), (x2, y2) = cells[i], cells[j]
+            assert abs(x - x2) + abs(y - y2) == 1
 
     def test_check_state(self):
+        # the graph's callers check a state with spectral.check_state
         g = build_graph(parse_maze(TWOROOM))
-        with pytest.raises(InputError, match="out of range"):
-            g.check_state(9)
-        with pytest.raises(InputError, match="out of range"):
-            g.check_state(-1)
+        for s in (9, -1):
+            with pytest.raises(InputError, match="out of range"):
+                check_state(s, g.n_states)
+            with pytest.raises(InputError, match="out of range"):
+                bfs_distances(g, s)
 
     def test_adjacency_and_laplacian_are_canonical_csr(self, zoo_graphs):
         # scipy matrices on the graph's CSR are canonical: sorted, no duplicates, no zeros
@@ -279,12 +286,14 @@ class TestNumpyCoreMatchesScipy:
 
     @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
     def test_index_dtype_follows_scipy(self, dtype):
+        # int64 indices whatever the input dtype, on scipy's structure
         table = transition_table(layouts.zoo_maze("fourroom")).astype(dtype)
         n = len(table)
         s = np.repeat(np.arange(n, dtype=dtype), table.shape[1])
         g = graph_from_transitions(n, s, table.ravel())
         adj, _ = oracle_csr(n, s, table.ravel())
-        assert g.indices.dtype == adj.indices.dtype and g.indptr.dtype == adj.indptr.dtype
+        assert g.indices.dtype == g.indptr.dtype == g.degrees.dtype == np.int64
+        assert np.array_equal(g.indices, adj.indices) and np.array_equal(g.indptr, adj.indptr)
 
 
 def unique_csr(n, s, s2):
@@ -422,10 +431,10 @@ class TestPseudoInverse:
 
 
 class TestExport:
-    def test_json_shape(self, zoo_graphs):
+    def test_json_shape(self, zoo_graphs, zoo_mazes):
         g = zoo_graphs["tworoom"]
-        payload = export_graph_json(g)
+        payload = export_graph_json(g, zoo_mazes["tworoom"].floor_cells)
         assert payload["n"] == 9
         assert len(payload["edges"]) == 10
-        assert len(payload["coords"]) == 9
+        assert payload["coords"] == [list(c) for c in zoo_mazes["tworoom"].floor_cells]
         assert all(i < j for i, j in payload["edges"])

@@ -16,7 +16,6 @@ from spectral_reach.errors import InputError, NumericalError, PreconditionError
 from spectral_reach.graph import build_graph, pseudo_inverse
 from spectral_reach.spectral import (
     CSV_BLOCK,
-    Band,
     Embedding,
     basis_to_json,
     eig_sym,
@@ -197,25 +196,40 @@ class TestEigSymPartial:
         with pytest.raises(InputError, match="outside"):
             laprep(part, 7)
 
-    def test_k_outside_range(self):
-        for k in (0, 3):
-            with pytest.raises(InputError, match="eigenpairs outside"):
-                eig_sym(K2_L, k)
+    def test_k_outside_range(self, zoo_graphs):
+        # a band gives 1 <= k < n pairs, a dense L all n: every other k is refused
+        band = zoo_graphs["tworoom"].laplacian_band()
+        for lap, k, message in ((band, 0, "a band gives k in [1, 8] eigenpairs, not k = 0"),
+                                (band, 10, "a band gives k in [1, 8] eigenpairs, not k = 10"),
+                                (K2_L, 0, "a dense L gives all 2 eigenpairs, not k = 0"),
+                                (K2_L, 3, "a dense L gives all 2 eigenpairs, not k = 3")):
+            with pytest.raises(InputError) as exc:
+                eig_sym(lap, k)
+            assert str(exc.value) == message
 
     def test_k_equal_to_n_is_the_dense_path(self, zoo_graphs, zoo_bases):
-        lap = zoo_graphs["tworoom"].laplacian_band()
-        full = eig_sym(lap, 9)
+        # k = n, or no k, is the dense L's path alone
+        g = zoo_graphs["tworoom"]
+        full = eig_sym(g.dense_laplacian(), 9)
         assert not full.is_partial
         assert full.eigenvectors.tobytes() == zoo_bases["tworoom"].eigenvectors.tobytes()
+        for k in (9, None):
+            with pytest.raises(InputError) as exc:
+                eig_sym(g.laplacian_band(), k)
+            assert str(exc.value) == f"a band gives k in [1, 8] eigenpairs, not k = {k}"
 
     def test_sparse_and_dense_input_give_identical_bytes(self, zoo_graphs):
-        # the two input forms: the graph's band and the dense L
+        # each input form has one path: the other form is refused with one line
         for name, g in zoo_graphs.items():
-            n = g.n_states
-            for k in (n, min(10, n - 1)):
-                a, b = eig_sym(g.laplacian_band(), k), eig_sym(g.dense_laplacian(), k)
-                assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes(), (name, k)
-                assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes(), (name, k)
+            n, k = g.n_states, min(10, g.n_states - 1)
+            refused = (
+                (g.laplacian_band(), n, f"a band gives k in [1, {n - 1}] eigenpairs, not k = {n}"),
+                (g.dense_laplacian(), k, f"a dense L gives all {n} eigenpairs, not k = {k}"),
+            )
+            for lap, pairs, message in refused:
+                with pytest.raises(InputError) as exc:
+                    eig_sym(lap, pairs)
+                assert str(exc.value) == message, name
 
     def test_not_symmetric(self):
         lap = np.diag([1.0, 2.0, 3.0])
@@ -273,11 +287,32 @@ class TestEigSymPartial:
                        "in 1 block Lanczos steps\n")
         assert not (tmp_path / "emb").exists()
 
+    def test_step_budget_accepts_ten_times_the_bound(self, tmp_path):
+        # continuous_b at resolution 2 (732 states) ends its 50 steps with every
+        # residual between PARTIAL_TOL's bound and 10 times it, at the rounding floor
+        out = tmp_path / "emb"
+        assert main(["embed", "--map", "continuous_b", "--resolution", "2", "--d", "10",
+                     "--kind", "lap", "--out", str(out)]) == 0
+        g = build_graph(discretize_continuous(layouts.load_bundled("continuous_b"), 2))
+        part = eig_sym(g.laplacian_band(), 10)
+        assert np.array_equal(embedding_from_csv(out / "embedding.csv")[0].vectors,
+                              part.eigenvectors[:, 1:])
+        dense = eig_sym(g.dense_laplacian())
+        lam, vec = dense.eigenvalues, dense.eigenvectors
+        scale = max(float(lam[-1]), 1.0)
+        assert np.abs(part.eigenvalues - lam[:10]).max() <= 1e-12 * scale
+        gaps = np.diff(lam)
+        separation = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])
+        for j in np.flatnonzero(separation[:10] > SIMPLE_GAP * scale):
+            got, want = part.eigenvectors[:, j], vec[:, j]
+            if _sign_tied(want):
+                got = got if got @ want > 0 else -got
+            assert np.abs(got - want).max() <= 1e-9, j
+
     def test_band_round_trips_a_dense_matrix(self, zoo_graphs):
         for name, g in zoo_graphs.items():
             band = g.laplacian_band()
             assert np.array_equal(band.dense(), scipy_laplacian(g).toarray()), name
-            assert band.upper.tobytes() == Band.of_dense(band.dense()).upper.tobytes(), name
             x = np.random.default_rng(1).standard_normal((3, g.n_states))
             assert np.abs(band.rmatmul(x) - x @ band.dense()).max() <= 1e-12, name
 
@@ -438,10 +473,9 @@ def assert_parses_like_the_csv_module(text, tmp_path):
 
 
 class TestSerialization:
-    def test_csv_round_trip(self, zoo_bases, zoo_graphs, tmp_path):
-        g = zoo_graphs["tworoom"]
+    def test_csv_round_trip(self, zoo_bases, zoo_mazes, tmp_path):
         e = ra_laprep(zoo_bases["tworoom"], 4)
-        coords = tuple(map(tuple, g.coords))
+        coords = zoo_mazes["tworoom"].floor_cells
         text = csv_text(e, coords)
         header = text.splitlines()[0]
         assert header == "state_index,x,y,e2,e3,e4"
@@ -457,8 +491,8 @@ class TestSerialization:
         g = build_graph(maze)
         basis = eig_sym(g.dense_laplacian())
         for e in (ra_laprep(basis, g.n_states), laprep(basis, min(10, g.n_states))):
-            text = csv_text(e, g.coords)
-            assert text == csv_module_writer(e, g.coords)
+            text = csv_text(e, maze.floor_cells)
+            assert text == csv_module_writer(e, maze.floor_cells)
             assert_parses_like_the_csv_module(text, tmp_path)
 
     def test_csv_of_extreme_values(self, tmp_path):
@@ -486,9 +520,9 @@ class TestSerialization:
         with pytest.raises(InputError, match="coordinate list has 2 entries"):
             embedding_to_csv(e, ((1, 1), (2, 1)))
 
-    def test_csv_rows_in_any_order(self, zoo_bases, zoo_graphs, tmp_path):
+    def test_csv_rows_in_any_order(self, zoo_bases, zoo_mazes, tmp_path):
         e = ra_laprep(zoo_bases["fourroom"], 10)
-        lines = csv_text(e, zoo_graphs["fourroom"].coords).splitlines()
+        lines = csv_text(e, zoo_mazes["fourroom"].floor_cells).splitlines()
         body = lines[1:]
         np.random.default_rng(0).shuffle(body)
         back = assert_parses_like_the_csv_module("\n".join([lines[0], *body]) + "\n", tmp_path)
