@@ -379,8 +379,9 @@ def rep_quality(
     ``geodesics[goal]`` is the geodesic distance of every state to goal:
     a row of the all-pairs matrix, or of a dict holding the goal rows.
 
-    ``full_spectrum`` holds all Laplacian eigenvalues, ascending; a column
-    is flagged degenerate when its eigenvalue is repeated in it.
+    ``full_spectrum`` holds lambda_0..lambda_d or more, ascending.  A column is
+    degenerate when a neighbor is within 1e-9 * max(full_spectrum[-1], 1) of its
+    eigenvalue; ``learn`` passes lambda_0..lambda_d, so its scale is max(lambda_d, 1).
     """
     if learned.n_states != truth.n_states:
         raise InputError(
@@ -399,8 +400,7 @@ def rep_quality(
         denom = np.linalg.norm(a) * np.linalg.norm(b)
         cosines[i] = abs(float(a @ b)) / denom if denom > 0 else np.nan
 
-    # column i holds eigen-index i + 1 of lam; it is degenerate when a
-    # neighboring eigenvalue is within 1e-9 * max(lam[-1], 1) of its own
+    # column i holds eigen-index i + 1 of lam
     degenerate = np.zeros(cols, dtype=bool)
     lam = np.asarray(full_spectrum, dtype=np.float64)
     scale = max(float(lam[-1]), 1.0)

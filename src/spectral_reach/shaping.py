@@ -14,6 +14,7 @@ consume identical noise streams and differ only through the shaping.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -348,13 +349,10 @@ def dimension_sweep(
     return {int(d): _auc_stats(a) for d, a in zip(d_values, per_d)}
 
 
-def curves_csv(run: ShapingRun) -> str:
-    """Per-run success curves: episode,kind,goal,seed,success,steps."""
-    lines = ["episode,kind,goal,seed,success,steps"]
+def curves_csv(run: ShapingRun) -> Iterator[bytes]:
+    """Per-run success curves (episode,kind,goal,seed,success,steps), one chunk per run."""
+    yield b"episode,kind,goal,seed,success,steps\n"
     for (kind, goal, seed), result in sorted(run.runs.items()):
-        for ep in range(len(result.success)):
-            lines.append(
-                f"{ep},{kind},{goal},{seed},"
-                f"{int(result.success[ep])},{int(result.steps[ep])}"
-            )
-    return "\n".join(lines) + "\n"
+        row = b"%d," + kind.encode() + b",%d,%d,%d,%d\n"
+        rows = zip(range(len(result.steps)), result.success.tolist(), result.steps.tolist())
+        yield b"".join([row % (ep, goal, seed, ok, steps) for ep, ok, steps in rows])

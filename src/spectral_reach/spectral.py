@@ -40,10 +40,9 @@ SIZE_CAP = 4096
 PARTIAL_SHIFT = -1e-5
 #: seed of the partial solver's fixed Lanczos start block
 PARTIAL_START_SEED = 0
-#: residual ||L v - lambda v|| at which the partial solver stops, relative
-#: to a bound on ||L||: about 45 units of rounding.  That is near the floor of
-#: the computed residual, so at the step budget 10 times it is accepted
-PARTIAL_TOL = 1e-14
+#: residual ||L v - lambda v|| at which the partial solver stops, relative to a
+#: bound on ||L||: about 450 units of rounding, a step above the residual's floor
+PARTIAL_TOL = 1e-13
 #: block Lanczos steps the partial solver takes before it gives up
 PARTIAL_MAX_STEPS = 50
 SIGN_CONVENTION = "max-abs-positive"
@@ -238,8 +237,8 @@ def _eig_partial(band: Band, k: int) -> SpectralBasis:
     block is orthogonalized twice against all of Q, and L times it fills
     its columns of H = Q^T L Q.  The eigenpairs of H (Rayleigh-Ritz) are
     accepted once every residual ||L y - theta y|| is at most PARTIAL_TOL
-    times a Gershgorin bound on ||L|| (10 times, at the step budget), or
-    once Q spans everything.
+    times a Gershgorin bound on ||L||, or once Q spans everything; a solve
+    that meets neither within PARTIAL_MAX_STEPS block steps is refused.
     """
     n = band.n
     solve = _shifted_solver(band, PARTIAL_SHIFT)
@@ -248,7 +247,7 @@ def _eig_partial(band: Band, k: int) -> SpectralBasis:
     qt, h = np.empty((cap, n)), np.empty((cap, cap))
     block = np.random.default_rng(PARTIAL_START_SEED).standard_normal((n, k))
     size = 0
-    for step in range(1, PARTIAL_MAX_STEPS + 1):
+    for _ in range(PARTIAL_MAX_STEPS):
         q = qt[:size].T
         for _ in range(2):
             block -= q @ (q.T @ block)
@@ -263,7 +262,7 @@ def _eig_partial(band: Band, k: int) -> SpectralBasis:
         vec = q @ s[:, :k]
         resid = band.rmatmul(vec.T.copy()).T - vec * theta[:k]    # rmatmul runs along rows
         worst = np.sqrt(np.einsum("ij,ij->j", resid, resid)).max()
-        if size == n or worst <= PARTIAL_TOL * norm * (10 if step == PARTIAL_MAX_STEPS else 1):
+        if size == n or worst <= PARTIAL_TOL * norm:
             return SpectralBasis(eigenvalues=theta[:k], eigenvectors=_fix_signs(vec))
         block = solve(qt[new].T)
     raise NumericalError(f"partial eigendecomposition did not converge in "

@@ -14,9 +14,10 @@ import spectral_reach
 from spectral_reach import cli, graph, layouts
 from spectral_reach.cli import main
 from spectral_reach.commute import CommuteMatrix, commute, first_passage
-from spectral_reach.envgrid import discretize_continuous
+from spectral_reach.envgrid import discretize_continuous, parse_maze
 from spectral_reach.errors import PreconditionError
 from spectral_reach.manifest import atomic_write_chunks, sha256_file
+from spectral_reach.spectral import eig_sym
 
 SPLIT = "#######\n#..#..#\n#..#..#\n#######\n"
 
@@ -317,6 +318,16 @@ class TestLearn:
                      "--iterations", "800", "--batch", "128",
                      "--step-size", "100.0", "--out", str(tmp_path / "x")]) == 3
         assert "10x" in capsys.readouterr().err
+
+    def test_runs_beyond_the_dense_cap(self, tmp_path):
+        # 4,900 states: learn solves its d + 1 pairs on the band, as embed --d does
+        (tmp_path / "open.txt").write_text(open_room_text(70))
+        out = tmp_path / "learn"
+        assert main(["learn", "--map", str(tmp_path / "open.txt"), "--seed", "0", "--d", "5",
+                     "--iterations", "20", "--out", str(out)]) == 0
+        band = graph.build_graph(parse_maze(open_room_text(70))).laplacian_band()
+        truth = json.loads((out / "eigenvalue_estimates.json").read_text())["truth"]
+        assert truth == eig_sym(band, 6).eigenvalues[1:5].tolist()
 
     def test_state_graph_built_once(self, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, graph.build_graph)

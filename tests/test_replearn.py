@@ -513,6 +513,21 @@ class TestRepQuality:
         q = rep_quality(truth, truth, geo, full_spectrum=basis.eigenvalues)
         assert q.degenerate.tolist() == [True, True, False]
 
+    @pytest.mark.parametrize("name", ["fourroom", "biased"])
+    def test_flags_from_the_d_plus_one_smallest_eigenvalues(self, name):
+        # learn passes lambda_0..lambda_d from the partial solver, not all n
+        g = build_graph(layouts.load_bundled(name))
+        basis = eig_sym(g.dense_laplacian())
+        flagged = 0
+        for d in range(2, 11):
+            truth = ra_laprep(basis, d)
+            full = rep_quality(truth, truth, {}, full_spectrum=basis.eigenvalues)
+            smallest = eig_sym(g.laplacian_band(), d + 1).eigenvalues
+            part = rep_quality(truth, truth, {}, full_spectrum=smallest)
+            assert part.degenerate.tolist() == full.degenerate.tolist(), d
+            flagged += int(full.degenerate.sum())
+        assert flagged > 0 or name == "biased"      # fourroom ties three pairs, biased none
+
     def test_learned_tworoom_profile_matches_truth(
         self, tworoom_rep, tworoom_data, zoo_graphs, zoo_bases
     ):

@@ -269,7 +269,9 @@ class TestRunExperiment:
     def test_curves_csv_layout(self, tworoom):
         cfg = QLearningConfig(episodes=10)
         run = run_experiment(tworoom, ("none",), (8,), (0, 1), cfg, {})
-        lines = curves_csv(run).strip().split("\n")
+        chunks = list(curves_csv(run))
+        assert len(chunks) == 1 + 2                      # the header, then one chunk per run
+        lines = b"".join(chunks).decode().strip().split("\n")
         assert lines[0] == "episode,kind,goal,seed,success,steps"
         assert len(lines) == 1 + 2 * 10
         first = lines[1].split(",")
@@ -323,7 +325,7 @@ class TestRunExperiment:
         goals = tuple(index.of(c) for c in fourroom.goal_cells)
         run = run_experiment(fourroom, ("l2", "none"), goals, (0, 1),
                              QLearningConfig(episodes=100), {})
-        digest = hashlib.sha256(curves_csv(run).encode()).hexdigest()
+        digest = hashlib.sha256(b"".join(curves_csv(run))).hexdigest()
         assert digest == "edee1a325b6b41948d490f4237d20412c4ccba174f1b0813be25b2e175396d33"
 
 
