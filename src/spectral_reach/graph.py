@@ -158,11 +158,15 @@ def is_connected(g: StateGraph) -> bool:
 
 
 def require_connected(g: StateGraph, what: str = "state graph") -> None:
-    """Refuse a disconnected graph; ``what`` names it in the message."""
+    """Refuse a disconnected graph; ``what`` names it in the message.
+
+    The message lists the ten largest component sizes and counts the rest.
+    """
     comps = connected_components(g)
     if len(comps) != 1:
         sizes = sorted((len(c) for c in comps), reverse=True)
-        raise PreconditionError(f"{what} has {len(comps)} components (sizes {sizes})")
+        more = f" and {len(sizes) - 10} more" if len(sizes) > 10 else ""
+        raise PreconditionError(f"{what} has {len(comps)} components (sizes {sizes[:10]}{more})")
 
 
 def _bfs(g: StateGraph, sources: np.ndarray) -> np.ndarray:

@@ -14,8 +14,10 @@ consume identical noise streams and differ only through the shaping.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 
@@ -290,23 +292,106 @@ def run_experiment(
     return ShapingRun(tuple(kinds), tuple(goals), tuple(seeds), runs)
 
 
-def paired_t_pvalue(a: np.ndarray, b: np.ndarray) -> float:
-    """One-sided p-value that mean(a - b) > 0, by a paired t-test.
+def paired_t(a: np.ndarray, b: np.ndarray) -> tuple[float, int]:
+    """The paired t statistic of a - b and its degrees of freedom, pairs - 1.
 
-    Bit for bit equal to scipy's ``ttest_rel(a, b, alternative="greater")``
-    for two or more pairs: the arithmetic follows scipy 1.17's own,
-    operation for operation, without its warnings.
+    Bit for bit equal to scipy's ``ttest_rel(a, b).statistic`` for two or
+    more pairs: the arithmetic follows scipy 1.17's own, operation for
+    operation, without its warnings.
     """
-    # Imported here: scipy.special adds 25 modules and ~60 ms to every
-    # CLI start, and only the paired test needs it.
-    from scipy.special import stdtr
-
     d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
     n = len(d)
     v = np.mean((d - np.mean(d, keepdims=True)) ** 2) * (n / (n - 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.mean(d) / np.sqrt(v / n)
-    return float(stdtr(float(n - 1), -t))
+    return float(t), n - 1
+
+
+def paired_t_pvalue(a: np.ndarray, b: np.ndarray) -> float:
+    """One-sided p-value that mean(a - b) > 0, by a paired t-test."""
+    return student_t_sf(*paired_t(a, b))
+
+
+#: significant digits of the t tail's evaluations: the first two that
+#: round to one double give the result, else the last one does
+TAIL_DIGITS = (40, 55, 110, 220, 440, 880)
+
+
+def student_t_sf(t: float, df: int) -> float:
+    """P(T >= t) for Student's t with integer ``df`` >= 1, correctly rounded.
+
+    The tail is evaluated in decimal arithmetic at growing precision
+    until two evaluations round to the same double, so the result is the
+    exact tail rounded to nearest, not an approximation of it.
+    """
+    if math.isnan(t):
+        return math.nan
+    if t == 0 or math.isinf(t):
+        return 0.5 if t == 0 else float(t < 0)
+    p = None
+    for digits in TAIL_DIGITS:
+        p, last = float(_t_tail(t, df, digits)), p
+        if p == last:
+            break
+    return p
+
+
+def _t_tail(t: float, nu: int, digits: int) -> Decimal:
+    """P(T >= t) for nonzero finite t and nu degrees of freedom, in decimal.
+
+    With x = nu / (nu + t^2) and y = 1 - x, the tail of |t| is
+    s * sum_k c_k x^k over k >= nu // 2, where c_0 = 1 and
+    c_{k+1} / c_k = (2k + 1 + o) / (2k + 2 + o) for o = nu mod 2;
+    s = sqrt(y) / 2 for even nu and sqrt(x y) / pi for odd nu
+    (Abramowitz & Stegun 26.7.3-4).  Its terms are positive, so for
+    x < 1/2 the series keeps every digit of a tiny tail.  For x >= 1/2 the
+    finite sum over k < nu // 2 is subtracted from the whole, 1/2 less
+    atan(|t| / sqrt(nu)) / pi for odd nu.  As |t| <= sqrt(nu) there, the
+    tail is at least the normal tail at sqrt(nu), about exp(-nu / 2), so
+    the nu // 4 extra digits make up for what the subtraction cancels.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits + nu // 4
+        ctx.Emin, ctx.Emax = MIN_EMIN, MAX_EMAX
+        t2 = Decimal(t) * Decimal(t)
+        x, y = nu / (nu + t2), t2 / (nu + t2)
+        odd, m, pi = nu % 2, nu // 2, _pi()
+        scale = (x * y).sqrt() / pi if odd else y.sqrt() / 2
+        term, head = Decimal(1), Decimal(0)         # term = c_k x^k
+        for k in range(m):
+            head += term
+            term = term * x * (2 * k + 1 + odd) / (2 * k + 2 + odd)
+        if 2 * x >= 1:
+            tail = Decimal("0.5") - scale * head
+            if odd:
+                tail -= _atan(abs(Decimal(t)) / Decimal(nu).sqrt()) / pi
+        else:
+            total, k = Decimal(0), m
+            while total + term != total:
+                total += term
+                term = term * x * (2 * k + 1 + odd) / (2 * k + 2 + odd)
+                k += 1
+            tail = scale * total
+        return tail if t > 0 else 1 - tail
+
+
+def _atan(z: Decimal) -> Decimal:
+    """atan(z) for 0 <= z <= 1 at the context's precision."""
+    halvings = 0
+    while z > Decimal("0.1"):
+        z = z / (1 + (1 + z * z).sqrt())       # atan(z) = 2 atan(this)
+        halvings += 1
+    z2, term, total, k = z * z, z, Decimal(0), 0
+    while total + term != total:
+        total += term
+        k += 1
+        term = -term * z2 * (2 * k - 1) / (2 * k + 1)
+    return total * 2 ** halvings
+
+
+def _pi() -> Decimal:
+    """pi at the context's precision, by Machin's formula."""
+    return 16 * _atan(Decimal(1) / 5) - 4 * _atan(Decimal(1) / 239)
 
 
 def paired_auc_test(run: ShapingRun, kind_a: str, kind_b: str) -> tuple[float, float | None]:

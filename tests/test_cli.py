@@ -385,6 +385,15 @@ class TestShape:
         assert set(tests) == {"ra_laprep>laprep", "ra_laprep>l2", "ra_laprep>none"}
         assert all(t["p_value"] is None for t in tests.values())
 
+    def test_peak_rss_with_paired_tests(self, tmp_path):
+        # the paired t-test's tail is computed in decimal, without scipy.special
+        peak = peak_rss_bytes(["shape", "--map", "fourroom", "--kind", "ra_laprep,laprep,l2,none",
+                               "--d", "10", "--episodes", "20", "--seed", "0", "--seeds", "2",
+                               "--out", tmp_path / "s"])
+        report = json.loads((tmp_path / "s" / "aggregate.json").read_text())
+        assert all(t["p_value"] is not None for t in report["paired_tests"].values())
+        assert peak <= 45e6
+
     def test_goal_required_without_tagged_cells(self, tmp_path, capsys):
         assert main(["shape", "--map", "tworoom", "--kind", "none",
                      "--episodes", "10", "--seed", "0",
@@ -691,7 +700,7 @@ def test_out_of_memory_is_one_error_line(tmp_path, argv):
     (lambda tmp: _learn(tmp, "biased", "--tau", "10", "--episodes", "200", "--episode-len",
                         "50", "--iterations", "100", "--batch", "64"), 2,
      "error: graph of the sampled transitions has 41 components "
-     "(sizes [25" + ", 1" * 40 + "])\n"),
+     "(sizes [25" + ", 1" * 9 + "] and 31 more)\n"),
     (lambda tmp: ["embed", "--map", _two_islands(tmp), "--out", str(tmp / "e")], 2,
      "error: state graph has 2 components (sizes [4, 4])\n"),
     (lambda tmp: ["embed", "--map", _two_islands(tmp), "--d", "3", "--out", str(tmp / "e")], 2,
@@ -810,15 +819,13 @@ SCIPY_FREE = {
                    "--walks", "200", "--seed", "0"],
     "learn": ["learn", "--map", "fourroom", "--seed", "0", "--episodes", "100",
               "--iterations", "50", "--batch", "32"],
+    "shape": ["shape", "--map", "fourroom", "--seed", "0", "--seeds", "2", "--episodes", "20"],
     "verify": ["verify", "--suite", "all"],
 }
-#: the commands that still load scipy, each no more of it than the import of one
-#: module loads: ``embed --d`` lists every eigenvalue by ``scipy.linalg.eig_banded``,
-#: ``shape`` runs the paired t-test with ``scipy.special.stdtr``
+#: the one command that still loads scipy, no more of it than the import of
+#: ``scipy.linalg`` loads: ``embed --d`` lists every eigenvalue by ``eig_banded``
 SCIPY_SOLVERS = {
     "embed-partial": ("scipy.linalg", ["embed", "--map", "fourroom", "--d", "10"]),
-    "shape": ("scipy.special", ["shape", "--map", "fourroom", "--seed", "0", "--seeds", "2",
-                                "--episodes", "20"]),
 }
 
 
@@ -837,7 +844,7 @@ def test_scipy_free_commands_never_load_scipy(job, tmp_path, fourroom_embedding)
     # the graph core dedupes without np.unique, which loads numpy.ma
     assert "numpy.ma" not in modules
     if job != "learn":
-        runs = {"verify", "mds"} if job == "verify" else set()
+        runs = {"verify": {"verify", "mds"}, "shape": {"shaping"}}.get(job, set())
         unused = {f"spectral_reach.{m}" for m in {"replearn", "shaping", "verify", "mds"} - runs}
         assert not modules & unused
 

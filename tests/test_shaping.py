@@ -3,10 +3,12 @@
 import dataclasses
 import hashlib
 import warnings
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from spectral_reach import shaping
 from spectral_reach.envgrid import parse_maze, transition_table
@@ -22,11 +24,13 @@ from spectral_reach.shaping import (
     dimension_sweep,
     episodes_to_threshold,
     paired_auc_test,
+    paired_t,
     paired_t_pvalue,
     q_learning,
     reward_table,
     run_experiment,
     scaled_positions,
+    student_t_sf,
 )
 from spectral_reach.spectral import Embedding, laprep, ra_laprep
 
@@ -353,11 +357,41 @@ def _auc_pair(rng, case):
 def _ttest_ref(a, b):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return float(stats.ttest_rel(a, b, alternative="greater").pvalue)
+        return stats.ttest_rel(a, b, alternative="greater")
+
+
+def _exact_tail(t, nu):
+    """P(T >= t) for nu degrees of freedom: mpmath at 400 bits, rounded to nearest."""
+    if np.isnan(t) or t == 0 or np.isinf(t):
+        return np.nan if np.isnan(t) else 0.5 if t == 0 else float(t < 0)
+    with mpmath.workprec(400):
+        x = nu / (nu + mpmath.mpf(t) ** 2)
+        half = mpmath.betainc(mpmath.mpf(nu) / 2, mpmath.mpf(0.5), 0, x, regularized=True) / 2
+        p = half if t > 0 else 1 - half
+        # Fraction to float rounds to nearest, subnormals included
+        return float(Fraction(int(p.man)) * Fraction(2) ** int(p.exp))
+
+
+def _ulps(x, y):
+    """Distance between two nonnegative doubles in units in the last place."""
+    return abs(int(np.float64(x).view(np.int64)) - int(np.float64(y).view(np.int64)))
 
 
 def _same(x, y):
     return x == y or (np.isnan(x) and np.isnan(y))
+
+
+@pytest.fixture(scope="module")
+def seeded_pairs():
+    rng = np.random.default_rng(20222)
+    return [_auc_pair(rng, case) for case in range(3000)]
+
+
+#: t far into both tails, at the cancellation edge t = sqrt(nu) of
+#: nu = 400, and below the smallest t^2 a double holds
+ADVERSARIAL_T = [s * t for t in (1e-300, 1e-12, 0.3, 1.0, 2.5, 19.99, 20.0, 1e3, 1e20, 1e150)
+                 for s in (1.0, -1.0)]
+ADVERSARIAL_DF = (1, 2, 3, 7, 39, 400)
 
 
 def _run_of(aucs_by_kind, episodes=4):
@@ -374,15 +408,41 @@ def _run_of(aucs_by_kind, episodes=4):
 
 
 class TestPairedTest:
-    def test_bit_identical_to_scipy_on_seeded_cases(self):
-        rng = np.random.default_rng(20222)
+    """t follows scipy 1.17 bit for bit; p is the exact tail, correctly rounded."""
+
+    def test_bit_identical_to_scipy_on_seeded_cases(self, seeded_pairs):
         mismatches = []
-        for case in range(3000):
-            a, b = _auc_pair(rng, case)
-            ours, ref = paired_t_pvalue(a, b), _ttest_ref(a, b)
-            if not _same(ours, ref):
-                mismatches.append((case, ours, ref))
+        for case, (a, b) in enumerate(seeded_pairs):
+            (t, nu), ref = paired_t(a, b), _ttest_ref(a, b)
+            if not (_same(t, ref.statistic) and nu == ref.df):
+                mismatches.append((case, t, ref.statistic))
         assert mismatches == []
+
+    def test_correctly_rounded_on_seeded_cases(self, seeded_pairs):
+        mismatches = []
+        for case, (a, b) in enumerate(seeded_pairs):
+            p, exact = paired_t_pvalue(a, b), _exact_tail(*paired_t(a, b))
+            if not _same(p, exact):
+                mismatches.append((case, p, exact))
+        assert mismatches == []
+
+    @pytest.mark.parametrize("df", ADVERSARIAL_DF)
+    def test_correctly_rounded_on_adversarial_tails(self, df):
+        results = [(t, student_t_sf(t, df), _exact_tail(t, df)) for t in ADVERSARIAL_T]
+        assert [r for r in results if r[1] != r[2]] == []
+
+    def test_within_256_ulps_of_scipy_where_normal(self, seeded_pairs):
+        # scipy 1.17 gives stdtr(1, t) = 0.5 at |t| = 1e-12, thousands of
+        # ulps from the exact tail; there p is held to the exact tail instead.
+        cases = [paired_t(a, b) for a, b in seeded_pairs]
+        cases += [(t, df) for df in ADVERSARIAL_DF for t in ADVERSARIAL_T]
+        far = []
+        for t, df in cases:
+            p, ref = student_t_sf(t, df), float(special.stdtr(df, -t))
+            if ref >= np.finfo(np.float64).tiny and _ulps(p, ref) > 256:
+                far.append((t, df, p, ref))
+        assert [(t, df) for t, df, _, _ in far] == [(1e-12, 1), (-1e-12, 1)]
+        assert all(p == _exact_tail(t, df) for t, df, p, _ in far)
 
     @pytest.mark.parametrize("a,b", [
         ([0.5, 0.75], [0.25, 0.5]),
@@ -396,7 +456,13 @@ class TestPairedTest:
             "constant-diff-minus", "zero-diff", "nan-entry"])
     def test_edge_cases_match_scipy(self, a, b):
         a, b = np.array(a), np.array(b)
-        assert _same(paired_t_pvalue(a, b), _ttest_ref(a, b))
+        t, nu = paired_t(a, b)
+        assert _same(t, _ttest_ref(a, b).statistic)
+        assert _same(paired_t_pvalue(a, b), _exact_tail(t, nu))
+
+    def test_exact_results_at_the_ends(self):
+        assert [student_t_sf(t, 5) for t in (0.0, -0.0, np.inf, -np.inf)] == [0.5, 0.5, 0.0, 1.0]
+        assert np.isnan(student_t_sf(np.nan, 5))
 
     def test_no_warnings(self):
         with warnings.catch_warnings():
@@ -413,7 +479,9 @@ class TestPairedTest:
         run = _run_of({"ra_laprep": [0.75, 1.0], "none": [0.25, 0.75]})
         diff, p = paired_auc_test(run, "ra_laprep", "none")
         assert diff == 0.375
-        assert p == _ttest_ref([0.75, 1.0], [0.25, 0.75])
+        t, nu = paired_t([0.75, 1.0], [0.25, 0.75])
+        assert t == _ttest_ref([0.75, 1.0], [0.25, 0.75]).statistic
+        assert p == _exact_tail(t, nu)
 
 
 class TestDimensionSweep:
