@@ -70,7 +70,7 @@ def top_bottlenecks(cent: np.ndarray, fraction: float, invert: bool = False) -> 
     index.
     """
     if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
+        raise InputError(f"fraction must lie in (0, 1], got {fraction}")
     n = len(cent)
     k = math.ceil(fraction * n)
     value = -cent if not invert else cent

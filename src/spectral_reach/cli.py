@@ -3,10 +3,10 @@
 Subcommands: env, embed, heatmap, verify, learn, shape, bottleneck,
 commute.  Exit codes: 0 success, 1 usage or input errors, 2 violated
 domain preconditions (disconnection, unreachable goals, missing bias
-cells), 3 numerical failures.  Stochastic subcommands require --seed;
-all outputs are written atomically and accompanied by a run manifest,
-and re-running a command with identical inputs reproduces every output
-byte for byte.
+cells), 3 numerical failures.  Stochastic subcommands require a
+non-negative --seed; all outputs are written atomically and accompanied
+by a run manifest, and re-running a command with identical inputs
+reproduces every output byte for byte.
 
 Every subcommand runs through one pipeline, ``run``: it loads the
 --map once, calls the subcommand, which returns a ``Result``, then
@@ -128,12 +128,11 @@ def _spectral_embeddings(
     """Embeddings of dimension d, one per kind, from one eigensolve.
 
     Only the d smallest eigenpairs are computed: for d < n by the banded
-    partial solver, for d = n by the dense full decomposition.  The
-    rescaled kind needs a connected graph, which is checked first.
+    partial solver, for d = n by the dense full decomposition.  Every kind
+    drops the constant eigenvector, so needs a connected graph, checked first.
     """
     check_dimension(d, g.n_states)
-    if "ra_laprep" in kinds:
-        require_connected(g)
+    require_connected(g)
     basis = eig_sym(g.laplacian_band() if d < g.n_states else g.dense_laplacian(), d)
     return basis, {kind: EMBEDDERS[kind](basis, d) for kind in kinds}
 
@@ -205,10 +204,7 @@ def cmd_heatmap(args, maze: MazeSpec) -> Result:
 
 def cmd_verify(args, _maze: None) -> Result:
     from .verify import run_suite
-    try:
-        results = run_suite(args.suite)
-    except KeyError as exc:
-        raise InputError(exc.args[0]) from None
+    results = run_suite(args.suite)
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.suite}:{r.name}"
              + (f"  ({r.detail})" if r.detail else "") for r in results]
     failed = sum(not r.passed for r in results)
@@ -265,16 +261,12 @@ def cmd_learn(args, maze: MazeSpec) -> Result:
 
 
 def cmd_shape(args, maze: MazeSpec) -> Result:
-    from .shaping import (QLearningConfig, REWARD_KINDS, curves_csv, paired_auc_test,
+    from .shaping import (QLearningConfig, check_kinds, curves_csv, paired_auc_test,
                           run_experiment)
     g = build_graph(maze)
     index = maze.state_index()
     kinds = tuple(k.strip() for k in args.kind.split(","))
-    for i, k in enumerate(kinds):
-        if k not in REWARD_KINDS:
-            raise InputError(f"unknown reward kind {k!r}, expected one of {REWARD_KINDS}")
-        if k in kinds[:i]:
-            raise InputError(f"reward kind {k!r} is given more than once")
+    check_kinds(kinds)
     if args.goal:
         goals = (_state(maze, args.goal),)
     else:
@@ -450,6 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(args) -> int:
     """Load the --map once, run the subcommand, write its files and
     manifest under --out, print its stdout and return its exit code."""
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        raise InputError(f"--seed must be non-negative, got {args.seed}")
     maze, digests = None, {}
     if hasattr(args, "map"):
         maze, digests[args.map] = _load_maze(args.map, args.resolution)

@@ -33,7 +33,7 @@ import numpy as np
 # Loaded lazily, so traced core functions are read through their module when
 # called: a name bound at import would keep a wrapper the core held then.
 from . import spectral
-from .errors import NumericalError, PreconditionError
+from .errors import InputError, NumericalError, PreconditionError
 from .graph import PseudoInverse, StateGraph, pseudo_inverse, require_connected
 from .spectral import CSV_BLOCK
 
@@ -106,7 +106,7 @@ def commute(g: StateGraph, method: str = "solve") -> CommuteMatrix:
     2 G_ij as G_ij + G_ji keeps n exactly symmetric.
     """
     if method not in COMMUTE_METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {COMMUTE_METHODS}")
+        raise InputError(f"unknown method {method!r}, expected one of {COMMUTE_METHODS}")
     require_connected(g)
     if method == "solve":
         gram = np.zeros((g.n_states, g.n_states))
@@ -202,9 +202,9 @@ def commute_mc(
     spectral.check_state(s, g.n_states)
     spectral.check_state(s2, g.n_states)
     if walks <= 0:
-        raise ValueError("walks must be positive")
+        raise InputError("walks must be positive")
     if cap <= 0:
-        raise ValueError("cap must be positive")
+        raise InputError("cap must be positive")
     if s == s2:
         return McEstimate(0.0, 0.0, walks, 0, seed)
 

@@ -155,7 +155,7 @@ def step(maze: MazeSpec, s: tuple[int, int], action: str) -> tuple[int, int]:
     try:
         dx, dy = DELTAS[action]
     except KeyError:
-        raise ValueError(f"unknown action {action!r}, expected one of {ACTIONS}") from None
+        raise InputError(f"unknown action {action!r}, expected one of {ACTIONS}") from None
     nx, ny = x + dx, y + dy
     if maze.is_floor(nx, ny):
         return (nx, ny)
@@ -223,14 +223,14 @@ class ContinuousMazeSpec:
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
-            raise ValueError("bounding box must have positive size")
+            raise InputError("bounding box must have positive size")
         if self.radius < 0:
-            raise ValueError("agent radius must be nonnegative")
+            raise InputError("agent radius must be nonnegative")
         for r in self.walls:
             if r.w < 0 or r.h < 0:
-                raise ValueError(f"wall rectangle {r} has negative size")
+                raise InputError(f"wall rectangle {r} has negative size")
             if r.x < 0 or r.y < 0 or r.x + r.w > self.width or r.y + r.h > self.height:
-                raise ValueError(f"wall rectangle {r} lies outside the bounding box")
+                raise InputError(f"wall rectangle {r} lies outside the bounding box")
 
     @classmethod
     def from_json(cls, text: str) -> "ContinuousMazeSpec":
@@ -267,7 +267,7 @@ def discretize_continuous(cm: ContinuousMazeSpec, resolution: int) -> MazeSpec:
     grid would have more than MAX_GRID_CELLS cells.
     """
     if resolution <= 0:
-        raise ValueError("resolution must be a positive integer")
+        raise InputError("resolution must be a positive integer")
     try:
         nx = int(round(cm.width * resolution))
         ny = int(round(cm.height * resolution))

@@ -153,10 +153,6 @@ def connected_components(g: StateGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, map(members.__getitem__, map(slice, [0, *ends[:-1]], ends))))
 
 
-def is_connected(g: StateGraph) -> bool:
-    return len(connected_components(g)) == 1
-
-
 def require_connected(g: StateGraph, what: str = "state graph") -> None:
     """Refuse a disconnected graph; ``what`` names it in the message.
 

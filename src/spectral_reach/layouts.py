@@ -13,6 +13,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .envgrid import ContinuousMazeSpec, MazeSpec, parse_maze
+from .errors import InputError
 
 MAPS = resources.files("spectral_reach").joinpath("maps")
 
@@ -49,7 +50,7 @@ def load_bundled(name: str) -> MazeSpec | ContinuousMazeSpec:
     """Parse a bundled map by name."""
     files = bundled_files()
     if name not in files:
-        raise KeyError(f"unknown bundled map {name!r}; available: {tuple(sorted(files))}")
+        raise InputError(f"unknown bundled map {name!r}; available: {tuple(sorted(files))}")
     return parse_map(files[name].read_text(), kind_of(files[name].name))
 
 

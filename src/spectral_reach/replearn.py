@@ -40,7 +40,7 @@ import numpy as np
 from .envgrid import ACTIONS, MazeSpec, transition_table
 from .errors import InputError, NumericalError, PreconditionError
 from .graph import StateGraph, graph_from_table, graph_from_transitions, require_connected
-from .spectral import Embedding, check_dimension, goal_distances
+from .spectral import Embedding, check_dimension, goal_distances, tied
 
 #: eigenvalue estimates at or below this are too degenerate to rescale by
 DEGENERATE_EIG_TOL = 1e-8
@@ -61,9 +61,9 @@ class TrainConfig:
 
     def validate(self) -> None:
         if self.iterations <= 0 or self.batch_size <= 0:
-            raise ValueError("iterations and batch_size must be positive")
+            raise InputError("iterations and batch_size must be positive")
         if not 0.0 < self.step_size < np.inf:
-            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
+            raise InputError(f"step_size must be positive and finite, got {self.step_size}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ class QualityMetrics:
 def start_distribution(maze: MazeSpec, temperature: float) -> np.ndarray:
     """Start-state probabilities proportional to exp(temperature * bias)."""
     if not 0.0 <= temperature < np.inf:
-        raise ValueError(f"temperature must be nonnegative and finite, got {temperature}")
+        raise InputError(f"temperature must be nonnegative and finite, got {temperature}")
     index = maze.state_index()
     n = len(index)
     bias = np.zeros(n)
@@ -380,8 +380,8 @@ def rep_quality(
     a row of the all-pairs matrix, or of a dict holding the goal rows.
 
     ``full_spectrum`` holds lambda_0..lambda_d or more, ascending.  A column is
-    degenerate when a neighbor is within 1e-9 * max(full_spectrum[-1], 1) of its
-    eigenvalue; ``learn`` passes lambda_0..lambda_d, so its scale is max(lambda_d, 1).
+    degenerate when its eigenvalue is ``spectral.tied`` to a neighbor's; ``learn``
+    passes lambda_0..lambda_d, so the tie scale is max(lambda_d, 1).
     """
     if learned.n_states != truth.n_states:
         raise InputError(
@@ -400,14 +400,9 @@ def rep_quality(
         denom = np.linalg.norm(a) * np.linalg.norm(b)
         cosines[i] = abs(float(a @ b)) / denom if denom > 0 else np.nan
 
-    # column i holds eigen-index i + 1 of lam
-    degenerate = np.zeros(cols, dtype=bool)
-    lam = np.asarray(full_spectrum, dtype=np.float64)
-    scale = max(float(lam[-1]), 1.0)
-    for i in range(cols):
-        k = i + 1
-        near = [abs(lam[k] - lam[j]) for j in (k - 1, k + 1) if j < len(lam)]
-        degenerate[i] = min(near) < 1e-9 * scale
+    # column i holds eigen-index i + 1, tied to a neighbor at gap i or gap i + 1
+    gap = np.append(tied(np.asarray(full_spectrum, dtype=np.float64)), False)
+    degenerate = gap[:cols] | gap[1:cols + 1]
 
     eig_rel_err = None
     if learned.eigenvalues is not None and truth.eigenvalues is not None:

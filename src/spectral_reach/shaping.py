@@ -22,9 +22,9 @@ from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 import numpy as np
 
 from .envgrid import MazeSpec, transition_table
-from .errors import InputError, PreconditionError
-from .graph import graph_from_table, is_connected
-from .spectral import Embedding, goal_distances
+from .errors import InputError
+from .graph import graph_from_table, require_connected
+from .spectral import Embedding, check_state, goal_distances
 
 REWARD_KINDS = ("ra_laprep", "laprep", "l2", "none")
 #: reward weights of the environment and distance terms
@@ -43,6 +43,15 @@ EPSILON_FRACTION = 0.3
 SUCCESS_WINDOW = 25
 
 
+def check_kinds(kinds: tuple[str, ...]) -> None:
+    """Refuse an unknown reward kind and a kind given more than once."""
+    for i, k in enumerate(kinds):
+        if k not in REWARD_KINDS:
+            raise InputError(f"unknown reward kind {k!r}, expected one of {REWARD_KINDS}")
+        if k in kinds[:i]:
+            raise InputError(f"reward kind {k!r} is given more than once")
+
+
 @dataclass(frozen=True)
 class RewardSpec:
     """How to score a transition into a state, for one goal."""
@@ -53,10 +62,8 @@ class RewardSpec:
     positions: np.ndarray | None = None    # (n, 2) scaled grid positions
 
     def validate(self, n_states: int) -> None:
-        if self.kind not in REWARD_KINDS:
-            raise ValueError(f"unknown reward kind {self.kind!r}, expected {REWARD_KINDS}")
-        if not 0 <= self.goal < n_states:
-            raise ValueError(f"goal state {self.goal} out of range [0, {n_states})")
+        check_kinds((self.kind,))
+        check_state(self.goal, n_states)
         if self.kind in ("ra_laprep", "laprep"):
             if self.embedding is None:
                 raise InputError(f"reward kind {self.kind!r} needs an embedding")
@@ -79,7 +86,7 @@ class QLearningConfig:
 
     def validate(self) -> None:
         if self.episodes <= 0:
-            raise ValueError(f"episodes must be positive, got {self.episodes}")
+            raise InputError(f"episodes must be positive, got {self.episodes}")
 
 
 @dataclass(frozen=True)
@@ -185,21 +192,16 @@ def q_learning_batch(
     noise of their seed, so each equals the same run made alone.
     """
     if not specs or not seeds:
-        raise ValueError("specs and seeds must be nonempty")
+        raise InputError("specs and seeds must be nonempty")
     config.validate()
     table = transition_table(maze)
     n, n_act = table.shape
-    # The state graph is undirected: a goal is reachable from every
-    # floor cell exactly when the graph is connected.
-    connected = is_connected(graph_from_table(table))
     for spec in specs:
         spec.validate(n)
-        if not connected:
-            raise PreconditionError(
-                f"goal state {spec.goal} is not reachable from every floor cell"
-            )
+    # the graph is undirected: a goal is reachable from every floor cell iff it is connected
+    require_connected(graph_from_table(table))
     if n < 2:
-        raise ValueError("Q-learning needs a floor cell besides the goal")
+        raise InputError("Q-learning needs a floor cell besides the goal")
 
     pairs = [(spec, seed) for spec in specs for seed in seeds]
     offset = np.arange(len(pairs)) * n          # run i owns Q rows offset[i] + s
@@ -280,7 +282,8 @@ def run_experiment(
     ``embeddings`` supplies the embedding for each kind that needs one.
     """
     if not kinds or not goals or not seeds:
-        raise ValueError("kinds, goals, and seeds must be nonempty")
+        raise InputError("kinds, goals, and seeds must be nonempty")
+    check_kinds(kinds)
     positions = scaled_positions(maze)
     specs = [
         RewardSpec(kind, goal, embeddings.get(kind), positions if kind == "l2" else None)
@@ -404,7 +407,7 @@ def paired_auc_test(run: ShapingRun, kind_a: str, kind_b: str) -> tuple[float, f
     b = run.per_run_auc(kind_b)
     if len(a) < 2:
         return float((a - b).mean()), None
-    if np.allclose(a, b):
+    if np.array_equal(a, b):
         return 0.0, 1.0
     return float((a - b).mean()), paired_t_pvalue(a, b)
 
@@ -423,7 +426,7 @@ def dimension_sweep(
     report carries mean AUC and its standard error per d.
     """
     if not d_values:
-        raise ValueError("d_values must be nonempty")
+        raise InputError("d_values must be nonempty")
     specs = [
         RewardSpec(kind=emb.kind, goal=goal, embedding=emb)
         for emb in map(embedding_for_d, d_values)

@@ -11,11 +11,13 @@ the unscaled embedding distorts.
 The constant eigenvector (eigenvalue zero) carries no distance
 information and is always dropped: an embedding of dimension ``d``
 stores ``d - 1`` coordinates per state, taken from eigen-indices
-2 through d in ascending eigenvalue order.  Such an embedding needs only
-the d smallest eigenpairs, which ``eig_sym(L, d)`` computes when d < n
-by shift-invert block Lanczos on the band of L, in numpy alone.  Only
-``eigvals_banded`` needs scipy (``scipy.linalg``), and it imports it
-when called.
+2 through d in ascending eigenvalue order.  So both refuse a
+disconnected graph, whose lambda_1 is ``tied`` (the one rule for
+eigenvalue ties) to lambda_0 and whose dropped vector LAPACK would
+pick.  Such an embedding needs only the d smallest eigenpairs, which
+``eig_sym(L, d)`` computes when d < n by shift-invert block Lanczos on
+the band of L, in numpy alone.  Only ``eigvals_banded`` needs scipy
+(``scipy.linalg``), and it imports it when called.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .errors import InputError, NumericalError, PreconditionError
 
 #: largest |M - M^T| entry accepted for a matrix that must be symmetric
 SYMMETRY_TOL = 1e-12
-#: eigenvalues at or below this threshold count as zero modes
-ZERO_EIGENVALUE_TOL = 1e-9
+#: eigenvalues closer than this, relative to max(largest eigenvalue, 1), are tied
+TIE_TOL = 1e-9
 #: refuse dense eigendecompositions beyond this size
 SIZE_CAP = 4096
 #: shift of the partial solver: below a Laplacian's spectrum, so L - sigma I is
@@ -117,9 +119,9 @@ class SpectralBasis:
             )
 
     def require_connected(self) -> None:
-        """Refuse a spectrum with more than one zero eigenvalue."""
+        """Refuse a spectrum with more than one zero eigenvalue: lambda_1 tied to lambda_0."""
         lam = self.eigenvalues
-        if len(lam) > 1 and lam[1] <= ZERO_EIGENVALUE_TOL:
+        if len(lam) > 1 and tied(lam)[0]:
             raise PreconditionError(f"second-smallest eigenvalue {lam[1]:.3e} is numerically zero")
 
     @property
@@ -150,6 +152,11 @@ class Embedding:
     def d(self) -> int:
         """Embedding dimension: the stored columns plus the dropped constant one."""
         return self.vectors.shape[1] + 1
+
+
+def tied(lam: np.ndarray) -> np.ndarray:
+    """Gap i of an ascending spectrum ties: lam[i + 1] - lam[i] <= TIE_TOL * max(lam[-1], 1)."""
+    return np.diff(lam) <= TIE_TOL * max(float(lam[-1]), 1.0)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -301,6 +308,7 @@ def check_state(s: int, n: int) -> None:
 def laprep(basis: SpectralBasis, d: int) -> Embedding:
     """Plain spectral embedding: raw entries of eigenvectors 2..d."""
     check_dimension(d, basis.eigenvectors.shape[1])
+    basis.require_connected()
     return Embedding(
         kind="laprep",
         vectors=basis.eigenvectors[:, 1:d].copy(),

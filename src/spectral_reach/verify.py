@@ -18,6 +18,7 @@ import numpy as np
 from . import envgrid, graph, layouts, spectral
 from .commute import commute, effective_resistance, first_passage
 from .bottleneck import centrality, make_report, top_bottlenecks
+from .errors import InputError
 from .graph import pseudo_inverse
 from .mds import classic_mds, double_center, equivalence_residual
 from .spectral import Embedding, tail_bound, truncation_tail
@@ -326,7 +327,7 @@ def run_suite(name: str) -> list[CheckResult]:
     if name == "all":
         return [result for suite in SUITES.values() for result in suite()]
     if name not in SUITES:
-        raise KeyError(
+        raise InputError(
             f"unknown suite {name!r}; available: {', '.join([*SUITES, 'all'])}"
         )
     return SUITES[name]()

@@ -83,9 +83,9 @@ class TestTopBottlenecks:
 
     def test_fraction_bounds(self):
         cent = np.ones(4)
-        with pytest.raises(ValueError, match="fraction"):
+        with pytest.raises(InputError, match="fraction"):
             top_bottlenecks(cent, 0.0)
-        with pytest.raises(ValueError, match="fraction"):
+        with pytest.raises(InputError, match="fraction"):
             top_bottlenecks(cent, 1.5)
 
 

@@ -706,11 +706,17 @@ def test_out_of_memory_is_one_error_line(tmp_path, argv):
     (lambda tmp: ["embed", "--map", _two_islands(tmp), "--d", "3", "--out", str(tmp / "e")], 2,
      "error: state graph has 2 components (sizes [4, 4])\n"),
     (lambda tmp: ["embed", "--map", _two_islands(tmp), "--kind", "lap", "--out", str(tmp / "e")],
-     0, ""),
+     2, "error: state graph has 2 components (sizes [4, 4])\n"),
     (lambda tmp: ["bottleneck", "--map", _two_islands(tmp), "--out", str(tmp / "b")], 2,
+     "error: state graph has 2 components (sizes [4, 4])\n"),
+    (lambda tmp: ["bottleneck", "--map", _two_islands(tmp), "--kind", "lap",
+                  "--out", str(tmp / "b")], 2,
      "error: state graph has 2 components (sizes [4, 4])\n"),
     (lambda tmp: ["shape", "--map", _two_islands(tmp), "--goal", "1,1", "--seed", "0",
                   "--seeds", "1", "--episodes", "5", "--out", str(tmp / "s")], 2,
+     "error: state graph has 2 components (sizes [4, 4])\n"),
+    (lambda tmp: ["shape", "--map", _two_islands(tmp), "--kind", "none", "--goal", "1,1",
+                  "--seed", "0", "--seeds", "1", "--episodes", "5", "--out", str(tmp / "s")], 2,
      "error: state graph has 2 components (sizes [4, 4])\n"),
     (lambda tmp: ["shape", "--map", "fourroom", "--kind", "ra_laprep,ra_laprep", "--goal", "1,1",
                   "--seed", "0", "--seeds", "1", "--episodes", "5", "--out", str(tmp / "s")], 1,
@@ -723,6 +729,13 @@ def test_out_of_memory_is_one_error_line(tmp_path, argv):
     (lambda tmp: ["shape", "--map", "fourroom", "--kind", "none", "--goal", "1,1", "--d", "1",
                   "--seed", "0", "--seeds", "1", "--episodes", "5", "--out", str(tmp / "s")], 1,
      "error: d = 1 outside [2, 104]\n"),
+    (lambda tmp: ["learn", "--map", "tworoom", "--seed", "-1", "--out", str(tmp / "l")], 1,
+     "error: --seed must be non-negative, got -1\n"),
+    (lambda tmp: ["shape", "--map", "fourroom", "--seed", "-5", "--out", str(tmp / "s")], 1,
+     "error: --seed must be non-negative, got -5\n"),
+    (lambda tmp: ["commute", "--map", "p3", "--method", "mc", "--pair", "1,1:3,1",
+                  "--seed", "-1", "--out", str(tmp / "mc")], 1,
+     "error: --seed must be non-negative, got -1\n"),
 ], ids=["continuous_a", "continuous_b", "heatmap-empty-csv", "heatmap-short-row",
         "heatmap-duplicate-index", "heatmap-index-gap", "heatmap-fractional-x",
         "heatmap-non-numeric-value", "heatmap-scale-0", "heatmap-scale-negative", "commute-pair-without-colon",
@@ -735,8 +748,10 @@ def test_out_of_memory_is_one_error_line(tmp_path, argv):
         "learn-infinite-tau", "learn-nan-step-size", "learn-infinite-step-size",
         "learn-biased-sampled-graph-disconnected", "embed-two-islands",
         "embed-two-islands-low-d", "embed-lap-two-islands", "bottleneck-two-islands",
-        "shape-two-islands", "shape-repeated-kind", "shape-no-episodes",
-        "shape-none-d-above-n", "shape-none-d-below-two"])
+        "bottleneck-lap-two-islands", "shape-two-islands", "shape-none-two-islands",
+        "shape-repeated-kind", "shape-no-episodes", "shape-none-d-above-n",
+        "shape-none-d-below-two", "learn-negative-seed", "shape-negative-seed",
+        "commute-mc-negative-seed"])
 def test_exit_code_and_at_most_one_stderr_line(tmp_path, capsys, argv, code, needle):
     assert main(argv(tmp_path)) == code
     err = capsys.readouterr().err

@@ -18,7 +18,7 @@ from spectral_reach.commute import (
     symmetric_csv,
 )
 from spectral_reach.envgrid import ContinuousMazeSpec, discretize_continuous, parse_maze
-from spectral_reach.errors import NumericalError, PreconditionError
+from spectral_reach.errors import InputError, NumericalError, PreconditionError
 from spectral_reach.graph import build_graph, pseudo_inverse
 from spectral_reach.spectral import eig_sym
 
@@ -141,7 +141,7 @@ class TestCommute:
             assert np.allclose(m + m.T, n, atol=1e-9), name
 
     def test_unknown_method(self, zoo_graphs):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             commute(zoo_graphs["k2"], method="guess")
 
     def test_disconnected(self):
@@ -302,9 +302,9 @@ class TestMonteCarlo:
         assert payload["seed"] == 5
 
     def test_validation(self, p3_graph):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             commute_mc(p3_graph, 0, 2, walks=0, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             commute_mc(p3_graph, 0, 2, walks=10, cap=0, seed=1)
 
     def test_disconnected(self):

@@ -113,7 +113,7 @@ class TestStep:
 
     def test_unknown_action(self):
         maze = parse_maze(TWOROOM)
-        with pytest.raises(ValueError, match="unknown action"):
+        with pytest.raises(InputError, match="unknown action"):
             step(maze, (1, 1), "north")
 
     def test_non_floor_start(self):
@@ -217,16 +217,16 @@ class TestContinuous:
         assert not maze.is_floor(2, 1)
 
     def test_invalid_geometry(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             ContinuousMazeSpec(width=-1, height=2, radius=0.1, walls=())
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             ContinuousMazeSpec(width=2, height=2, radius=-0.1, walls=())
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             ContinuousMazeSpec(width=2, height=2, radius=0.1, walls=(WallRect(1, 1, 5, 1),))
 
     def test_resolution_validation(self):
         cm = ContinuousMazeSpec(width=2, height=2, radius=0.1, walls=())
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             discretize_continuous(cm, 0)
 
     def test_from_json_round_trip(self):
@@ -420,7 +420,7 @@ class TestBundledMaps:
         assert set(layouts.ZOO_NAMES) | set(layouts.DOORWAYS) <= set(layouts.bundled_files())
 
     def test_unknown_name_lists_the_bundled_maps(self):
-        with pytest.raises(KeyError, match="'k2'"):
+        with pytest.raises(InputError, match="'k2'"):
             layouts.load_bundled("no_such_map")
 
     def test_fourroom_has_four_goals(self):

@@ -1,12 +1,16 @@
 """The package's exceptions stay flat: one class per documented exit code.
 
-``cli.main`` catches only ``SpectralReachError`` and reads only its
-``exit_code`` and message, so an exception class per failure would be a
-name that nothing catches.  The check reads the package source with
-``ast`` and the exit-code table of README.md.
+``cli.main`` reads only the ``exit_code`` and message of a
+``SpectralReachError``, so an exception class per failure would be a
+name that nothing catches.  The ``OSError``, ``ValueError`` and
+``MemoryError`` it also catches come from Python, numpy and json, never
+from a ``raise`` in the package, so each refusal has one class per exit
+code.  The check reads the package source with ``ast`` and the
+exit-code table of README.md.
 """
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -15,6 +19,8 @@ from spectral_reach import errors
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spectral_reach"
 LEAVES = ("InputError", "PreconditionError", "NumericalError")
+#: built-in raises that a protocol asks for: a module ``__getattr__`` (PEP 562)
+PROTOCOL_RAISES = {("__init__.py", "AttributeError")}
 
 
 def _base_name(node: ast.expr) -> str:
@@ -42,8 +48,13 @@ def test_one_error_class_per_exit_code():
                 problems.append(f"{path.name}:{node.lineno} defines {node.name}")
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if _base_name(exc) == "SpectralReachError":
+                name = _base_name(exc)
+                if name == "SpectralReachError":
                     problems.append(f"{path.name}:{node.lineno} raises the base class")
+                builtin = getattr(builtins, name, None)
+                if (isinstance(builtin, type) and issubclass(builtin, BaseException)
+                        and (path.name, name) not in PROTOCOL_RAISES):
+                    problems.append(f"{path.name}:{node.lineno} raises the built-in {name}")
     assert problems == []
 
     tree = ast.parse((PACKAGE / "errors.py").read_text())

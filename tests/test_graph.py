@@ -26,7 +26,6 @@ from spectral_reach.graph import (
     geodesic_matrix,
     graph_from_table,
     graph_from_transitions,
-    is_connected,
     pseudo_inverse,
     require_connected,
 )
@@ -356,7 +355,6 @@ class TestConnectivity:
 
     def test_connected(self):
         g = build_graph(parse_maze(TWOROOM))
-        assert is_connected(g)
         assert len(connected_components(g)) == 1
         require_connected(g)
 
@@ -365,7 +363,6 @@ class TestConnectivity:
         comps = connected_components(g)
         assert len(comps) == 2
         assert sorted(len(c) for c in comps) == [4, 4]
-        assert not is_connected(g)
 
     def test_require_connected_raises(self):
         g = build_graph(parse_maze(self.SEALED))

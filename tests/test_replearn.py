@@ -35,7 +35,7 @@ from spectral_reach.replearn import (
     train_graph_drawing,
     training_log_csv,
 )
-from spectral_reach import layouts
+from spectral_reach import layouts, spectral
 from spectral_reach.spectral import eig_sym, ra_laprep
 
 
@@ -97,7 +97,7 @@ class TestStartDistribution:
             start_distribution(tworoom, 1.0)
 
     def test_negative_temperature_rejected(self, tworoom):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(InputError, match="nonnegative"):
             start_distribution(tworoom, -0.1)
 
 
@@ -398,9 +398,9 @@ class TestTrainGraphDrawing:
             train_graph_drawing(tworoom_data, 10)
 
     def test_config_validation(self, tworoom_data):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(InputError, match="positive"):
             train_graph_drawing(tworoom_data, 2, TrainConfig(iterations=0))
-        with pytest.raises(ValueError, match="step_size"):
+        with pytest.raises(InputError, match="step_size"):
             train_graph_drawing(tworoom_data, 2, TrainConfig(step_size=0.0))
 
 
@@ -512,6 +512,13 @@ class TestRepQuality:
         geo = geodesic_matrix(zoo_graphs["c4"])
         q = rep_quality(truth, truth, geo, full_spectrum=basis.eigenvalues)
         assert q.degenerate.tolist() == [True, True, False]
+
+    def test_flags_read_the_one_tie_rule(self, zoo_bases, monkeypatch):
+        basis = zoo_bases["tworoom"]
+        truth = ra_laprep(basis, 5)
+        monkeypatch.setattr(spectral, "TIE_TOL", 1.0)     # every gap of tworoom's spectrum ties
+        q = rep_quality(truth, truth, {}, full_spectrum=basis.eigenvalues)
+        assert q.degenerate.tolist() == [True] * 4
 
     @pytest.mark.parametrize("name", ["fourroom", "biased"])
     def test_flags_from_the_d_plus_one_smallest_eigenvalues(self, name):

@@ -40,6 +40,8 @@ SPLIT = """\
 #..#..#
 #######
 """
+#: the one connectivity message, as ``graph.require_connected`` words it for SPLIT
+SPLIT_COMPONENTS = r"^state graph has 2 components \(sizes \[4, 4\]\)$"
 
 
 def embedding_from(vectors):
@@ -135,11 +137,11 @@ class TestShapedReward:
             q_learning(tworoom, RewardSpec(kind="l2", goal=0))
 
     def test_unknown_kind_rejected(self, tworoom):
-        with pytest.raises(ValueError, match="kind"):
+        with pytest.raises(InputError, match="unknown reward kind 'geodesic', expected one of"):
             q_learning(tworoom, RewardSpec(kind="geodesic", goal=0))
 
     def test_goal_out_of_range_rejected(self, tworoom):
-        with pytest.raises(ValueError, match="range"):
+        with pytest.raises(InputError, match="range"):
             q_learning(tworoom, RewardSpec(kind="none", goal=9))
 
 
@@ -203,12 +205,12 @@ class TestQLearning:
 
     def test_unreachable_goal_rejected(self):
         maze = parse_maze(SPLIT)
-        with pytest.raises(PreconditionError, match="not reachable"):
+        with pytest.raises(PreconditionError, match=SPLIT_COMPONENTS):
             q_learning(maze, RewardSpec(kind="none", goal=0), QLearningConfig(episodes=5))
 
     def test_config_validation(self, tworoom):
         spec = RewardSpec(kind="none", goal=0)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(InputError, match="positive"):
             q_learning(tworoom, spec, QLearningConfig(episodes=0))
 
 
@@ -254,16 +256,24 @@ class TestRunExperiment:
         assert a.aggregate() == b.aggregate()
 
     def test_disconnected_maze_rejected(self):
-        with pytest.raises(PreconditionError, match="not reachable"):
+        with pytest.raises(PreconditionError, match=SPLIT_COMPONENTS):
             run_experiment(parse_maze(SPLIT), ("none",), (0,), (0,),
                            QLearningConfig(episodes=5), {})
 
     def test_empty_factors_rejected(self, tworoom):
         cfg = QLearningConfig(episodes=10)
-        with pytest.raises(ValueError, match="nonempty"):
+        with pytest.raises(InputError, match="nonempty"):
             run_experiment(tworoom, (), (8,), (0,), cfg, {})
-        with pytest.raises(ValueError, match="nonempty"):
+        with pytest.raises(InputError, match="nonempty"):
             run_experiment(tworoom, ("none",), (), (0,), cfg, {})
+
+    @pytest.mark.parametrize("kinds, message", [
+        (("none", "none"), "^reward kind 'none' is given more than once$"),
+        (("none", "geodesic"), "^unknown reward kind 'geodesic', expected one of "),
+    ], ids=["repeated", "unknown"])
+    def test_repeated_and_unknown_kinds_rejected(self, tworoom, kinds, message):
+        with pytest.raises(InputError, match=message):
+            run_experiment(tworoom, kinds, (8,), (0, 1), QLearningConfig(episodes=5), {})
 
     def test_paired_test_of_kind_against_itself(self, tworoom_runs):
         diff, pvalue = paired_auc_test(tworoom_runs, "none", "none")
@@ -475,6 +485,16 @@ class TestPairedTest:
             warnings.simplefilter("error")
             assert paired_auc_test(run, "ra_laprep", "none") == (0.5, None)
 
+    def test_auc_differences_of_one_episode_are_tested(self):
+        # at 300,000 episodes, one episode moves an AUC by less than np.allclose's rtol
+        n = 300_000
+        run = _run_of({"ra_laprep": [150_001 / n, 200_001 / n, 0.25],
+                       "none": [150_000 / n, 200_000 / n, 0.25]}, episodes=n)
+        a, b = run.per_run_auc("ra_laprep"), run.per_run_auc("none")
+        diff, p = paired_auc_test(run, "ra_laprep", "none")
+        assert diff == float((a - b).mean()) > 0.0
+        assert p == _exact_tail(*paired_t(a, b)) < 1.0
+
     def test_two_pairs_match_scipy(self):
         run = _run_of({"ra_laprep": [0.75, 1.0], "none": [0.25, 0.75]})
         diff, p = paired_auc_test(run, "ra_laprep", "none")
@@ -496,7 +516,7 @@ class TestDimensionSweep:
         assert report[2]["auc"] <= report[5]["auc"] + 1e-12
 
     def test_empty_dimension_list_rejected(self, tworoom, zoo_bases):
-        with pytest.raises(ValueError, match="nonempty"):
+        with pytest.raises(InputError, match="nonempty"):
             dimension_sweep(
                 tworoom, (), (8,), (0,), QLearningConfig(),
                 lambda d: ra_laprep(zoo_bases["tworoom"], d),

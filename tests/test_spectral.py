@@ -34,9 +34,6 @@ K2_L = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 #: every bundled map, continuous layouts at resolution 1
 PARTIAL_MAPS = tuple(sorted(layouts.bundled_files()))
-#: eigenvalues closer than this, relative to max(lambda_max, 1), form one
-#: degenerate cluster, which a dimension d must not cut
-CLUSTER_GAP = 1e-9
 #: any solver fixes an eigenvector only to about eps ||L|| / gap (Davis-Kahan);
 #: from this relative separation on, two solvers agree on it to 1e-9
 SIMPLE_GAP = 1e-6
@@ -151,8 +148,9 @@ class TestEigSymPartial:
         gaps = np.diff(lam)
         separation = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])
         simple = separation > SIMPLE_GAP * scale
+        ties = spectral.tied(lam)
         for d in range(2, n):
-            if gaps[d - 1] <= CLUSTER_GAP * scale:
+            if ties[d - 1]:     # d would cut a degenerate cluster
                 continue
             part = eig_sym(lap, d)
             assert part.is_partial and part.eigenvectors.shape == (n, d), (name, d)
@@ -261,7 +259,7 @@ class TestEigSymPartial:
         scale = max(float(spectrum[-1]), 1.0)
         assert np.abs(part.eigenvalues - lam).max() <= 1e-12 * scale
         # compare eigenspaces cluster by cluster, but for a cluster that d cuts
-        ends = np.flatnonzero(np.diff(spectrum[:d + 1]) > CLUSTER_GAP * scale) + 1
+        ends = np.flatnonzero(~spectral.tied(spectrum)[:d]) + 1
         for lo, hi in zip([0, *ends[:-1]], ends):
             got, want = part.eigenvectors[:, lo:hi], vec[:, lo:hi]
             assert np.abs(got @ got.T - want @ want.T).max() <= 1e-9, (name, lo, hi)
@@ -349,6 +347,25 @@ class TestLaprep:
         for d in (0, 1, 10):
             with pytest.raises(InputError, match="outside"):
                 laprep(zoo_bases["tworoom"], d)
+
+    def test_disconnected_rejected(self):
+        # the dropped column would be LAPACK's pick of the null space
+        g = build_graph(parse_maze("#######\n#..#..#\n#..#..#\n#######"))
+        with pytest.raises(PreconditionError, match="numerically zero"):
+            laprep(eig_sym(g.dense_laplacian()), 3)
+
+
+class TestTied:
+    def test_gaps_tie_at_the_scale_of_the_largest_eigenvalue(self):
+        lam = np.array([0.0, 1e-9, 1.0, 1.0 + 3e-9, 4.0])
+        assert spectral.tied(lam).tolist() == [True, False, True, False]
+        assert spectral.tied(lam[:4]).tolist() == [True, False, False]
+
+    def test_both_embeddings_read_the_one_tie_rule(self, zoo_bases, monkeypatch):
+        monkeypatch.setattr(spectral, "TIE_TOL", 1.0)     # every gap of tworoom's spectrum ties
+        for embed in (laprep, ra_laprep):
+            with pytest.raises(PreconditionError, match="numerically zero"):
+                embed(zoo_bases["tworoom"], 3)
 
 
 class TestRaLaprep:

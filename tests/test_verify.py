@@ -2,6 +2,7 @@
 
 import pytest
 
+from spectral_reach.errors import InputError
 from spectral_reach.verify import SUITES, run_suite
 
 
@@ -18,7 +19,7 @@ def test_suites_cover_every_registered_name():
 
 
 def test_unknown_suite_lists_available():
-    with pytest.raises(KeyError, match="available"):
+    with pytest.raises(InputError, match="available"):
         run_suite("nonsense")
 
 
