@@ -218,18 +218,21 @@ def cmd_learn(args, maze: MazeSpec) -> Result:
                            estimate_eigenvalues, learned_ra_laprep, rep_quality,
                            train_graph_drawing, training_log_csv)
     g = build_graph(maze)
-    data = collect_dataset(
-        maze,
-        episodes=args.episodes,
-        episode_len=args.episode_len,
-        temperature=args.tau,
-        seed=args.seed,
-    )
     d = args.d if args.d is not None else min(10, g.n_states)
     config = TrainConfig(
         iterations=args.iterations,
         batch_size=args.batch,
         step_size=args.step_size,
+        seed=args.seed,
+    )
+    # refuse bad flags before walking: train_graph_drawing checks them again
+    config.validate()
+    check_dimension(d, g.n_states)
+    data = collect_dataset(
+        maze,
+        episodes=args.episodes,
+        episode_len=args.episode_len,
+        temperature=args.tau,
         seed=args.seed,
     )
     rep = train_graph_drawing(data, d, config)

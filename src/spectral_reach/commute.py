@@ -9,8 +9,8 @@ Two exact routes compute n for every pair, independently of each other:
 ``solve`` takes n = V * R_eff from the inverse of the grounded Laplacian
 (L without state 0's row and column), O(n^3); ``pseudo-inverse`` uses
 n(i, j) = V (l+_ii + l+_jj - 2 l+_ij) from the eigenbasis.  Both give an
-exactly symmetric matrix, which ``symmetric_csv`` streams in row blocks,
-formatting about half of it.  ``first_passage``, dense LU on the n first-passage
+exactly symmetric matrix, which ``symmetric_csv`` streams in row blocks.
+``first_passage``, dense LU on the n first-passage
 systems in O(n^4), is the oracle both are checked against, and a seeded
 Monte Carlo estimator cross-checks them all.
 
@@ -124,27 +124,13 @@ def commute(g: StateGraph, method: str = "solve") -> CommuteMatrix:
 
 def symmetric_csv(values: np.ndarray) -> Iterator[bytes]:
     """CSV bytes of an exactly symmetric matrix, equal to ``np.savetxt``'s
-    with ``fmt="%.17g"`` and ``delimiter=","``, from about half the formatting.
+    with ``fmt="%.17g"`` and ``delimiter=","``: one chunk per block of
+    ``CSV_BLOCK`` rows, symmetry checked at the call."""
+    from . import floattext
 
-    One chunk per block of ``CSV_BLOCK`` rows, symmetry checked at the call.  A
-    block formats from its first column on; left of it, it reads earlier blocks'
-    strings, kept in compact fixed-width bytes arrays dropped once read (n^2 / 4 at most).
-    """
     if not np.array_equal(values, values.T):
         raise PreconditionError("matrix is not exactly symmetric")
-    return _symmetric_rows(values)
-
-
-def _symmetric_rows(values: np.ndarray) -> Iterator[bytes]:
-    n, k = len(values), CSV_BLOCK
-    above: dict[int, list] = {a: [] for a in range(0, n, k)}    # strings above each block
-    for a in range(0, n, k):
-        rows = [list(map(b"%.17g".__mod__, r)) for r in values[a:a + k, a:].tolist()]
-        right = np.array([row[k:] for row in rows])
-        for c in range(a + k, n, k):
-            above[c].append(right[:, c - a - k:c - a].copy())
-        left = np.concatenate(above.pop(a)).T.tolist() if a else [[]] * len(rows)
-        yield b"".join([b",".join(l + row) + b"\n" for l, row in zip(left, rows)])
+    return floattext.csv_rows(values, None, CSV_BLOCK)
 
 
 def effective_resistance(g: StateGraph, plus: PseudoInverse, s: int, s2: int) -> float:
@@ -176,7 +162,7 @@ def _splitmix64(z: np.ndarray) -> np.ndarray:
 
 def _stream_keys(seed: int, walks: int) -> np.ndarray:
     """Per-walk stream keys: outputs 1..walks of SplitMix64 seeded with seed."""
-    base = _U64(seed & 0xFFFFFFFFFFFFFFFF)
+    base = _U64(seed)
     idx = (np.arange(1, walks + 1, dtype=np.uint64)) * _GAMMA
     with np.errstate(over="ignore"):
         return _splitmix64(base + idx)
@@ -196,11 +182,13 @@ def commute_mc(
     round trip would exceed ``cap`` steps are recorded as capped and
     excluded from the estimate; a bias warning fires when more than 0.1%
     of walks are capped.  The estimate and its standard error are exact
-    functions of (graph, s, s', walks, cap, seed).
+    functions of (graph, s, s', walks, cap, seed), the seed in [0, 2^64).
     """
     require_connected(g)
     spectral.check_state(s, g.n_states)
     spectral.check_state(s2, g.n_states)
+    if not 0 <= seed < 2 ** 64:
+        raise InputError(f"seed must be in [0, 2^64), got {seed}")
     if walks <= 0:
         raise InputError("walks must be positive")
     if cap <= 0:

@@ -87,6 +87,15 @@ class TransitionDataset:
         """All consecutive (s, s') pairs, episode by episode."""
         return self.episodes[:, :-1].ravel(), self.episodes[:, 1:].ravel()
 
+    @cached_property
+    def induced_graph(self) -> StateGraph:
+        """Graph over the full state space with edges observed in the data.
+
+        States never seen in a transition are isolated nodes, so sparse
+        coverage shows up as disconnection.
+        """
+        return graph_from_transitions(self.n_states, *self.pairs)
+
 
 @dataclass(frozen=True)
 class LearnedRep:
@@ -177,15 +186,6 @@ def collect_dataset(
     return TransitionDataset(episodes=walks, n_states=len(table))
 
 
-def induced_graph(data: TransitionDataset) -> StateGraph:
-    """Graph over the full state space with edges observed in the data.
-
-    States never seen in a transition are isolated nodes, so sparse
-    coverage shows up as disconnection.
-    """
-    return graph_from_transitions(data.n_states, *data.pairs)
-
-
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def train_graph_drawing(
     check_dimension(d, n)
     if data.total_steps == 0:
         raise InputError("dataset has no transitions")
-    require_connected(induced_graph(data), "graph of the sampled transitions")
+    require_connected(data.induced_graph, "graph of the sampled transitions")
 
     visit = data.visitation / data.visitation.sum()
     dim_weights = np.arange(d, 0, -1, dtype=np.float64)      # c_i = d - i + 1
@@ -314,7 +314,7 @@ def estimate_eigenvalues(rep: LearnedRep, data: TransitionDataset) -> np.ndarray
         raise InputError("dataset has no edge-traversing transitions")
     f = rep.params
     diff = f[s[mask]] - f[s2[mask]]
-    edges = induced_graph(data).volume // 2
+    edges = data.induced_graph.volume // 2
     raw = (diff * diff).sum(axis=0) / mask.sum() * edges
     norms = (f * f).sum(axis=0)
     return (raw / norms)[1:]

@@ -395,27 +395,54 @@ def tail_bound(basis: SpectralBasis, d: int) -> float:
 
 def embedding_to_csv(e: Embedding, coords: tuple[tuple[int, int], ...]) -> Iterator[bytes]:
     """CSV with header state_index,x,y,e2,...,ed (one row per state), as
-    chunks of ``CSV_BLOCK`` rows; the coordinate count is checked at the call."""
+    chunks of ``CSV_BLOCK`` rows; the coordinate count is checked at the call.
+    Each value is written as ``%.17g`` writes it (``floattext.csv_rows``)."""
     if len(coords) != e.n_states:
         raise InputError(f"coordinate list has {len(coords)} entries, embedding has {e.n_states}")
+    from . import floattext
+
     header = ",".join(["state_index", "x", "y"] + [f"e{i}" for i in range(2, e.d + 1)])
-    row = b"%d,%d,%d" + b",%.17g" * e.vectors.shape[1] + b"\n"
-    blocks = (b"".join([row % (s, *coords[s], *v) for s, v in
-                        enumerate(e.vectors[a:a + CSV_BLOCK].tolist(), start=a)])
-              for a in range(0, e.n_states, CSV_BLOCK))
-    return itertools.chain([header.encode() + b"\n"], blocks)
+    lead = np.column_stack([np.arange(e.n_states), np.reshape(coords, (e.n_states, 2))])
+    return itertools.chain([header.encode() + b"\n"],
+                           floattext.csv_rows(e.vectors, lead, CSV_BLOCK))
 
 
 def embedding_from_csv(path: str | Path) -> tuple[Embedding, list[tuple[int, int]]]:
     """Parse an embedding CSV file back into vectors and cell coordinates.
 
     Rows may come in any order, but their state_index column must be a
-    permutation of 0..n-1, and every state_index, x and y an integer.  The
-    file is streamed twice: to count each row's fields, then by ``np.loadtxt``.
+    permutation of 0..n-1, and every state_index, x and y an integer.  A
+    file in the grammar ``embed`` writes is parsed in one streamed pass by
+    ``floattext.read_csv``; any other goes to ``_loadtxt_table``, which
+    accepts what ``np.loadtxt`` accepts.  Both give the same doubles.
     Rows already in state order, as ``embed`` writes them, are returned as
     a view of the parsed table, not a copy.  The file does not record the
     embedding's kind, which is left empty.
     """
+    from . import floattext
+
+    parsed = None
+    with open(path, "rb") as f:
+        header = f.readline()
+        if header.endswith(b"\n") and header.isascii() and b"\r" not in header:
+            fields = header.count(b",") + 1
+            if fields >= 3:
+                parsed = floattext.read_csv(f, 3, fields)
+    index, vectors = parsed if parsed is not None else _loadtxt_table(path)
+    order = np.argsort(index[:, 0])
+    if not np.array_equal(index[order, 0], np.arange(len(index))):
+        raise InputError(
+            f"embedding CSV state_index column is not a permutation of 0..{len(index) - 1}"
+        )
+    if np.array_equal(order, np.arange(len(index))):
+        order = slice(None)
+    coords = [tuple(c) for c in index[order, 1:].tolist()]
+    return Embedding(kind="", vectors=vectors[order]), coords
+
+
+def _loadtxt_table(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 3) integer and (n, d - 1) float columns of an embedding CSV by
+    ``np.loadtxt``, after a first pass that counts each row's fields."""
     with open(path) as f:
         header = f.readline().rstrip("\n").split(",")
         if len(header) < 3:
@@ -436,15 +463,7 @@ def embedding_from_csv(path: str | Path) -> tuple[Embedding, list[tuple[int, int
                 table = np.loadtxt(f, dtype=table.dtype, delimiter=",", comments=None, ndmin=1)
             except ValueError as exc:
                 raise InputError(f"embedding CSV: {exc}") from None
-    order = np.argsort(table["index"][:, 0])
-    if not np.array_equal(table["index"][order, 0], np.arange(len(table))):
-        raise InputError(
-            f"embedding CSV state_index column is not a permutation of 0..{len(table) - 1}"
-        )
-    if np.array_equal(order, np.arange(len(table))):
-        order = slice(None)
-    coords = [tuple(c) for c in table["index"][order, 1:].tolist()]
-    return Embedding(kind="", vectors=table["vector"][order]), coords
+    return table["index"], table["vector"]
 
 
 def basis_to_json(basis: SpectralBasis, eigenvalues: np.ndarray | None = None) -> dict:

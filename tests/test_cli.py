@@ -306,6 +306,25 @@ class TestLearn:
         est = json.loads((out / "eigenvalue_estimates.json").read_text())
         assert len(est["estimates"]) == len(est["truth"]) == 4
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--step-size", "0"], "error: step_size must be positive and finite, got 0.0\n"),
+        (["--iterations", "0"], "error: iterations and batch_size must be positive\n"),
+        (["--batch", "-1"], "error: iterations and batch_size must be positive\n"),
+        (["--d", "1"], "error: d = 1 outside [2, 9]\n"),
+        (["--d", "10"], "error: d = 10 outside [2, 9]\n"),
+    ])
+    def test_bad_flags_refused_before_any_walk(self, tmp_path, capsys, monkeypatch, flags,
+                                               message):
+        def walk(*args, **kwargs):
+            raise AssertionError("learn walked before checking its flags")
+
+        from spectral_reach import replearn
+        monkeypatch.setattr(replearn, "collect_dataset", walk)
+        assert main(["learn", "--map", "tworoom", "--seed", "0", "--episodes", "20000",
+                     *flags, "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "x").exists()
+
     def test_biased_walks_at_high_temperature_exit_two(self, tmp_path):
         assert main(["learn", "--map", "biased", "--tau", "10", "--seed", "0",
                      "--episodes", "100", "--episode-len", "10",
@@ -736,6 +755,9 @@ def test_out_of_memory_is_one_error_line(tmp_path, argv):
     (lambda tmp: ["commute", "--map", "p3", "--method", "mc", "--pair", "1,1:3,1",
                   "--seed", "-1", "--out", str(tmp / "mc")], 1,
      "error: --seed must be non-negative, got -1\n"),
+    (lambda tmp: ["commute", "--map", "p3", "--method", "mc", "--pair", "1,1:3,1",
+                  "--seed", str(2 ** 64), "--out", str(tmp / "mc")], 1,
+     "error: seed must be in [0, 2^64), got 18446744073709551616\n"),
 ], ids=["continuous_a", "continuous_b", "heatmap-empty-csv", "heatmap-short-row",
         "heatmap-duplicate-index", "heatmap-index-gap", "heatmap-fractional-x",
         "heatmap-non-numeric-value", "heatmap-scale-0", "heatmap-scale-negative", "commute-pair-without-colon",
@@ -751,7 +773,7 @@ def test_out_of_memory_is_one_error_line(tmp_path, argv):
         "bottleneck-lap-two-islands", "shape-two-islands", "shape-none-two-islands",
         "shape-repeated-kind", "shape-no-episodes", "shape-none-d-above-n",
         "shape-none-d-below-two", "learn-negative-seed", "shape-negative-seed",
-        "commute-mc-negative-seed"])
+        "commute-mc-negative-seed", "commute-mc-seed-beyond-64-bits"])
 def test_exit_code_and_at_most_one_stderr_line(tmp_path, capsys, argv, code, needle):
     assert main(argv(tmp_path)) == code
     err = capsys.readouterr().err
@@ -865,9 +887,11 @@ def test_scipy_free_commands_never_load_scipy(job, tmp_path, fourroom_embedding)
 
 
 #: modules a streamed-CSV job may load beyond ``import spectral_reach.cli``: text
-#: files look up the locale's encoding, and each job imports its consumer module
-STREAMED_CSV_JOBS = {"embed-full": set(), "heatmap": set(),
-                     "commute-pinv": {"spectral_reach.commute"}}
+#: files look up the locale's encoding, each job imports its consumer module, and
+#: the CSV number conversion is imported by the jobs that write or read CSV numbers
+STREAMED_CSV_JOBS = {"embed-full": {"spectral_reach.floattext"},
+                     "heatmap": {"spectral_reach.floattext"},
+                     "commute-pinv": {"spectral_reach.commute", "spectral_reach.floattext"}}
 
 
 @pytest.mark.parametrize("job", sorted(STREAMED_CSV_JOBS))
@@ -877,6 +901,18 @@ def test_streamed_csv_jobs_load_no_module_beyond_the_cli_import(job, tmp_path,
     code, modules = modules_after(argv + ["--out", tmp_path / "o"])
     assert code == 0
     assert modules - modules_after()[1] <= {"locale", "_locale"} | STREAMED_CSV_JOBS[job]
+
+
+def test_cli_import_builds_no_float_table_and_loads_no_fractions():
+    # every process imports the CLI: the CSV number conversion, its tables and
+    # its exact arithmetic wait for the first CSV number written or read
+    proc = run_python("import sys\nimport spectral_reach.cli\n"
+                      "print('spectral_reach.floattext' in sys.modules,\n"
+                      "      'fractions' in sys.modules)\n"
+                      "from spectral_reach import floattext\n"
+                      "print(floattext._tables.cache_info().currsize)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False\n0\n"
 
 
 @pytest.mark.parametrize("job", sorted(SCIPY_SOLVERS))

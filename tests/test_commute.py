@@ -307,6 +307,15 @@ class TestMonteCarlo:
         with pytest.raises(InputError):
             commute_mc(p3_graph, 0, 2, walks=10, cap=0, seed=1)
 
+    def test_seed_outside_sixty_four_bits_refused(self, p3_graph):
+        # the seed is not reduced mod 2^64: 2^64 is no alias of seed 0
+        with pytest.raises(InputError,
+                           match=r"seed must be in \[0, 2\^64\), got 18446744073709551616"):
+            commute_mc(p3_graph, 0, 2, walks=10, seed=2 ** 64)
+        with pytest.raises(InputError, match="got -1"):
+            commute_mc(p3_graph, 0, 2, walks=10, seed=-1)
+        assert commute_mc(p3_graph, 0, 2, walks=10, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
     def test_disconnected(self):
         g = build_graph(parse_maze(DISCONNECTED))
         with pytest.raises(PreconditionError, match="components"):

@@ -25,7 +25,6 @@ from spectral_reach.replearn import (
     attraction_value_grad,
     collect_dataset,
     estimate_eigenvalues,
-    induced_graph,
     learned_ra_laprep,
     penalty_value_grad,
     rep_quality,
@@ -151,7 +150,7 @@ class TestCollectDataset:
         data = collect_dataset(maze, episodes=200, episode_len=10,
                                temperature=10.0, seed=0)
         with pytest.raises(PreconditionError, match="components"):
-            require_connected(induced_graph(data))
+            require_connected(data.induced_graph)
 
     def test_zero_episodes_rejected(self, tworoom):
         with pytest.raises(InputError, match="must be positive"):
@@ -177,7 +176,7 @@ class TestCollectDataset:
         s, s2 = data.pairs
         move = s != s2
         keys = np.minimum(s, s2)[move] * data.n_states + np.maximum(s, s2)[move]
-        assert induced_graph(data).volume // 2 == len(np.unique(keys))
+        assert data.induced_graph.volume // 2 == len(np.unique(keys))
 
     def test_tworoom_walks_pinned(self, tworoom_data):
         # SHA-256 of the (2000, 51) int64 episode matrix, recorded with
@@ -230,7 +229,7 @@ class TestExhaustiveDataset:
 
     def test_induces_the_exact_graph(self, zoo_mazes, zoo_graphs):
         for name, maze in zoo_mazes.items():
-            induced = induced_graph(exhaustive_dataset(maze))
+            induced = exhaustive_dataset(maze).induced_graph
             want = scipy_adjacency(zoo_graphs[name]).toarray()
             assert np.array_equal(scipy_adjacency(induced).toarray(), want)
 
