@@ -28,6 +28,11 @@ parameter-norm factor makes the estimate invariant to the learned
 table's overall scale.  Under non-uniform visitation (temperature > 0)
 the per-transition mean is no longer an unbiased edge average and the
 estimates inherit that residual bias.
+
+The induced graph and the estimates' sums stream over ``PAIR_BLOCK``
+transitions at a time, in O(PAIR_BLOCK * d + edges) memory beside the
+episode matrix.  Each block's sum starts from the running total as its
+first row, so the rows add in the order of one whole-array ``sum(axis=0)``.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ import numpy as np
 
 from .envgrid import ACTIONS, MazeSpec, transition_table
 from .errors import InputError, NumericalError, PreconditionError
-from .graph import StateGraph, graph_from_table, graph_from_transitions, require_connected
+from .graph import (StateGraph, graph_from_table, graph_from_transitions, require_connected,
+                    sorted_unique)
 from .spectral import Embedding, check_dimension, goal_distances, tied
 
 #: eigenvalue estimates at or below this are too degenerate to rescale by
@@ -48,6 +54,8 @@ DEGENERATE_EIG_TOL = 1e-8
 PAIR_DISCOUNT = 0.9
 #: weight of the orthonormality penalty in the objective
 PENALTY_WEIGHT = 5.0
+#: transitions per block when dataset statistics are streamed
+PAIR_BLOCK = 1 << 13
 #: the training log keeps iteration 1, every LOG_EVERY-th, and the last
 LOG_EVERY = 500
 
@@ -82,10 +90,15 @@ class TransitionDataset:
         """Occurrence counts per state over every episode position."""
         return np.bincount(self.episodes.ravel(), minlength=self.n_states)
 
-    @cached_property
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """All consecutive (s, s') pairs, episode by episode."""
-        return self.episodes[:, :-1].ravel(), self.episodes[:, 1:].ravel()
+    def moves(self):
+        """Consecutive moves (s, s2 != s), episode by episode, PAIR_BLOCK transitions a block."""
+        flat = self.episodes.ravel()
+        for lo in range(0, self.total_steps, PAIR_BLOCK):
+            at = np.arange(lo, min(lo + PAIR_BLOCK, self.total_steps))
+            at += at // (self.episodes.shape[1] - 1)   # transition j's source in flat
+            s, s2 = flat[at], flat[at + 1]
+            move = s != s2
+            yield s[move], s2[move]
 
     @cached_property
     def induced_graph(self) -> StateGraph:
@@ -94,7 +107,10 @@ class TransitionDataset:
         States never seen in a transition are isolated nodes, so sparse
         coverage shows up as disconnection.
         """
-        return graph_from_transitions(self.n_states, *self.pairs)
+        keys = np.empty(0, dtype=np.int64)   # distinct moves s * n + s2 of the blocks so far
+        for s, s2 in self.moves():
+            keys = sorted_unique(np.concatenate([keys, s.astype(np.int64) * self.n_states + s2]))
+        return graph_from_transitions(self.n_states, *np.divmod(keys, self.n_states))
 
 
 @dataclass(frozen=True)
@@ -174,7 +190,7 @@ def collect_dataset(
     require_connected(graph_from_table(table))
     cum = np.cumsum(start_distribution(maze, temperature))
     u = np.empty(episodes)
-    actions = np.empty((episodes, episode_len), dtype=np.int64)
+    actions = np.empty((episodes, episode_len), dtype=np.int8)
     for e in range(episodes):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, e))))
         u[e] = rng.random()
@@ -269,31 +285,33 @@ def train_graph_drawing(
     log_rows = []
     ema = None
     initial = None
-    for it in range(1, config.iterations + 1):
-        s, s2 = sample_pair_batch(data.episodes, config.batch_size, rng)
-        a_val, a_grad = attraction_value_grad(f, dim_weights, s, s2)
-        p_val, p_grad = penalty_value_grad(f, pair_weights, visit, PENALTY_WEIGHT)
-        objective = a_val + p_val
-        grad = a_grad + p_grad
+    # divergence is reported once, by the objective check, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(1, config.iterations + 1):
+            s, s2 = sample_pair_batch(data.episodes, config.batch_size, rng)
+            a_val, a_grad = attraction_value_grad(f, dim_weights, s, s2)
+            p_val, p_grad = penalty_value_grad(f, pair_weights, visit, PENALTY_WEIGHT)
+            objective = a_val + p_val
+            grad = a_grad + p_grad
 
-        m1 = beta1 * m1 + (1 - beta1) * grad
-        m2 = beta2 * m2 + (1 - beta2) * grad * grad
-        hat1 = m1 / (1 - beta1 ** it)
-        hat2 = m2 / (1 - beta2 ** it)
-        f -= config.step_size * hat1 / (np.sqrt(hat2) + eps_adam)
+            m1 = beta1 * m1 + (1 - beta1) * grad
+            m2 = beta2 * m2 + (1 - beta2) * grad * grad
+            hat1 = m1 / (1 - beta1 ** it)
+            hat2 = m2 / (1 - beta2 ** it)
+            f -= config.step_size * hat1 / (np.sqrt(hat2) + eps_adam)
 
-        if ema is None:
-            ema = objective
-            initial = objective
-        else:
-            ema = 0.99 * ema + 0.01 * objective
-        if ema > 10.0 * max(initial, 1e-12):
-            raise NumericalError(
-                f"smoothed objective {ema:.3e} exceeds 10x its initial "
-                f"level {initial:.3e} at iteration {it}"
-            )
-        if it % LOG_EVERY == 0 or it == 1 or it == config.iterations:
-            log_rows.append((it, objective, p_val))
+            if ema is None:
+                ema = objective
+                initial = objective
+            else:
+                ema = 0.99 * ema + 0.01 * objective
+            if not ema <= 10.0 * max(initial, 1e-12):
+                raise NumericalError(
+                    f"smoothed objective {ema:.3e} exceeds 10x its initial "
+                    f"level {initial:.3e} at iteration {it}"
+                )
+            if it % LOG_EVERY == 0 or it == 1 or it == config.iterations:
+                log_rows.append((it, objective, p_val))
 
     return LearnedRep(
         params=f,
@@ -308,14 +326,16 @@ def estimate_eigenvalues(rep: LearnedRep, data: TransitionDataset) -> np.ndarray
         raise InputError(
             f"table has {rep.n_states} states, dataset has {data.n_states}"
         )
-    s, s2 = data.pairs
-    mask = s != s2
-    if not mask.any():
-        raise InputError("dataset has no edge-traversing transitions")
     f = rep.params
-    diff = f[s[mask]] - f[s2[mask]]
+    total, count = np.zeros((1, f.shape[1])), 0
+    for s, s2 in data.moves():
+        # the running total leads each block's rows: one in-order sum over every row
+        total = np.concatenate([total, np.square(f[s] - f[s2])]).sum(axis=0, keepdims=True)
+        count += len(s)
+    if count == 0:
+        raise InputError("dataset has no edge-traversing transitions")
     edges = data.induced_graph.volume // 2
-    raw = (diff * diff).sum(axis=0) / mask.sum() * edges
+    raw = total[0] / count * edges
     norms = (f * f).sum(axis=0)
     return (raw / norms)[1:]
 
@@ -325,7 +345,7 @@ def learned_ra_laprep(rep: LearnedRep, lam: np.ndarray) -> Embedding:
     d = rep.params.shape[1]
     if len(lam) != d - 1:
         raise InputError(f"{len(lam)} eigenvalue estimates for a d = {d} table")
-    if np.any(lam <= DEGENERATE_EIG_TOL):
+    if not np.all(lam > DEGENERATE_EIG_TOL):
         worst = float(lam.min())
         raise NumericalError(
             f"eigenvalue estimate {worst:.3e} is at or below {DEGENERATE_EIG_TOL}"

@@ -338,6 +338,14 @@ class TestLearn:
                      "--step-size", "100.0", "--out", str(tmp_path / "x")]) == 3
         assert "10x" in capsys.readouterr().err
 
+    def test_peak_rss_on_two_million_transitions(self, tmp_path):
+        # the dataset statistics stream over blocks: memory is the episode matrix plus O(block)
+        peak = peak_rss_bytes(["learn", "--map", "fourroom", "--seed", "1", "--d", "10",
+                               "--episodes", "20000", "--episode-len", "100",
+                               "--iterations", "200", "--batch", "256", "--step-size", "0.01",
+                               "--out", tmp_path / "l"])
+        assert peak <= 100e6
+
     def test_runs_beyond_the_dense_cap(self, tmp_path):
         # 4,900 states: learn solves its d + 1 pairs on the band, as embed --d does
         (tmp_path / "open.txt").write_text(open_room_text(70))
@@ -758,6 +766,10 @@ def test_out_of_memory_is_one_error_line(tmp_path, argv):
     (lambda tmp: ["commute", "--map", "p3", "--method", "mc", "--pair", "1,1:3,1",
                   "--seed", str(2 ** 64), "--out", str(tmp / "mc")], 1,
      "error: seed must be in [0, 2^64), got 18446744073709551616\n"),
+    (lambda tmp: ["learn", "--map", "tworoom", "--seed", "1", "--d", "5", "--episodes", "200",
+                  "--episode-len", "50", "--iterations", "300", "--batch", "64",
+                  "--step-size", "1e300", "--out", str(tmp / "l")], 3,
+     "error: smoothed objective inf exceeds 10x its initial level 3.844e+01 at iteration 2\n"),
 ], ids=["continuous_a", "continuous_b", "heatmap-empty-csv", "heatmap-short-row",
         "heatmap-duplicate-index", "heatmap-index-gap", "heatmap-fractional-x",
         "heatmap-non-numeric-value", "heatmap-scale-0", "heatmap-scale-negative", "commute-pair-without-colon",
@@ -773,7 +785,8 @@ def test_out_of_memory_is_one_error_line(tmp_path, argv):
         "bottleneck-lap-two-islands", "shape-two-islands", "shape-none-two-islands",
         "shape-repeated-kind", "shape-no-episodes", "shape-none-d-above-n",
         "shape-none-d-below-two", "learn-negative-seed", "shape-negative-seed",
-        "commute-mc-negative-seed", "commute-mc-seed-beyond-64-bits"])
+        "commute-mc-negative-seed", "commute-mc-seed-beyond-64-bits",
+        "learn-diverging-step-size"])
 def test_exit_code_and_at_most_one_stderr_line(tmp_path, capsys, argv, code, needle):
     assert main(argv(tmp_path)) == code
     err = capsys.readouterr().err

@@ -16,8 +16,11 @@ from spectral_reach.envgrid import (
     transition_table,
 )
 from spectral_reach.errors import InputError, NumericalError, PreconditionError
-from spectral_reach.graph import build_graph, geodesic_matrix, require_connected
+from spectral_reach.graph import (build_graph, geodesic_matrix, graph_from_transitions,
+                                  require_connected)
+from spectral_reach import replearn
 from spectral_reach.replearn import (
+    PAIR_BLOCK,
     PAIR_DISCOUNT,
     LearnedRep,
     TrainConfig,
@@ -57,6 +60,11 @@ def exhaustive_dataset(maze):
     n, n_actions = table.shape
     start = np.repeat(np.arange(n), n_actions)
     return TransitionDataset(episodes=np.stack([start, table.ravel()], axis=1), n_states=n)
+
+
+def raw_pairs(data):
+    """All consecutive (s, s') pairs, episode by episode, as whole arrays."""
+    return data.episodes[:, :-1].ravel(), data.episodes[:, 1:].ravel()
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +134,7 @@ class TestCollectDataset:
             for s in range(len(index))
             for a in ACTIONS
         }
-        s, s2 = tworoom_data.pairs
+        s, s2 = raw_pairs(tworoom_data)
         assert set(zip(s.tolist(), s2.tolist())) <= legal
 
     def test_visitation_tracks_chain_stationary(self, tworoom, tworoom_data):
@@ -173,7 +181,7 @@ class TestCollectDataset:
     @pytest.mark.parametrize("name,episodes", [("tworoom", 1), ("biased", 5), ("fourroom", 300)])
     def test_observed_edges_match_unique(self, name, episodes):
         data = collect_dataset(layouts.load_bundled(name), episodes, 20, 0.0, seed=1)
-        s, s2 = data.pairs
+        s, s2 = raw_pairs(data)
         move = s != s2
         keys = np.minimum(s, s2)[move] * data.n_states + np.maximum(s, s2)[move]
         assert data.induced_graph.volume // 2 == len(np.unique(keys))
@@ -216,7 +224,7 @@ class TestExhaustiveDataset:
             data = exhaustive_dataset(maze)
             assert len(data.episodes) == 4 * g.n_states
             assert all(len(ep) == 2 for ep in data.episodes)
-            s, s2 = data.pairs
+            s, s2 = raw_pairs(data)
             moves = [(a, b) for a, b in zip(s.tolist(), s2.tolist()) if a != b]
             directed = {(i, j) for i, j in g.edges()} | {(j, i) for i, j in g.edges()}
             assert sorted(moves) == sorted(directed)
@@ -380,6 +388,15 @@ class TestTrainGraphDrawing:
         with pytest.raises(NumericalError, match="10x"):
             train_graph_drawing(data, 3, cfg)
 
+    def test_nan_objective_raises(self, tworoom_data, monkeypatch):
+        def nan_attraction(f, weights, s, s2):
+            return float("nan"), np.zeros_like(f)
+
+        monkeypatch.setattr(replearn, "attraction_value_grad", nan_attraction)
+        cfg = TrainConfig(iterations=50, batch_size=16, step_size=1e-2, seed=0)
+        with pytest.raises(NumericalError, match="smoothed objective nan exceeds 10x"):
+            train_graph_drawing(tworoom_data, 3, cfg)
+
     def test_partial_coverage_rejected(self, tworoom):
         data = make_dataset([[0, 1], [1, 0]], n_states=9)
         with pytest.raises(PreconditionError, match="components"):
@@ -457,6 +474,70 @@ class TestEstimateEigenvalues:
 
 
 # ---------------------------------------------------------------------------
+# streamed dataset statistics
+# ---------------------------------------------------------------------------
+
+def reference_induced_graph(data):
+    """The induced graph from every raw pair at once: the definition the
+    block-by-block collection of moves must match."""
+    return graph_from_transitions(data.n_states, *raw_pairs(data))
+
+
+def reference_estimates(rep, data):
+    """Eigenvalue estimates from whole-array sums: the definition the
+    block-by-block sums must match bit for bit."""
+    s, s2 = raw_pairs(data)
+    mask = s != s2
+    f = rep.params
+    diff = f[s[mask]] - f[s2[mask]]
+    edges = reference_induced_graph(data).volume // 2
+    raw = (diff * diff).sum(axis=0) / mask.sum() * edges
+    return (raw / (f * f).sum(axis=0))[1:]
+
+
+def random_rep(n, d, seed):
+    return LearnedRep(params=np.random.default_rng(seed).normal(size=(n, d)),
+                      config=TrainConfig(), objective_log=np.zeros((1, 3)))
+
+
+def assert_streams_match_reference(data, d, seed=0):
+    got, want = data.induced_graph, reference_induced_graph(data)
+    assert got.n_states == want.n_states and got.volume == want.volume
+    for name in ("indptr", "indices", "degrees"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    rep = random_rep(data.n_states, d, seed)
+    assert np.array_equal(estimate_eigenvalues(rep, data), reference_estimates(rep, data))
+
+
+class TestStreamedStatistics:
+    @pytest.mark.parametrize("episodes,episode_len", [
+        (333, 70),                          # blocks end inside episodes
+        (PAIR_BLOCK // 64, 64),             # exactly one block
+        (2 * PAIR_BLOCK + 1, 1),            # episode_len 1, one transition past two blocks
+        (1, 3 * PAIR_BLOCK + 17),           # a single episode over four blocks
+    ])
+    @pytest.mark.parametrize("d", [2, 5, 10])
+    def test_fourroom_matches_whole_array_formulas(self, episodes, episode_len, d):
+        data = collect_dataset(layouts.load_bundled("fourroom"), episodes, episode_len,
+                               0.0, seed=5)
+        assert_streams_match_reference(data, d, seed=d)
+
+    def test_criterion_five_data(self, tworoom_data, tworoom_rep):
+        assert_streams_match_reference(tworoom_data, 5)
+        assert np.array_equal(estimate_eigenvalues(tworoom_rep, tworoom_data),
+                              reference_estimates(tworoom_rep, tworoom_data))
+
+    @pytest.mark.parametrize("name", sorted(layouts.bundled_files()))
+    def test_every_bundled_map(self, name):
+        maze = layouts.load_bundled(name)
+        if isinstance(maze, ContinuousMazeSpec):
+            maze = discretize_continuous(maze, 2)
+        data = collect_dataset(maze, 400, 30, 0.0, seed=2)
+        assert_streams_match_reference(data, min(5, data.n_states), seed=1)
+        assert_streams_match_reference(exhaustive_dataset(maze), 2, seed=3)
+
+
+# ---------------------------------------------------------------------------
 # learned rescaled embedding
 # ---------------------------------------------------------------------------
 
@@ -474,6 +555,11 @@ class TestLearnedRaLaprep:
         rep = exact_rep(zoo_bases["k2"], 2)
         with pytest.raises(NumericalError, match="at or below"):
             learned_ra_laprep(rep, np.array([0.0]))
+
+    def test_nan_estimate_refused(self, zoo_bases):
+        rep = exact_rep(zoo_bases["p3"], 3)
+        with pytest.raises(NumericalError, match="estimate nan is at or below"):
+            learned_ra_laprep(rep, np.array([1.0, np.nan]))
 
     def test_estimate_count_mismatch_rejected(self, zoo_bases):
         rep = exact_rep(zoo_bases["k2"], 2)
