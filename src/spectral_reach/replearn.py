@@ -38,7 +38,7 @@ first row, so the rows add in the order of one whole-array ``sum(axis=0)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from .spectral import Embedding, check_dimension, goal_distances, tied
 DEGENERATE_EIG_TOL = 1e-8
 #: geometric pair-offset parameter g of the pair sampler
 PAIR_DISCOUNT = 0.9
+LOG_PAIR_DISCOUNT = np.log(PAIR_DISCOUNT)
 #: weight of the orthonormality penalty in the objective
 PENALTY_WEIGHT = 5.0
 #: transitions per block when dataset statistics are streamed
@@ -212,15 +213,19 @@ def sample_pair_batch(
     """Batch of (s, s') pairs at geometric offsets from stacked episodes."""
     n_eps, length = matrix.shape
     max_offset = length - 1
-    k = np.empty(batch_size, dtype=np.int64)
-    need = np.ones(batch_size, dtype=bool)
-    while need.any():
-        u = rng.random(int(need.sum()))
-        k[need] = 1 + np.floor(np.log1p(-u) / np.log(PAIR_DISCOUNT)).astype(np.int64)
-        need = k > max_offset   # redraw offsets the episodes cannot hold
+    k = _geometric_offsets(rng.random(batch_size))
+    need = k > max_offset
+    while need.any():           # redraw offsets the episodes cannot hold
+        k[need] = _geometric_offsets(rng.random(int(need.sum())))
+        need = k > max_offset
     e = rng.integers(0, n_eps, size=batch_size)
     t = np.floor(rng.random(batch_size) * (length - k)).astype(np.int64)
     return matrix[e, t], matrix[e, t + k]
+
+
+def _geometric_offsets(u: np.ndarray) -> np.ndarray:
+    """Offsets k >= 1 with P(k) = (1 - g) g^(k-1), from uniform draws u in [0, 1)."""
+    return 1 + np.floor(np.log1p(-u) / LOG_PAIR_DISCOUNT).astype(np.int64)
 
 
 def attraction_value_grad(
@@ -228,7 +233,7 @@ def attraction_value_grad(
 ) -> tuple[float, np.ndarray]:
     """Weighted mean squared pair difference and its gradient in f."""
     diff = f[s] - f[s2]
-    value = float(np.mean((diff * diff) @ weights))
+    value = float(np.add.reduce((diff * diff) @ weights) / len(s))   # np.mean's bits
     scaled = (2.0 / len(s)) * diff * weights
     # add scaled at s, then -scaled at s2: np.add.at and np.subtract.at's sums, bit for bit
     n, d = f.shape
@@ -245,13 +250,25 @@ def penalty_value_grad(
     Penalizes sum over i <= j of pair_weights[i, j] * (gram_ij - delta_ij)^2
     where gram = f^T diag(visit) f.
     """
+    d = f.shape[1]
+    below = _strictly_below(d)
     wf = visit[:, None] * f
-    gram = f.T @ wf
-    err = gram - np.eye(f.shape[1])
+    err = f.T @ wf
+    err.reshape(-1)[::d + 1] -= 1.0                      # gram - I
     weighted = pair_weights * err
-    upper = float(np.sum(np.triu(pair_weights * err * err)))
-    grad = 2.0 * strength * wf @ (weighted + np.diag(np.diag(weighted)))
+    upper = float(np.sum(np.where(below, 0.0, pair_weights * err * err)))   # np.triu's sum
+    # weighted + diag(diag(weighted)): w + 0.0 off the diagonal, w + w on it
+    twice = weighted + 0.0
+    on_diagonal = weighted.reshape(-1)[::d + 1]
+    twice.reshape(-1)[::d + 1] = on_diagonal + on_diagonal
+    grad = 2.0 * strength * wf @ twice
     return strength * upper, grad
+
+
+@cache
+def _strictly_below(d: int) -> np.ndarray:
+    """The (d, d) mask of the entries below the diagonal, which np.triu zeroes."""
+    return np.tri(d, k=-1, dtype=bool)
 
 
 def train_graph_drawing(

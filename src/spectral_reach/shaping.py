@@ -10,6 +10,12 @@ reward never enters that judgment.
 Every episode draws its exploration noise from a PCG64 stream keyed by
 (seed, episode), so runs with the same seed but different reward kinds
 consume identical noise streams and differ only through the shaping.
+
+A batch of runs steps through one of two engines that give the same
+bytes.  Below LOCKSTEP_MIN_RUNS runs, each run steps alone on a Q-table
+of Python floats.  From there on, all runs step in numpy lockstep, one
+array operation per step over the runs still in an episode, whose fixed
+dispatch cost pays off only when enough runs share it.
 """
 
 from __future__ import annotations
@@ -41,6 +47,9 @@ EPSILON_END = 0.05
 EPSILON_FRACTION = 0.3
 #: smoothing window for threshold crossings
 SUCCESS_WINDOW = 25
+#: batches of at least this many (spec, seed) runs step in numpy lockstep,
+#: smaller ones run by run (README, "Q-learning engines")
+LOCKSTEP_MIN_RUNS = 128
 
 
 def check_kinds(kinds: tuple[str, ...]) -> None:
@@ -182,20 +191,23 @@ def q_learning_batch(
     seeds: tuple[int, ...],
     config: QLearningConfig,
 ) -> list[RunResult]:
-    """Q-learning for every (spec, seed) pair, spec-major, in lockstep.
+    """Q-learning for every (spec, seed) pair, spec-major.
 
     Epsilon anneals linearly from EPSILON_START to EPSILON_END over the
     first EPSILON_FRACTION of episodes.  Start states are uniform over
     floor cells excluding the goal.  The goal is absorbing with value 0.
-    Each step is one numpy operation over the runs still in an episode.
-    Runs own disjoint rows of one flat Q-table and share the (seed, ep)
-    noise of their seed, so each equals the same run made alone.
+    Runs of one seed share that seed's (seed, ep) noise, drawn once per
+    episode, so each run equals the same run made alone.  A batch of
+    fewer than LOCKSTEP_MIN_RUNS runs steps run by run in Python floats;
+    a larger one steps in numpy lockstep.  Both engines take the first
+    maximal action and do the same float operations in the same order,
+    so on finite Q-values they give the same bytes.
     """
     if not specs or not seeds:
         raise InputError("specs and seeds must be nonempty")
     config.validate()
     table = transition_table(maze)
-    n, n_act = table.shape
+    n = len(table)
     for spec in specs:
         spec.validate(n)
     # the graph is undirected: a goal is reachable from every floor cell iff it is connected
@@ -204,32 +216,63 @@ def q_learning_batch(
         raise InputError("Q-learning needs a floor cell besides the goal")
 
     pairs = [(spec, seed) for spec in specs for seed in seeds]
-    offset = np.arange(len(pairs)) * n          # run i owns Q rows offset[i] + s
-    goal = np.array([spec.goal for spec, _ in pairs])
-    next_row = (table + offset[:, None, None]).ravel()    # at row * n_act + a
-    reward = np.concatenate([reward_table(spec, n) for spec, _ in pairs])
     unique_seeds = list(dict.fromkeys(seeds))
-    seed_of = np.array([unique_seeds.index(seed) for _, seed in pairs])
-    q = np.zeros(len(pairs) * n * n_act)
-    q_rows = q.reshape(-1, n_act)
+    goals = [spec.goal for spec, _ in pairs]
+    rewards = [reward_table(spec, n) for spec, _ in pairs]
+    seed_of = [unique_seeds.index(seed) for _, seed in pairs]
     success = np.zeros((len(pairs), config.episodes), dtype=bool)
     steps = np.full((len(pairs), config.episodes), EPISODE_CAP, dtype=np.int64)
-    anneal = max(int(round(config.episodes * EPSILON_FRACTION)), 1)
+    noise = _episode_noise(unique_seeds, config.episodes, table.shape)
+    engine = _lockstep if len(pairs) >= LOCKSTEP_MIN_RUNS else _run_by_run
+    q_tables = engine(table, goals, rewards, seed_of, noise, success, steps)
+    return [
+        RunResult(spec.kind, spec.goal, seed, success[i], steps[i], q_tables[i])
+        for i, (spec, seed) in enumerate(pairs)
+    ]
 
-    for ep in range(config.episodes):
+
+def _episode_noise(
+    seeds: list[int], episodes: int, shape: tuple[int, int]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per episode, each seed's start index among the non-goal states and action picks.
+
+    A pick is a random action where the run explores and -1 where it
+    acts greedily.  Episode ep of a seed draws from its own PCG64 stream
+    keyed by (seed, ep), whatever the batch holds.
+    """
+    n, n_act = shape
+    anneal = max(int(round(episodes * EPSILON_FRACTION)), 1)
+    for ep in range(episodes):
         eps = EPSILON_END
         if ep < anneal:
             eps = EPSILON_START + (eps - EPSILON_START) * (ep / anneal)
         u = np.array([
             np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, ep))))
             .random(1 + 2 * EPISODE_CAP)
-            for seed in unique_seeds
+            for seed in seeds
         ])
-        k = (u[:, 0] * (n - 1)).astype(np.int64)[seed_of]   # index among non-goal states
         noise = u[:, 1:].reshape(-1, EPISODE_CAP, 2)
-        # Random action where exploring, -1 where acting greedily.
-        pick = np.where(noise[..., 0] < eps, (noise[..., 1] * n_act).astype(np.int64), -1)
-        runs, run_seed, run_goal = np.arange(len(pairs)), seed_of, offset + goal
+        yield ((u[:, 0] * (n - 1)).astype(np.int64),
+               np.where(noise[..., 0] < eps, (noise[..., 1] * n_act).astype(np.int64), -1))
+
+
+def _lockstep(table, goals, rewards, seed_of, noise, success, steps) -> np.ndarray:
+    """Every run at once: each step is one numpy operation over the runs still in an episode.
+
+    Runs own disjoint rows of one flat Q-table.  Fills ``success`` and
+    ``steps`` and returns the (runs, n, actions) Q-tables.
+    """
+    n, n_act = table.shape
+    offset = np.arange(len(goals)) * n          # run i owns Q rows offset[i] + s
+    goal = np.array(goals)
+    seed_of = np.array(seed_of)
+    next_row = (table + offset[:, None, None]).ravel()    # at row * n_act + a
+    reward = np.concatenate(rewards)
+    q = np.zeros(len(goals) * n * n_act)
+    q_rows = q.reshape(-1, n_act)
+    for ep, (k, pick) in enumerate(noise):
+        k = k[seed_of]
+        runs, run_seed, run_goal = np.arange(len(goals)), seed_of, offset + goal
         row = offset + k + (k >= goal)
         for t in range(EPISODE_CAP):
             a = pick[run_seed, t]
@@ -247,12 +290,46 @@ def q_learning_batch(
                 runs, row, run_seed, run_goal = (x[~done] for x in (runs, row, run_seed, run_goal))
                 if not len(runs):
                     break
+    return q.reshape(len(goals), n, n_act)
 
-    q_tables = q.reshape(len(pairs), n, n_act)
-    return [
-        RunResult(spec.kind, spec.goal, seed, success[i], steps[i], q_tables[i])
-        for i, (spec, seed) in enumerate(pairs)
-    ]
+
+def _run_by_run(table, goals, rewards, seed_of, noise, success, steps) -> np.ndarray:
+    """One run at a time, its Q-table as lists of Python floats.
+
+    The greedy action is the first maximal one, as numpy's argmax takes
+    it, and the update does the lockstep's operations in its order.
+    Each row's maximum is kept beside it, recomputed only when the
+    update lowers the entry that held it.  Fills ``success`` and
+    ``steps`` and returns the (runs, n, actions) Q-tables.
+    """
+    n, n_act = table.shape
+    moves = table.tolist()
+    rewards = [r.tolist() for r in rewards]
+    q = [[[0.0] * n_act for _ in range(n)] for _ in goals]
+    best = [[0.0] * n for _ in goals]           # best[i][s] == max(q[i][s]), kept up to date
+    alpha, gamma = STEP_SIZE, DISCOUNT
+    for ep, (k, pick) in enumerate(noise):
+        k, pick = k.tolist(), pick.tolist()
+        for i, (qi, bi, reward, goal, j) in enumerate(zip(q, best, rewards, goals, seed_of)):
+            s = k[j] + (k[j] >= goal)
+            for t, a in enumerate(pick[j], 1):
+                row = qi[s]
+                top = bi[s]
+                if a < 0:
+                    a = row.index(top)
+                s2 = moves[s][a]
+                old = row[a]
+                row[a] = new = old + alpha * (reward[s2] + gamma * bi[s2] - old)
+                if new > top:
+                    bi[s] = new
+                elif old == top:        # the old maximum may be gone
+                    bi[s] = max(row)
+                s = s2
+                if s == goal:
+                    steps[i, ep] = t
+                    success[i, ep] = True
+                    break
+    return np.array(q)
 
 
 def episodes_to_threshold(curve: np.ndarray, threshold: float, window: int) -> int:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import sys
 import warnings
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from spectral_reach.shaping import (
     paired_t,
     paired_t_pvalue,
     q_learning,
+    q_learning_batch,
     reward_table,
     run_experiment,
     scaled_positions,
@@ -42,6 +44,10 @@ SPLIT = """\
 """
 #: the one connectivity message, as ``graph.require_connected`` words it for SPLIT
 SPLIT_COMPONENTS = r"^state graph has 2 components \(sizes \[4, 4\]\)$"
+
+
+#: LOCKSTEP_MIN_RUNS settings that send every batch to one engine
+ENGINES = {"run by run": sys.maxsize, "lockstep": 1}
 
 
 def embedding_from(vectors):
@@ -292,25 +298,27 @@ class TestRunExperiment:
         assert first[0] == "0" and first[1] == "none" and first[2] == "8"
 
 
-    def test_batch_runs_equal_single_runs(self, fourroom, zoo_bases):
-        # Each run of the lockstep batch must equal the same run alone:
-        # no run reads another's Q rows, and each leaves the active set
-        # exactly when its episode ends.
+    def test_batch_runs_equal_single_runs(self, fourroom, zoo_bases, monkeypatch):
+        # Each run of a batch must equal the same run alone, in either
+        # engine: no run reads another's Q rows, and each leaves the
+        # active set exactly when its episode ends.
         basis = zoo_bases["fourroom"]
         embeddings = {"ra_laprep": ra_laprep(basis, 10), "laprep": laprep(basis, 10)}
         positions = scaled_positions(fourroom)
         index = fourroom.state_index()
         goals = tuple(index.of(c) for c in fourroom.goal_cells)
         cfg = QLearningConfig(episodes=60)
-        run = run_experiment(fourroom, REWARD_KINDS, goals, (0, 1), cfg, embeddings)
-        assert len(run.runs) == 4 * 4 * 2
-        for (kind, goal, seed), result in run.runs.items():
-            spec = RewardSpec(kind=kind, goal=goal, embedding=embeddings.get(kind),
-                              positions=positions if kind == "l2" else None)
-            single = q_learning(fourroom, spec, cfg, seed)
-            assert np.array_equal(result.success, single.success)
-            assert np.array_equal(result.steps, single.steps)
-            assert result.q_table.tobytes() == single.q_table.tobytes()
+        for min_runs in ENGINES.values():
+            monkeypatch.setattr(shaping, "LOCKSTEP_MIN_RUNS", min_runs)
+            run = run_experiment(fourroom, REWARD_KINDS, goals, (0, 1), cfg, embeddings)
+            assert len(run.runs) == 4 * 4 * 2
+            for (kind, goal, seed), result in run.runs.items():
+                spec = RewardSpec(kind=kind, goal=goal, embedding=embeddings.get(kind),
+                                  positions=positions if kind == "l2" else None)
+                single = q_learning(fourroom, spec, cfg, seed)
+                assert np.array_equal(result.success, single.success)
+                assert np.array_equal(result.steps, single.steps)
+                assert result.q_table.tobytes() == single.q_table.tobytes()
 
     def test_batch_equals_per_run_reference_loop(self, tworoom, zoo_bases, monkeypatch):
         # A repeated seed shares its noise rows across runs; a short cap
@@ -319,13 +327,40 @@ class TestRunExperiment:
         monkeypatch.setattr(shaping, "EPSILON_FRACTION", 0.5)
         emb = ra_laprep(zoo_bases["tworoom"], 9)
         cfg = QLearningConfig(episodes=80)
-        run = run_experiment(tworoom, ("ra_laprep", "l2", "none"), (0, 8), (5, 3, 5),
-                             cfg, {"ra_laprep": emb})
         positions = scaled_positions(tworoom)
-        assert not run.runs[("none", 0, 3)].success.all()
-        for (kind, goal, seed), result in run.runs.items():
-            spec = RewardSpec(kind=kind, goal=goal, embedding=emb if kind == "ra_laprep" else None,
-                              positions=positions if kind == "l2" else None)
+        for min_runs in ENGINES.values():
+            monkeypatch.setattr(shaping, "LOCKSTEP_MIN_RUNS", min_runs)
+            run = run_experiment(tworoom, ("ra_laprep", "l2", "none"), (0, 8), (5, 3, 5),
+                                 cfg, {"ra_laprep": emb})
+            assert not run.runs[("none", 0, 3)].success.all()
+            for (kind, goal, seed), result in run.runs.items():
+                spec = RewardSpec(kind=kind, goal=goal,
+                                  embedding=emb if kind == "ra_laprep" else None,
+                                  positions=positions if kind == "l2" else None)
+                success, steps, q = reference_q_learning(tworoom, spec, cfg, seed)
+                assert np.array_equal(result.success, success)
+                assert np.array_equal(result.steps, steps)
+                assert result.q_table.tobytes() == q.tobytes()
+
+    @pytest.mark.parametrize("below, engine", [(1, "_run_by_run"), (0, "_lockstep")],
+                             ids=["one-run-short", "at-the-constant"])
+    def test_batch_at_the_crossover_equals_reference_loop(self, tworoom, zoo_bases, monkeypatch,
+                                                          below, engine):
+        # The batch sizes on either side of LOCKSTEP_MIN_RUNS pick their
+        # engine, and both give the reference loop's bytes.
+        monkeypatch.setattr(shaping, "EPISODE_CAP", 12)
+        used = []
+        for name in ("_lockstep", "_run_by_run"):
+            monkeypatch.setattr(shaping, name,
+                                lambda *a, _f=getattr(shaping, name), _n=name: used.append(_n)
+                                or _f(*a))
+        spec = RewardSpec(kind="ra_laprep", goal=0, embedding=ra_laprep(zoo_bases["tworoom"], 9))
+        cfg = QLearningConfig(episodes=40)
+        seeds = tuple(range(shaping.LOCKSTEP_MIN_RUNS - below))
+        batch = q_learning_batch(tworoom, [spec], seeds, cfg)
+        assert used == [engine]
+        assert not all(r.success.all() for r in batch)
+        for seed, result in zip(seeds, batch):
             success, steps, q = reference_q_learning(tworoom, spec, cfg, seed)
             assert np.array_equal(result.success, success)
             assert np.array_equal(result.steps, steps)
