@@ -11,11 +11,10 @@ Every episode draws its exploration noise from a PCG64 stream keyed by
 (seed, episode), so runs with the same seed but different reward kinds
 consume identical noise streams and differ only through the shaping.
 
-A batch of runs steps through one of two engines that give the same
-bytes.  Below LOCKSTEP_MIN_RUNS runs, each run steps alone on a Q-table
-of Python floats.  From there on, all runs step in numpy lockstep, one
-array operation per step over the runs still in an episode, whose fixed
-dispatch cost pays off only when enough runs share it.
+A batch of runs goes seed by seed.  The runs of one seed step through
+each episode in turn, one run at a time, on Q-tables of Python floats:
+a step of one run is a few list operations, where a numpy operation
+would cost more in dispatch than the whole step.
 """
 
 from __future__ import annotations
@@ -47,9 +46,8 @@ EPSILON_END = 0.05
 EPSILON_FRACTION = 0.3
 #: smoothing window for threshold crossings
 SUCCESS_WINDOW = 25
-#: batches of at least this many (spec, seed) runs step in numpy lockstep,
-#: smaller ones run by run (README, "Q-learning engines")
-LOCKSTEP_MIN_RUNS = 128
+#: most Q-table rows (runs x states) held as Python floats at once
+Q_BLOCK_ROWS = 1 << 16
 
 
 def check_kinds(kinds: tuple[str, ...]) -> None:
@@ -196,12 +194,15 @@ def q_learning_batch(
     Epsilon anneals linearly from EPSILON_START to EPSILON_END over the
     first EPSILON_FRACTION of episodes.  Start states are uniform over
     floor cells excluding the goal.  The goal is absorbing with value 0.
-    Runs of one seed share that seed's (seed, ep) noise, drawn once per
-    episode, so each run equals the same run made alone.  A batch of
-    fewer than LOCKSTEP_MIN_RUNS runs steps run by run in Python floats;
-    a larger one steps in numpy lockstep.  Both engines take the first
-    maximal action and do the same float operations in the same order,
-    so on finite Q-values they give the same bytes.
+    Runs of one seed share that seed's (seed, ep) noise, so each run
+    equals the same run made alone.  Each run steps alone on a Q-table of
+    Python floats, taking the first maximal action (numpy's argmax rule)
+    and doing the update's float operations in the order of
+    ``old + STEP_SIZE * (reward + DISCOUNT * max(next) - old)``.  The runs
+    of one seed go through the episodes together, in blocks of at most
+    Q_BLOCK_ROWS Q-table rows that each draw an episode's noise once, so
+    the Python floats held at once stay bounded; each run's table is
+    copied into the returned arrays when its block is done.
     """
     if not specs or not seeds:
         raise InputError("specs and seeds must be nonempty")
@@ -215,30 +216,38 @@ def q_learning_batch(
     if n < 2:
         raise InputError("Q-learning needs a floor cell besides the goal")
 
-    pairs = [(spec, seed) for spec in specs for seed in seeds]
-    unique_seeds = list(dict.fromkeys(seeds))
-    goals = [spec.goal for spec, _ in pairs]
-    rewards = [reward_table(spec, n) for spec, _ in pairs]
-    seed_of = [unique_seeds.index(seed) for _, seed in pairs]
-    success = np.zeros((len(pairs), config.episodes), dtype=bool)
-    steps = np.full((len(pairs), config.episodes), EPISODE_CAP, dtype=np.int64)
-    noise = _episode_noise(unique_seeds, config.episodes, table.shape)
-    engine = _lockstep if len(pairs) >= LOCKSTEP_MIN_RUNS else _run_by_run
-    q_tables = engine(table, goals, rewards, seed_of, noise, success, steps)
+    shape = (len(specs), len(seeds))
+    success = np.zeros(shape + (config.episodes,), dtype=bool)
+    steps = np.full(shape + (config.episodes,), EPISODE_CAP, dtype=np.int64)
+    q_tables = np.zeros(shape + table.shape)
+    moves = table.tolist()
+    goals = [spec.goal for spec in specs]
+    rewards = [reward_table(spec, n) for spec in specs]
+    block = max(1, Q_BLOCK_ROWS // n)
+    for p, seed in enumerate(seeds):
+        first = seeds.index(seed)
+        if first < p:           # a repeated seed repeats its runs
+            for out in (success, steps, q_tables):
+                out[:, p] = out[:, first]
+            continue
+        for b in range(0, len(specs), block):      # each block re-draws the seed's noise
+            runs = slice(b, b + block)
+            _learn_together(moves, goals[runs], [r.tolist() for r in rewards[runs]],
+                            _episode_noise(seed, config.episodes, table.shape),
+                            success[runs, p], steps[runs, p], q_tables[runs, p])
     return [
-        RunResult(spec.kind, spec.goal, seed, success[i], steps[i], q_tables[i])
-        for i, (spec, seed) in enumerate(pairs)
+        RunResult(spec.kind, spec.goal, seed, success[j, p], steps[j, p], q_tables[j, p])
+        for j, spec in enumerate(specs)
+        for p, seed in enumerate(seeds)
     ]
 
 
-def _episode_noise(
-    seeds: list[int], episodes: int, shape: tuple[int, int]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per episode, each seed's start index among the non-goal states and action picks.
+def _episode_noise(seed: int, episodes: int, shape: tuple[int, int]) -> Iterator[tuple[int, list]]:
+    """Per episode, the start index among the non-goal states and the action picks.
 
     A pick is a random action where the run explores and -1 where it
-    acts greedily.  Episode ep of a seed draws from its own PCG64 stream
-    keyed by (seed, ep), whatever the batch holds.
+    acts greedily.  Episode ep draws from its own PCG64 stream keyed by
+    (seed, ep), whatever the batch holds.
     """
     n, n_act = shape
     anneal = max(int(round(episodes * EPSILON_FRACTION)), 1)
@@ -246,90 +255,54 @@ def _episode_noise(
         eps = EPSILON_END
         if ep < anneal:
             eps = EPSILON_START + (eps - EPSILON_START) * (ep / anneal)
-        u = np.array([
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, ep))))
-            .random(1 + 2 * EPISODE_CAP)
-            for seed in seeds
-        ])
-        noise = u[:, 1:].reshape(-1, EPISODE_CAP, 2)
-        yield ((u[:, 0] * (n - 1)).astype(np.int64),
-               np.where(noise[..., 0] < eps, (noise[..., 1] * n_act).astype(np.int64), -1))
+        u = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, ep))))
+        u = u.random(1 + 2 * EPISODE_CAP)
+        noise = u[1:].reshape(EPISODE_CAP, 2)
+        yield (int(u[0] * (n - 1)),
+               np.where(noise[:, 0] < eps, (noise[:, 1] * n_act).astype(np.int64), -1).tolist())
 
 
-def _lockstep(table, goals, rewards, seed_of, noise, success, steps) -> np.ndarray:
-    """Every run at once: each step is one numpy operation over the runs still in an episode.
+def _learn_together(moves, goals, rewards, noise, success, steps, q_tables) -> None:
+    """Runs that share one noise stream, episode by episode, each alone on Python floats.
 
-    Runs own disjoint rows of one flat Q-table.  Fills ``success`` and
-    ``steps`` and returns the (runs, n, actions) Q-tables.
+    Run j has goal ``goals[j]`` and reward list ``rewards[j]``, and fills
+    row j of ``success``, ``steps`` and ``q_tables`` (zeros on entry).
+    A Q row is made on the run's first step from its state.  The greedy
+    action is the first maximal one, as numpy's argmax takes it.  Each
+    row's maximum is kept beside it, recomputed only when the update
+    lowers the entry that held it.
     """
-    n, n_act = table.shape
-    offset = np.arange(len(goals)) * n          # run i owns Q rows offset[i] + s
-    goal = np.array(goals)
-    seed_of = np.array(seed_of)
-    next_row = (table + offset[:, None, None]).ravel()    # at row * n_act + a
-    reward = np.concatenate(rewards)
-    q = np.zeros(len(goals) * n * n_act)
-    q_rows = q.reshape(-1, n_act)
-    for ep, (k, pick) in enumerate(noise):
-        k = k[seed_of]
-        runs, run_seed, run_goal = np.arange(len(goals)), seed_of, offset + goal
-        row = offset + k + (k >= goal)
-        for t in range(EPISODE_CAP):
-            a = pick[run_seed, t]
-            a = np.where(a >= 0, a, q_rows[row].argmax(axis=1))
-            qi = row * n_act + a
-            row = next_row[qi]
-            # No run acts from its goal, so the goal's Q row stays 0 and
-            # the target at the goal is the reward alone.
-            q[qi] += STEP_SIZE * (reward[row] + DISCOUNT * q_rows[row].max(axis=1) - q[qi])
-            done = row == run_goal
-            finished = runs[done]
-            if len(finished):
-                steps[finished, ep] = t + 1
-                success[finished, ep] = True
-                runs, row, run_seed, run_goal = (x[~done] for x in (runs, row, run_seed, run_goal))
-                if not len(runs):
-                    break
-    return q.reshape(len(goals), n, n_act)
-
-
-def _run_by_run(table, goals, rewards, seed_of, noise, success, steps) -> np.ndarray:
-    """One run at a time, its Q-table as lists of Python floats.
-
-    The greedy action is the first maximal one, as numpy's argmax takes
-    it, and the update does the lockstep's operations in its order.
-    Each row's maximum is kept beside it, recomputed only when the
-    update lowers the entry that held it.  Fills ``success`` and
-    ``steps`` and returns the (runs, n, actions) Q-tables.
-    """
-    n, n_act = table.shape
-    moves = table.tolist()
-    rewards = [r.tolist() for r in rewards]
-    q = [[[0.0] * n_act for _ in range(n)] for _ in goals]
-    best = [[0.0] * n for _ in goals]           # best[i][s] == max(q[i][s]), kept up to date
+    n, n_act = len(moves), len(moves[0])
+    q = [[None] * n for _ in goals]
+    best = [[0.0] * n for _ in goals]           # best[j][s] == max(q[j][s]), kept up to date
     alpha, gamma = STEP_SIZE, DISCOUNT
     for ep, (k, pick) in enumerate(noise):
-        k, pick = k.tolist(), pick.tolist()
-        for i, (qi, bi, reward, goal, j) in enumerate(zip(q, best, rewards, goals, seed_of)):
-            s = k[j] + (k[j] >= goal)
-            for t, a in enumerate(pick[j], 1):
-                row = qi[s]
-                top = bi[s]
+        for j, (qj, bj, reward, goal) in enumerate(zip(q, best, rewards, goals)):
+            s = k + (k >= goal)
+            for t, a in enumerate(pick, 1):
+                row = qj[s]
+                if row is None:
+                    row = qj[s] = [0.0] * n_act
+                top = bj[s]
                 if a < 0:
                     a = row.index(top)
                 s2 = moves[s][a]
                 old = row[a]
-                row[a] = new = old + alpha * (reward[s2] + gamma * bi[s2] - old)
+                # The goal's row is never made, so its maximum stays 0
+                # and the target at the goal is the reward alone.
+                row[a] = new = old + alpha * (reward[s2] + gamma * bj[s2] - old)
                 if new > top:
-                    bi[s] = new
+                    bj[s] = new
                 elif old == top:        # the old maximum may be gone
-                    bi[s] = max(row)
+                    bj[s] = max(row)
                 s = s2
                 if s == goal:
-                    steps[i, ep] = t
-                    success[i, ep] = True
+                    steps[j, ep] = t
+                    success[j, ep] = True
                     break
-    return np.array(q)
+    for j, qj in enumerate(q):
+        made = [s for s, row in enumerate(qj) if row]
+        q_tables[j, made] = [qj[s] for s in made]
 
 
 def episodes_to_threshold(curve: np.ndarray, threshold: float, window: int) -> int:

@@ -421,6 +421,19 @@ class TestShape:
         assert all(t["p_value"] is not None for t in report["paired_tests"].values())
         assert peak <= 45e6
 
+    def test_peak_rss_with_many_runs_of_one_seed(self, tmp_path):
+        # 128 runs of one seed on 10,000 states: the Q rows held as Python
+        # floats are bounded by Q_BLOCK_ROWS, not by runs x states
+        lines = open_room_text(100).split("\n")
+        lines[1] = "#" + "G" * 64 + "." * 36 + "#"
+        (tmp_path / "goals.txt").write_text("\n".join(lines))
+        peak = peak_rss_bytes(["shape", "--map", tmp_path / "goals.txt", "--kind", "l2,none",
+                               "--episodes", "20", "--seed", "0", "--seeds", "1",
+                               "--out", tmp_path / "s"])
+        curves = (tmp_path / "s" / "curves.csv").read_text().splitlines()
+        assert len(curves) == 1 + 2 * 64 * 20
+        assert peak <= 110e6
+
     def test_goal_required_without_tagged_cells(self, tmp_path, capsys):
         assert main(["shape", "--map", "tworoom", "--kind", "none",
                      "--episodes", "10", "--seed", "0",

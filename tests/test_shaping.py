@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import sys
 import warnings
 from fractions import Fraction
 
@@ -46,10 +45,6 @@ SPLIT = """\
 SPLIT_COMPONENTS = r"^state graph has 2 components \(sizes \[4, 4\]\)$"
 
 
-#: LOCKSTEP_MIN_RUNS settings that send every batch to one engine
-ENGINES = {"run by run": sys.maxsize, "lockstep": 1}
-
-
 def embedding_from(vectors):
     v = np.asarray(vectors, dtype=np.float64)
     return Embedding(kind="ra_laprep", vectors=v, eigenvalues=np.ones(v.shape[1]))
@@ -65,7 +60,7 @@ def tworoom_runs(tworoom, zoo_bases):
 
 
 def reference_q_learning(maze, spec, cfg, seed):
-    """One run as a scalar loop: the definition the lockstep batch must match.
+    """One run as a scalar loop: the definition every batch run must match.
 
     It reads the settings from the module when called, so a test that
     patches them changes both sides.
@@ -298,73 +293,52 @@ class TestRunExperiment:
         assert first[0] == "0" and first[1] == "none" and first[2] == "8"
 
 
-    def test_batch_runs_equal_single_runs(self, fourroom, zoo_bases, monkeypatch):
-        # Each run of a batch must equal the same run alone, in either
-        # engine: no run reads another's Q rows, and each leaves the
-        # active set exactly when its episode ends.
+    def test_batch_runs_equal_single_runs(self, fourroom, zoo_bases):
+        # Each run of a batch must equal the same run alone:
+        # no run reads another's Q rows, and each leaves the active set
+        # exactly when its episode ends.
         basis = zoo_bases["fourroom"]
         embeddings = {"ra_laprep": ra_laprep(basis, 10), "laprep": laprep(basis, 10)}
         positions = scaled_positions(fourroom)
         index = fourroom.state_index()
         goals = tuple(index.of(c) for c in fourroom.goal_cells)
         cfg = QLearningConfig(episodes=60)
-        for min_runs in ENGINES.values():
-            monkeypatch.setattr(shaping, "LOCKSTEP_MIN_RUNS", min_runs)
-            run = run_experiment(fourroom, REWARD_KINDS, goals, (0, 1), cfg, embeddings)
-            assert len(run.runs) == 4 * 4 * 2
-            for (kind, goal, seed), result in run.runs.items():
-                spec = RewardSpec(kind=kind, goal=goal, embedding=embeddings.get(kind),
-                                  positions=positions if kind == "l2" else None)
-                single = q_learning(fourroom, spec, cfg, seed)
-                assert np.array_equal(result.success, single.success)
-                assert np.array_equal(result.steps, single.steps)
-                assert result.q_table.tobytes() == single.q_table.tobytes()
+        run = run_experiment(fourroom, REWARD_KINDS, goals, (0, 1), cfg, embeddings)
+        assert len(run.runs) == 4 * 4 * 2
+        for (kind, goal, seed), result in run.runs.items():
+            spec = RewardSpec(kind=kind, goal=goal, embedding=embeddings.get(kind),
+                              positions=positions if kind == "l2" else None)
+            single = q_learning(fourroom, spec, cfg, seed)
+            assert np.array_equal(result.success, single.success)
+            assert np.array_equal(result.steps, single.steps)
+            assert result.q_table.tobytes() == single.q_table.tobytes()
 
     def test_batch_equals_per_run_reference_loop(self, tworoom, zoo_bases, monkeypatch):
         # A repeated seed shares its noise rows across runs; a short cap
-        # leaves many runs unfinished.
+        # leaves many runs unfinished.  Every run the batch returns, a
+        # repeated seed's copies included, equals the reference loop,
+        # whether a seed's runs step in one block or in blocks of one run
+        # that each draw the noise again.
         monkeypatch.setattr(shaping, "EPISODE_CAP", 12)
         monkeypatch.setattr(shaping, "EPSILON_FRACTION", 0.5)
         emb = ra_laprep(zoo_bases["tworoom"], 9)
         cfg = QLearningConfig(episodes=80)
         positions = scaled_positions(tworoom)
-        for min_runs in ENGINES.values():
-            monkeypatch.setattr(shaping, "LOCKSTEP_MIN_RUNS", min_runs)
-            run = run_experiment(tworoom, ("ra_laprep", "l2", "none"), (0, 8), (5, 3, 5),
-                                 cfg, {"ra_laprep": emb})
-            assert not run.runs[("none", 0, 3)].success.all()
-            for (kind, goal, seed), result in run.runs.items():
-                spec = RewardSpec(kind=kind, goal=goal,
-                                  embedding=emb if kind == "ra_laprep" else None,
-                                  positions=positions if kind == "l2" else None)
+        specs = [RewardSpec(kind, goal, emb if kind == "ra_laprep" else None,
+                            positions if kind == "l2" else None)
+                 for kind in ("ra_laprep", "l2", "none") for goal in (0, 8)]
+        pairs = [(spec, seed) for spec in specs for seed in (5, 3, 5)]
+        keys = [(spec.kind, spec.goal, seed) for spec, seed in pairs]
+        for block_rows in (shaping.Q_BLOCK_ROWS, 1):
+            monkeypatch.setattr(shaping, "Q_BLOCK_ROWS", block_rows)
+            batch = q_learning_batch(tworoom, specs, (5, 3, 5), cfg)
+            assert [(r.kind, r.goal, r.seed) for r in batch] == keys
+            assert not batch[keys.index(("none", 0, 3))].success.all()
+            for result, (spec, seed) in zip(batch, pairs):
                 success, steps, q = reference_q_learning(tworoom, spec, cfg, seed)
                 assert np.array_equal(result.success, success)
                 assert np.array_equal(result.steps, steps)
                 assert result.q_table.tobytes() == q.tobytes()
-
-    @pytest.mark.parametrize("below, engine", [(1, "_run_by_run"), (0, "_lockstep")],
-                             ids=["one-run-short", "at-the-constant"])
-    def test_batch_at_the_crossover_equals_reference_loop(self, tworoom, zoo_bases, monkeypatch,
-                                                          below, engine):
-        # The batch sizes on either side of LOCKSTEP_MIN_RUNS pick their
-        # engine, and both give the reference loop's bytes.
-        monkeypatch.setattr(shaping, "EPISODE_CAP", 12)
-        used = []
-        for name in ("_lockstep", "_run_by_run"):
-            monkeypatch.setattr(shaping, name,
-                                lambda *a, _f=getattr(shaping, name), _n=name: used.append(_n)
-                                or _f(*a))
-        spec = RewardSpec(kind="ra_laprep", goal=0, embedding=ra_laprep(zoo_bases["tworoom"], 9))
-        cfg = QLearningConfig(episodes=40)
-        seeds = tuple(range(shaping.LOCKSTEP_MIN_RUNS - below))
-        batch = q_learning_batch(tworoom, [spec], seeds, cfg)
-        assert used == [engine]
-        assert not all(r.success.all() for r in batch)
-        for seed, result in zip(seeds, batch):
-            success, steps, q = reference_q_learning(tworoom, spec, cfg, seed)
-            assert np.array_equal(result.success, success)
-            assert np.array_equal(result.steps, steps)
-            assert result.q_table.tobytes() == q.tobytes()
 
     def test_curves_match_recorded_digest(self, fourroom):
         # Digest of the per-run loop's output, before runs were batched.
